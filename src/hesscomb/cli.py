@@ -10,8 +10,8 @@ Subcommands expose the main computations with text, JSON, or CSV output:
     verify         run the exhaustive check harness
     census         dump ground truth rows for a degree
 
-Exit statuses: 0 success, 1 domain error (one line diagnostic on stderr),
-2 usage error, 3 when verify finds a failing check.
+Exit statuses: 0 success, 1 domain error or unwritable --out file (one line
+diagnostic on stderr), 2 usage error, 3 when verify finds a failing check.
 """
 
 from __future__ import annotations
@@ -274,8 +274,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     if args.out is None:
         sys.stdout.write(output)
-    else:
+        return status
+    try:
         pathlib.Path(args.out).write_text(output, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return status
 
 

@@ -19,7 +19,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 
 from .hessvar import (
-    _staircase_negatives,
+    _position_pairs,
     h_from_parabolic,
     hess_cells,
     poincare_hessenberg,
@@ -51,8 +51,6 @@ from .symgroup import (
     _sn_images,
     _sn_index,
     _sn_inverse_images,
-    _sn_inverse_index,
-    _sn_invsets,
     _sn_lengths,
     is_min_coset_rep,
     is_min_coset_rep_strings,
@@ -153,16 +151,16 @@ def _check_fixed_points(n: int) -> tuple[int, list[Failure]]:
     cases = 0
     failures: list[Failure] = []
     for shape in partitions(n):
-        phi_x = highest_form_roots(shape).sorted_roots()
+        phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
         member = _fiber_bitmap(shape)
         for p in _parabolics(n):
-            neg = _staircase_negatives(h_from_parabolic(p))
+            # values a > b of w^(-1) land in the staircase exactly when a <= top[b]
+            top = (0,) + h_from_parabolic(p).values
             ctable = _coset_table(n, p.sorted_j())
             for idx, winv in enumerate(inverse_images):
                 direct = True
                 for a, b in phi_x:
-                    ia, ib = winv[a - 1], winv[b - 1]
-                    if ia > ib and (ia, ib) not in neg:
+                    if winv[a] > top[winv[b]]:
                         direct = False
                         break
                 cases += 1
@@ -176,27 +174,27 @@ def _check_parabolic_dimension(n: int) -> tuple[int, list[Failure]]:
     dimension of its minimal representative plus the length of the tail."""
     images_list = _sn_images(n)
     inverse_images = _sn_inverse_images(n)
-    inverse_index = _sn_inverse_index(n)
-    invsets = _sn_invsets(n)
     lengths = _sn_lengths(n)
     cases = 0
     failures: list[Failure] = []
     for shape in partitions(n):
-        ideal = dominance_ideal_from_filling(shape).roots
         member = _fiber_bitmap(shape)
         dims = _springer_dim_table(shape)
+        # inverted pairs outside the ideal once per shape, no length table
+        free, pinned = _position_pairs(shape)
+        free_counts = [
+            sum(1 for i, j in free if winv[i] > winv[j]) for winv in inverse_images
+        ]
         for p in _parabolics(n):
-            neg = _staircase_negatives(h_from_parabolic(p))
+            top = (0,) + h_from_parabolic(p).values
             ctable = _coset_table(n, p.sorted_j())
             for idx, winv in enumerate(inverse_images):
                 vidx = ctable[idx]
                 if not member[vidx]:
                     continue
-                dim = 0
-                for root in invsets[inverse_index[idx]]:
-                    if root not in ideal:
-                        dim += 1
-                    elif (winv[root[0] - 1], winv[root[1] - 1]) in neg:
+                dim = free_counts[idx]
+                for i, j in pinned:
+                    if winv[j] < winv[i] <= top[winv[j]]:
                         dim += 1
                 cases += 1
                 if dim != dims[vidx] + lengths[idx] - lengths[vidx]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from collections.abc import Iterable
 
 from .nilpotent import (
@@ -23,14 +24,12 @@ from .nilpotent import (
     springer_cell_dim,
 )
 from .poly import Poly
-from .rootsys import root_act
+from .rootsys import positive_roots, root_act
 from .symgroup import (
     ParabolicData,
     Permutation,
     _sn_images,
     _sn_inverse_images,
-    _sn_inverse_index,
-    _sn_invsets,
     coset_factor,
     inversion_set,
     poincare_subgroup,
@@ -198,46 +197,46 @@ def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=None)
+def _position_pairs(shape: Partition) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """0 based position pairs i < j outside and inside the orbit ideal."""
+    ideal = dominance_ideal_from_filling(shape).roots
+    pairs = [((i - 1, j - 1), (i, j) in ideal) for i, j in positive_roots(shape.n)]
+    return tuple(ij for ij, inside in pairs if not inside), tuple(ij for ij, inside in pairs if inside)
+
+
+@functools.lru_cache(maxsize=None)
 def poincare_hessenberg(shape: Partition, h: HessenbergFunction) -> Poly:
     """Poincare polynomial of the Hessenberg variety, graded by complex cell dimension.
 
     Coefficient of t^k counts the permutations w whose cell is nonempty of
-    dimension k; the sweep is exhaustive over S_n.
+    dimension k; the sweep is exhaustive over S_n.  It streams the one line
+    arrays of w^(-1) and builds no per degree table.
 
     >>> str(poincare_hessenberg(Partition((2, 2)), HessenbergFunction((2, 2, 4, 4))))
     '1 + 3t + 4t^2 + 3t^3 + t^4'
     """
     if shape.n != h.n:
         raise ValueError("degree mismatch")
-    n = shape.n
-    phi_x = highest_form_roots(shape).sorted_roots()
-    neg = _staircase_negatives(h)
-    ideal = dominance_ideal_from_filling(shape).roots
-    inverse_images = _sn_inverse_images(n)
-    inverse_index = _sn_inverse_index(n)
-    invsets = _sn_invsets(n)
-    counts: dict[int, int] = {}
-    for idx in range(len(inverse_images)):
-        winv = inverse_images[idx]
-        ok = True
+    # values a > b of w^(-1) land in the staircase exactly when a <= top[b]
+    top = (0,) + h.values
+    phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
+    free, pinned = _position_pairs(shape)
+    counts = [0] * (len(free) + len(pinned) + 1)
+    for winv in itertools.permutations(range(1, shape.n + 1)):
         for a, b in phi_x:
-            ia, ib = winv[a - 1], winv[b - 1]
-            if ia > ib and (ia, ib) not in neg:
-                ok = False
+            if winv[a] > top[winv[b]]:
                 break
-        if not ok:
-            continue
-        dim = 0
-        for root in invsets[inverse_index[idx]]:
-            if root not in ideal:
-                dim += 1
-            elif (winv[root[0] - 1], winv[root[1] - 1]) in neg:
-                dim += 1
-        counts[dim] = counts.get(dim, 0) + 1
-    if not counts:
-        return Poly.zero()
-    top = max(counts)
-    return Poly(tuple(counts.get(k, 0) for k in range(top + 1)))
+        else:
+            # an inverted pair counts outside the ideal, inside it only in the staircase
+            dim = 0
+            for i, j in free:
+                if winv[i] > winv[j]:
+                    dim += 1
+            for i, j in pinned:
+                if winv[j] < winv[i] <= top[winv[j]]:
+                    dim += 1
+            counts[dim] += 1
+    return Poly(tuple(counts))
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,18 +282,11 @@ def hess_cells(shape: Partition, p: ParabolicData) -> tuple[HessCell, ...]:
 
 
 def _iter_nonempty(shape: Partition, h: HessenbergFunction) -> Iterable[Permutation]:
-    n = shape.n
-    phi_x = highest_form_roots(shape).sorted_roots()
-    neg = _staircase_negatives(h)
-    images_list = _sn_images(n)
-    inverse_images = _sn_inverse_images(n)
-    for idx in range(len(images_list)):
-        winv = inverse_images[idx]
-        ok = True
+    phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
+    top = (0,) + h.values
+    for images, winv in zip(_sn_images(shape.n), _sn_inverse_images(shape.n)):
         for a, b in phi_x:
-            ia, ib = winv[a - 1], winv[b - 1]
-            if ia > ib and (ia, ib) not in neg:
-                ok = False
+            if winv[a] > top[winv[b]]:
                 break
-        if ok:
-            yield Permutation(images_list[idx])
+        else:
+            yield Permutation(images)

@@ -25,8 +25,6 @@ from .symgroup import (
     Permutation,
     _inversions,
     _sn_inverse_images,
-    _sn_inverse_index,
-    _sn_invsets,
     _sn_lengths,
 )
 
@@ -384,16 +382,15 @@ def _fiber_bitmap(shape: Partition) -> tuple[bool, ...]:
 def _springer_dim_table(shape: Partition) -> tuple[int, ...]:
     """springer_cell_dim per S_n index, -1 outside the fiber (root formula)."""
     n = shape.n
-    ideal = dominance_ideal_from_filling(shape).roots
+    ideal = tuple((i - 1, j - 1) for i, j in dominance_ideal_from_filling(shape).sorted_roots())
     member = _fiber_bitmap(shape)
     lengths = _sn_lengths(n)
-    invsets = _sn_invsets(n)
-    inverse_index = _sn_inverse_index(n)
     out = []
-    for idx in range(len(member)):
+    for idx, winv in enumerate(_sn_inverse_images(n)):
         if not member[idx]:
             out.append(-1)
             continue
-        in_ideal = sum(1 for root in invsets[inverse_index[idx]] if root in ideal)
+        # the ideal roots that w^(-1) inverts are the ones the count skips
+        in_ideal = sum(1 for i, j in ideal if winv[i] > winv[j])
         out.append(lengths[idx] - in_ideal)
     return tuple(out)

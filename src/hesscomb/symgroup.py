@@ -138,19 +138,22 @@ def _length(images: tuple[int, ...]) -> int:
 #
 # u <= w in Bruhat order iff for all i, k:
 #     #{j <= i : u(j) >= k}  <=  #{j <= i : w(j) >= k}.
-# The n*n table of these counts is packed into one integer, five bits per
-# entry (entries are at most n <= 8, and 16 + b - a stays inside 0..31 for
-# a, b <= 8), so the elementwise comparison becomes a single subtract and
-# mask.  The subword characterization of Bruhat order is kept in the test
-# suite as an independent oracle.
+# The n*n table of these counts is packed into one integer, so the
+# elementwise comparison becomes a single subtract and mask.  A digit holds
+# a count 0..n below a guard bit G, the least power of two above n, so that
+# G + b - a stays inside 0..2G-1 for all counts a, b and no digit borrows
+# from its neighbour.  The subword characterization of Bruhat order is kept
+# in the test suite as an independent oracle.
 # ---------------------------------------------------------------------------
 
-_DIGIT_BITS = 5
-_GUARD = 16
+
+def _digit_bits(n: int) -> int:
+    return n.bit_length() + 1
 
 
 def _dominance_key(images: tuple[int, ...]) -> int:
     n = len(images)
+    bits = _digit_bits(n)
     counts = [0] * (n + 1)
     key = 0
     shift = 0
@@ -159,13 +162,14 @@ def _dominance_key(images: tuple[int, ...]) -> int:
             counts[k] += 1
         for k in range(1, n + 1):
             key |= counts[k] << shift
-            shift += _DIGIT_BITS
+            shift += bits
     return key
 
 
 @functools.lru_cache(maxsize=None)
 def _guard_mask(n: int) -> int:
-    return sum(_GUARD << (_DIGIT_BITS * d) for d in range(n * n))
+    bits = _digit_bits(n)
+    return sum(1 << (bits * d + bits - 1) for d in range(n * n))
 
 
 def _key_leq(key_u: int, key_w: int, guard: int) -> bool:
@@ -399,10 +403,10 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Cached per degree tables.  Exhaustive sweeps index S_n once and reuse
-# inverses, lengths, inversion sets, dominance keys, and coset factors
-# instead of recomputing them per permutation.  Everything here is derived
-# from the public operations above and is checked against them in tests.
+# Cached per degree tables, aligned with the lexicographic order of S_n:
+# one line arrays, their index, inverses, lengths, dominance keys and coset
+# representatives.  They serve the harness sweeps and per shape tables; a
+# single poincare_hessenberg query streams S_n and builds none of them.
 # ---------------------------------------------------------------------------
 
 
@@ -428,19 +432,8 @@ def _sn_inverse_images(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _sn_inverse_index(n: int) -> tuple[int, ...]:
-    index = _sn_index(n)
-    return tuple(index[inv] for inv in _sn_inverse_images(n))
-
-
-@functools.lru_cache(maxsize=None)
 def _sn_lengths(n: int) -> tuple[int, ...]:
     return tuple(_length(images) for images in _sn_images(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _sn_invsets(n: int) -> tuple[tuple[Root, ...], ...]:
-    return tuple(_inversions(images) for images in _sn_images(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,14 +442,9 @@ def _sn_domkeys(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _blocks_of(n: int, j: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return ParabolicData(n, frozenset(j)).blocks
-
-
-@functools.lru_cache(maxsize=None)
 def _coset_table(n: int, j: tuple[int, ...]) -> tuple[int, ...]:
     """Index of the minimal coset representative of w W_J, per S_n index."""
-    blocks = _blocks_of(n, j)
+    blocks = ParabolicData(n, frozenset(j)).blocks
     index = _sn_index(n)
     out = []
     for images in _sn_images(n):

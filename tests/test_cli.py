@@ -388,3 +388,22 @@ def test_out_writes_file(tmp_path, capsys):
     assert status == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == "1 + 3t + 4t^2 + 3t^3 + t^4\n"
+
+
+def test_out_into_missing_directory_is_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.txt"
+    status, out, err = run(
+        capsys,
+        "poincare",
+        "--partition",
+        "2,2",
+        "--parabolic",
+        "1,3",
+        "--out",
+        str(target),
+    )
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert err.count("\n") == 1
+    assert not target.exists()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from hesscomb import (
@@ -9,6 +11,7 @@ from hesscomb import (
     ParabolicData,
     Partition,
     Permutation,
+    Poly,
     cell_dim,
     coset_factor,
     enumerate_sn,
@@ -26,6 +29,7 @@ from hesscomb import (
     springer_min_reps,
     t_factorial,
 )
+from hesscomb import symgroup
 
 from conftest import all_parabolics
 
@@ -229,6 +233,50 @@ def test_poincare_formula_matches_sweep():
                 sweep = poincare_hessenberg(shape, h_from_parabolic(p))
                 formula = poincare_parabolic_formula(shape, p)
                 assert sweep.coeffs == formula.coeffs, (shape, p)
+
+
+def hessenberg_functions(n: int) -> list[HessenbergFunction]:
+    """Every nondecreasing h with i <= h(i) <= n."""
+
+    def gen(i: int, low: int):
+        if i > n:
+            yield ()
+            return
+        for value in range(max(low, i), n + 1):
+            for rest in gen(i + 1, value):
+                yield (value,) + rest
+
+    return [HessenbergFunction(values) for values in gen(1, 1)]
+
+
+def test_poincare_hessenberg_matches_per_permutation_cells():
+    # the reference goes through the public per permutation API only, so
+    # it covers the non parabolic staircases the formula cannot
+    for total in range(1, 6):
+        perms = list(enumerate_sn(total))
+        functions = hessenberg_functions(total)
+        assert len(functions) == math.comb(2 * total, total) // (total + 1)  # Catalan
+        for h in functions:
+            for shape in partitions(total):
+                expected = Poly.from_exponents(
+                    cell_dim(w, shape, h) for w in perms if hess_contains(w, shape, h)
+                )
+                assert poincare_hessenberg(shape, h) == expected, (shape, h)
+
+
+def test_poincare_hessenberg_builds_no_sn_table():
+    tables = [
+        f for name, f in vars(symgroup).items()
+        if name.startswith("_sn_") or name == "_coset_table"
+    ]
+    for table in tables:
+        table.cache_clear()
+    shape = Partition((3, 2, 2, 1))
+    h = HessenbergFunction((2, 3, 5, 5, 6, 8, 8, 8))
+    # bypass the result cache so the sweep itself runs
+    assert poincare_hessenberg.__wrapped__(shape, h)(1) > 0
+    sizes = {table.__name__: table.cache_info().currsize for table in tables}
+    assert not any(sizes.values()), sizes
 
 
 def test_poincare_hessenberg_nonparabolic_staircase():

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesscomb import (
     ParabolicData,
@@ -174,6 +176,69 @@ def test_bruhat_leq_matches_subword_oracle_exhaustive():
 @settings(max_examples=200)
 def test_bruhat_leq_matches_subword_oracle_s5(u, w):
     assert bruhat_leq(u, w) == bruhat_leq_subword(u, w)
+
+
+def dominance_leq(u: Permutation, w: Permutation) -> bool:
+    """Bruhat order by comparing the dominance counts one by one."""
+    n = u.n
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            below_u = sum(1 for j in range(i) if u.images[j] >= k)
+            below_w = sum(1 for j in range(i) if w.images[j] >= k)
+            if below_u > below_w:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [31, 32, 40])
+def test_bruhat_leq_large_degree_extremes(n):
+    e = identity(n)
+    w0 = Permutation(tuple(range(n, 0, -1)))
+    assert bruhat_leq(e, w0)
+    assert not bruhat_leq(w0, e)
+    assert bruhat_leq(perm_from_word([n - 1], n), w0)
+
+
+def _sort_at(images: list[int], positions: Iterable[int]) -> list[int]:
+    """Sort the values at the given positions: a run of swaps that each undo
+    an inversion, so the result lies below the input in Bruhat order."""
+    positions = sorted(set(positions))
+    out = list(images)
+    for pos, val in zip(positions, sorted(images[pos] for pos in positions)):
+        out[pos] = val
+    return out
+
+
+@st.composite
+def bruhat_pairs(draw, max_n: int = 40):
+    """(u, w) with u below w, or an unrelated u.
+
+    w is random or close to the longest element, and u sorts a window or a
+    scattered set of w's positions; a wide window under a high w makes the
+    dominance counts of u and w differ by up to n / 2.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if draw(st.booleans()):
+        w = list(draw(permutations_of(n)).images)
+    else:
+        w = _sort_at(list(range(n, 0, -1)), draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    kind = draw(st.sampled_from(("unrelated", "window", "scattered")))
+    if kind == "unrelated":
+        return draw(permutations_of(n)), Permutation(tuple(w))
+    if kind == "window":
+        lo, hi = sorted((draw(st.integers(0, n)), draw(st.integers(0, n))))
+        positions: Iterable[int] = range(lo, hi)
+    else:
+        positions = draw(st.sets(st.integers(0, n - 1)))
+    return Permutation(tuple(_sort_at(w, positions))), Permutation(tuple(w))
+
+
+@given(bruhat_pairs())
+@settings(max_examples=150, deadline=None)
+def test_bruhat_leq_matches_direct_dominance_to_degree_40(pair):
+    u, w = pair
+    assert bruhat_leq(u, w) == dominance_leq(u, w)
+    assert bruhat_leq(w, u) == dominance_leq(w, u)
 
 
 @given(small_permutations(5), small_permutations(5))
