@@ -16,9 +16,8 @@ Example:
 from __future__ import annotations
 
 import argparse
-import itertools
 
-from hesscomb import ParabolicData, component_candidates, partitions
+from hesscomb import component_candidates, parabolics, partitions
 
 
 def survey_pair(shape, p) -> dict[str, object]:
@@ -50,21 +49,19 @@ def main(argv: list[str] | None = None) -> int:
     mixed = 0
     rows = 0
     for shape in partitions(args.n):
-        for size in range(args.n):
-            for combo in itertools.combinations(range(1, args.n), size):
-                p = ParabolicData.from_iterable(args.n, combo)
-                row = survey_pair(shape, p)
-                rows += 1
-                is_mixed = len(row["dims"]) > 1
-                mixed += is_mixed
-                if args.only_mixed and not is_mixed:
-                    continue
-                dims = ",".join(str(d) for d in row["dims"])
-                print(
-                    f"lambda={shape!s:<12} J={{{p!s:<9}}} "
-                    f"candidates={row['candidates']:<3} maximal={row['maximal']:<3} "
-                    f"full={row['full']:<3} dims={dims}"
-                )
+        for p in parabolics(args.n):
+            row = survey_pair(shape, p)
+            rows += 1
+            is_mixed = len(row["dims"]) > 1
+            mixed += is_mixed
+            if args.only_mixed and not is_mixed:
+                continue
+            dims = ",".join(str(d) for d in row["dims"])
+            print(
+                f"lambda={shape!s:<12} J={{{p!s:<9}}} "
+                f"candidates={row['candidates']:<3} maximal={row['maximal']:<3} "
+                f"full={row['full']:<3} dims={dims}"
+            )
     print(f"{rows} pairs surveyed, {mixed} with mixed top dimensions")
     return 0
 

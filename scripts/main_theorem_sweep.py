@@ -15,19 +15,10 @@ Example:
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 import time
 
-from hesscomb import ParabolicData, compare_with_schubert_union, partitions
-
-
-def parabolics(n: int) -> list[ParabolicData]:
-    out = []
-    for size in range(n):
-        for combo in itertools.combinations(range(1, n), size):
-            out.append(ParabolicData.from_iterable(n, combo))
-    return out
+from hesscomb import compare_with_schubert_union, parabolics, partitions
 
 
 def sweep(n: int, show_out_of_regime: bool) -> tuple[int, int, int, int]:

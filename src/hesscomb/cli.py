@@ -10,8 +10,10 @@ Subcommands expose the main computations with text, JSON, or CSV output:
     verify         run the exhaustive check harness
     census         dump ground truth rows for a degree
 
-Exit statuses: 0 success, 1 domain error or unwritable --out file (one line
-diagnostic on stderr), 2 usage error, 3 when verify finds a failing check.
+Exit statuses: 0 success, 1 domain error, a partition above MAX_DEGREE = 9
+in poincare, springer, union or components, or an unwritable --out file,
+2 usage error, 3 when verify finds a failing check, 4 internal error (two
+routes of the package disagreed); 1 and 4 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .hessvar import (
 )
 from .nilpotent import Partition, springer_cell_dim, springer_contains
 from .schubert import compare_with_schubert_union, schubert_point
-from .symgroup import ParabolicData, Permutation, enumerate_sn, perm_from_word
+from .symgroup import MAX_DEGREE, ParabolicData, Permutation, enumerate_sn, perm_from_word
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -44,6 +46,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma separated integers, got {text!r}") from None
+
+
+def _bounded_partition(args: argparse.Namespace) -> Partition:
+    """The --partition shape, rejected before any sweep above MAX_DEGREE."""
+    shape = Partition.from_string(args.partition)
+    if shape.n > MAX_DEGREE:
+        raise ValueError(f"partition has degree {shape.n}, at most {MAX_DEGREE} is supported")
+    return shape
 
 
 def _hessenberg_space(
@@ -75,7 +85,7 @@ def _word_text(word: tuple[int, ...]) -> str:
 
 
 def _cmd_poincare(args: argparse.Namespace) -> tuple[str, int]:
-    shape = Partition.from_string(args.partition)
+    shape = _bounded_partition(args)
     p, h = _hessenberg_space(args, shape.n)
     poly = poincare_hessenberg(shape, h)
     if args.format == "json":
@@ -90,7 +100,7 @@ def _cmd_poincare(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
-    shape = Partition.from_string(args.partition)
+    shape = _bounded_partition(args)
     cells = []
     for w in enumerate_sn(shape.n):
         if not springer_contains(w, shape):
@@ -140,7 +150,7 @@ def _cmd_schubert_point(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_union(args: argparse.Namespace) -> tuple[str, int]:
-    shape = Partition.from_string(args.partition)
+    shape = _bounded_partition(args)
     p = _parabolic_space(args, shape.n)
     report = compare_with_schubert_union(shape, p)
     if args.format == "json":
@@ -156,7 +166,7 @@ def _cmd_union(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_components(args: argparse.Namespace) -> tuple[str, int]:
-    shape = Partition.from_string(args.partition)
+    shape = _bounded_partition(args)
     p = _parabolic_space(args, shape.n)
     candidates = component_candidates(shape, p)
     if args.format == "json":
@@ -183,7 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         mark = "ok  " if r.passed else "FAIL"
         line = f"{mark}  {r.check_id:<20}  n={r.n}  cases={r.cases_run}  {r.elapsed:.2f}s"
         if not r.passed:
-            line += f"  failures={len(r.failures)}"
+            line += f"  failures={r.failures_total}"
         lines.append(line)
         for f in r.failures[:5]:
             shape = "-" if f.shape is None else ",".join(str(x) for x in f.shape)
@@ -272,6 +282,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     if args.out is None:
         sys.stdout.write(output)
         return status

@@ -2,10 +2,11 @@
 
 Every theorem in the package has a named check that runs over all shapes
 of a given degree and all parabolic subsets, comparing two independent
-routes to the same answer.  The checks use the cached index tables from
-symgroup and nilpotent so that a full sweep of degree 7 stays within an
-interactive time budget on one core.  The census functions dump the same
-ground truth as flat rows for offline diffing.
+routes to the same answer.  The staircase side is the coset free sweep
+hessvar._staircase_dims; the other side reads the cached coset and fiber
+tables of symgroup and nilpotent.  A check counts every failure and keeps
+the first 1000 witnesses.  The census functions dump the same ground
+truth as flat rows for offline diffing.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import time
 from collections.abc import Callable, Iterable, Iterator
 
 from .hessvar import (
-    _position_pairs,
+    _staircase_dims,
     h_from_parabolic,
     hess_cells,
     poincare_hessenberg,
     poincare_parabolic_formula,
+    springer_min_reps,
 )
 from .nilpotent import (
     Partition,
@@ -54,6 +55,7 @@ from .symgroup import (
     _sn_lengths,
     is_min_coset_rep,
     is_min_coset_rep_strings,
+    parabolics,
 )
 
 _MAX_RECORDED_FAILURES = 1000
@@ -71,17 +73,19 @@ class Failure:
 
 @dataclasses.dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one named check at one degree."""
+    """Outcome of one named check at one degree: failures holds the first
+    witnesses, failures_total counts every failure."""
 
     check_id: str
     n: int
     cases_run: int
     failures: tuple[Failure, ...]
+    failures_total: int
     elapsed: float
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failures_total
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -92,36 +96,40 @@ class CheckReport:
                 {"lambda": f.shape, "J": f.j, "witness": f.witness}
                 for f in self.failures
             ],
+            "failures_total": self.failures_total,
             "elapsed": round(self.elapsed, 3),
         }
 
 
-def _record(
-    failures: list[Failure],
-    shape: Partition | None,
-    p: ParabolicData | None,
-    images: tuple[int, ...] | None,
-) -> None:
-    # Cap the stored witnesses; a systematic failure would otherwise flood
-    # memory without adding information.
-    if len(failures) >= _MAX_RECORDED_FAILURES:
-        return
-    failures.append(
-        Failure(
-            shape=None if shape is None else shape.parts,
-            j=None if p is None else p.sorted_j(),
-            witness=None if images is None else ",".join(str(i) for i in images),
-        )
-    )
+@dataclasses.dataclass
+class _FailureLog:
+    """Counts every failure of a check and keeps the first witnesses."""
+
+    witnesses: list[Failure] = dataclasses.field(default_factory=list)
+    total: int = 0
+
+    def record(
+        self,
+        shape: Partition | None,
+        p: ParabolicData | None,
+        images: tuple[int, ...] | None,
+    ) -> None:
+        self.total += 1
+        # Cap the stored witnesses; a systematic failure would otherwise
+        # flood memory without adding information.
+        if len(self.witnesses) < _MAX_RECORDED_FAILURES:
+            self.witnesses.append(
+                Failure(
+                    shape=None if shape is None else shape.parts,
+                    j=None if p is None else p.sorted_j(),
+                    witness=None if images is None else ",".join(str(i) for i in images),
+                )
+            )
 
 
-def _parabolics(n: int) -> list[ParabolicData]:
-    """All subsets of {1, ..., n-1}, by size then lexicographically."""
-    out = []
-    for size in range(n):
-        for combo in itertools.combinations(range(1, n), size):
-            out.append(ParabolicData.from_iterable(n, combo))
-    return out
+def _fiber(shape: Partition) -> tuple[Permutation, ...]:
+    """The Springer fiber flags: for J empty every flag is its own minimal representative."""
+    return springer_min_reps(shape, ParabolicData(shape.n, frozenset()))
 
 
 def _covers_down(images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -143,116 +151,93 @@ def _covers_down(images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield tuple(swapped)
 
 
-def _check_fixed_points(n: int) -> tuple[int, list[Failure]]:
+def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
     """A flag lies in the parabolic Hessenberg variety iff the minimal
     representative of its coset lies in the Springer fiber."""
     images_list = _sn_images(n)
     inverse_images = _sn_inverse_images(n)
     cases = 0
-    failures: list[Failure] = []
+    failures = _FailureLog()
     for shape in partitions(n):
-        phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
         member = _fiber_bitmap(shape)
-        for p in _parabolics(n):
-            # values a > b of w^(-1) land in the staircase exactly when a <= top[b]
-            top = (0,) + h_from_parabolic(p).values
+        for p in parabolics(n):
             ctable = _coset_table(n, p.sorted_j())
-            for idx, winv in enumerate(inverse_images):
-                direct = True
-                for a, b in phi_x:
-                    if winv[a] > top[winv[b]]:
-                        direct = False
-                        break
+            dims = _staircase_dims(shape, h_from_parabolic(p), inverse_images)
+            for idx, dim in enumerate(dims):
                 cases += 1
-                if direct != member[ctable[idx]]:
-                    _record(failures, shape, p, images_list[idx])
+                if (dim >= 0) != member[ctable[idx]]:
+                    failures.record(shape, p, images_list[idx])
     return cases, failures
 
 
-def _check_parabolic_dimension(n: int) -> tuple[int, list[Failure]]:
+def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     """The staircase inversion count of a nonempty cell equals the Springer
     dimension of its minimal representative plus the length of the tail."""
     images_list = _sn_images(n)
     inverse_images = _sn_inverse_images(n)
     lengths = _sn_lengths(n)
     cases = 0
-    failures: list[Failure] = []
+    failures = _FailureLog()
     for shape in partitions(n):
         member = _fiber_bitmap(shape)
-        dims = _springer_dim_table(shape)
-        # inverted pairs outside the ideal once per shape, no length table
-        free, pinned = _position_pairs(shape)
-        free_counts = [
-            sum(1 for i, j in free if winv[i] > winv[j]) for winv in inverse_images
-        ]
-        for p in _parabolics(n):
-            top = (0,) + h_from_parabolic(p).values
+        springer_dims = _springer_dim_table(shape)
+        for p in parabolics(n):
             ctable = _coset_table(n, p.sorted_j())
-            for idx, winv in enumerate(inverse_images):
+            # only the flags whose minimal representative is in the fiber
+            flags = [idx for idx, vidx in enumerate(ctable) if member[vidx]]
+            swept = (inverse_images[idx] for idx in flags)
+            for idx, dim in zip(flags, _staircase_dims(shape, h_from_parabolic(p), swept)):
                 vidx = ctable[idx]
-                if not member[vidx]:
-                    continue
-                dim = free_counts[idx]
-                for i, j in pinned:
-                    if winv[j] < winv[i] <= top[winv[j]]:
-                        dim += 1
                 cases += 1
-                if dim != dims[vidx] + lengths[idx] - lengths[vidx]:
-                    _record(failures, shape, p, images_list[idx])
+                if dim != springer_dims[vidx] + lengths[idx] - lengths[vidx]:
+                    failures.record(shape, p, images_list[idx])
     return cases, failures
 
 
-def _check_poincare_corollary(n: int) -> tuple[int, list[Failure]]:
+def _check_poincare_corollary(n: int) -> tuple[int, _FailureLog]:
     """The exhaustive cell sweep and the closed product formula produce the
     same Poincare polynomial for every shape and parabolic."""
     cases = 0
-    failures: list[Failure] = []
+    failures = _FailureLog()
     for shape in partitions(n):
-        for p in _parabolics(n):
+        for p in parabolics(n):
             cases += 1
             swept = poincare_hessenberg(shape, h_from_parabolic(p))
             if swept != poincare_parabolic_formula(shape, p):
-                _record(failures, shape, p, None)
+                failures.record(shape, p, None)
     return cases, failures
 
 
-def _check_strings_coset(n: int) -> tuple[int, list[Failure]]:
+def _check_strings_coset(n: int) -> tuple[int, _FailureLog]:
     """The sorted block test and the string length test agree about which
     permutations are minimal coset representatives."""
     perms = tuple(Permutation(images) for images in _sn_images(n))
     cases = 0
-    failures: list[Failure] = []
-    for p in _parabolics(n):
+    failures = _FailureLog()
+    for p in parabolics(n):
         for w in perms:
             cases += 1
             if is_min_coset_rep(w, p) != is_min_coset_rep_strings(w, p):
-                _record(failures, None, p, w.images)
+                failures.record(None, p, w.images)
     return cases, failures
 
 
-def _check_schubert_coset(n: int) -> tuple[int, list[Failure]]:
+def _check_schubert_coset(n: int) -> tuple[int, _FailureLog]:
     """A Springer fiber flag and its Schubert point agree about minimal
     coset membership for every parabolic."""
-    images_list = _sn_images(n)
     cases = 0
-    failures: list[Failure] = []
+    failures = _FailureLog()
     for shape in partitions(n):
-        member = _fiber_bitmap(shape)
-        pairs = [
-            (w, schubert_point(w, shape).point)
-            for idx, images in enumerate(images_list)
-            if member[idx]
-            for w in (Permutation(images),)
-        ]
-        for p in _parabolics(n):
+        pairs = [(w, schubert_point(w, shape).point) for w in _fiber(shape)]
+        for p in parabolics(n):
             for w, point in pairs:
                 cases += 1
                 if is_min_coset_rep(w, p) != is_min_coset_rep(point, p):
-                    _record(failures, shape, p, w.images)
+                    failures.record(shape, p, w.images)
     return cases, failures
 
 
-def _check_schubert_ideal(n: int) -> tuple[int, list[Failure]]:
+def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
     """For shapes with at most three rows or two columns: the Schubert point
     map is injective, its image is closed downward in Bruhat order, and the
     image of the minimal representatives is closed downward within them."""
@@ -262,33 +247,25 @@ def _check_schubert_ideal(n: int) -> tuple[int, list[Failure]]:
     lengths = _sn_lengths(n)
     guard = _guard_mask(n)
     cases = 0
-    failures: list[Failure] = []
+    failures = _FailureLog()
     for shape in partitions(n):
         if not union_hypothesis(shape):
             continue
-        member = _fiber_bitmap(shape)
         image: set[int] = set()
-        for idx, images in enumerate(images_list):
-            if not member[idx]:
-                continue
-            point = schubert_point(Permutation(images), shape).point
-            pidx = index[point.images]
+        for w in _fiber(shape):
+            pidx = index[schubert_point(w, shape).point.images]
             cases += 1
             if pidx in image:
-                _record(failures, shape, None, images)
+                failures.record(shape, None, w.images)
             image.add(pidx)
         for pidx in image:
             for lower in _covers_down(images_list[pidx]):
                 cases += 1
                 if index[lower] not in image:
-                    _record(failures, shape, None, images_list[pidx])
-        for p in _parabolics(n):
+                    failures.record(shape, None, images_list[pidx])
+        for p in parabolics(n):
             j = p.sorted_j()
-            points = [
-                schubert_point(Permutation(images), shape).point
-                for idx, images in enumerate(images_list)
-                if member[idx] and all(images[i - 1] < images[i] for i in j)
-            ]
+            points = [schubert_point(v, shape).point for v in springer_min_reps(shape, p)]
             in_image = {index[point.images] for point in points}
             maximal = _maximal_keys(points, n)
             for idx, images in enumerate(images_list):
@@ -301,57 +278,53 @@ def _check_schubert_ideal(n: int) -> tuple[int, list[Failure]]:
                     lengths[idx] <= ml and _key_leq(keys[idx], mk, guard)
                     for ml, mk in maximal
                 ):
-                    _record(failures, shape, p, images)
+                    failures.record(shape, p, images)
     return cases, failures
 
 
-def _check_main_theorem(n: int) -> tuple[int, list[Failure]]:
+def _check_main_theorem(n: int) -> tuple[int, _FailureLog]:
     """Inside the proved regime the Hessenberg Poincare polynomial matches
     the Schubert union; outside it the comparison is only recorded."""
     cases = 0
-    failures: list[Failure] = []
+    failures = _FailureLog()
     for shape in partitions(n):
-        for p in _parabolics(n):
+        for p in parabolics(n):
             report = compare_with_schubert_union(shape, p)
             cases += 1
             if report.in_hypothesis and not report.equal:
-                _record(failures, shape, p, None)
+                failures.record(shape, p, None)
     return cases, failures
 
 
-def _check_phi_v_equivalence(n: int) -> tuple[int, list[Failure]]:
+def _check_phi_v_equivalence(n: int) -> tuple[int, _FailureLog]:
     """The dominance closure and the filling description of the orbit ideal
     coincide for every shape."""
     cases = 0
-    failures: list[Failure] = []
+    failures = _FailureLog()
     for shape in partitions(n):
         cases += 1
         closure = dominance_ideal(highest_form_roots(shape), n)
         if closure != dominance_ideal_from_filling(shape):
-            _record(failures, shape, None, None)
+            failures.record(shape, None, None)
     return cases, failures
 
 
-def _check_dim_formulas(n: int) -> tuple[int, list[Failure]]:
+def _check_dim_formulas(n: int) -> tuple[int, _FailureLog]:
     """The row inversion and root counting Springer dimension formulas agree
     on every fiber flag (the callee raises when they diverge)."""
-    images_list = _sn_images(n)
     cases = 0
-    failures: list[Failure] = []
+    failures = _FailureLog()
     for shape in partitions(n):
-        member = _fiber_bitmap(shape)
-        for idx, images in enumerate(images_list):
-            if not member[idx]:
-                continue
+        for w in _fiber(shape):
             cases += 1
             try:
-                springer_cell_dim(Permutation(images), shape)
+                springer_cell_dim(w, shape)
             except RuntimeError:
-                _record(failures, shape, None, images)
+                failures.record(shape, None, w.images)
     return cases, failures
 
 
-CHECKS: dict[str, Callable[[int], tuple[int, list[Failure]]]] = {
+CHECKS: dict[str, Callable[[int], tuple[int, _FailureLog]]] = {
     "fixed-points": _check_fixed_points,
     "parabolic-dimension": _check_parabolic_dimension,
     "poincare-corollary": _check_poincare_corollary,
@@ -391,7 +364,8 @@ def run_checks(n_max: int, checks: Iterable[str] | None = None) -> list[CheckRep
                     check_id=check_id,
                     n=n,
                     cases_run=cases,
-                    failures=tuple(failures),
+                    failures=tuple(failures.witnesses),
+                    failures_total=failures.total,
                     elapsed=time.perf_counter() - start,
                 )
             )
@@ -425,7 +399,7 @@ def _census_cells(n: int) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
     for shape in partitions(n):
         member = _fiber_bitmap(shape)
-        for p in _parabolics(n):
+        for p in parabolics(n):
             for cell in hess_cells(shape, p):
                 rows.append(
                     {
@@ -445,7 +419,7 @@ def _census_cells(n: int) -> list[dict[str, object]]:
 def _census_summaries(n: int) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
     for shape in partitions(n):
-        for p in _parabolics(n):
+        for p in parabolics(n):
             report = compare_with_schubert_union(shape, p)
             rows.append(
                 {

@@ -6,6 +6,9 @@ Hessenberg spaces are those whose staircase is a block pattern: they come
 from a subset J via h(i) = top of i's block, and for them every cell
 dimension splits along the coset factorization w = v y into a Springer
 part for v and the full length of y.
+
+One coset free sweep, _staircase_dims, reads membership and dimension off
+w^(-1) for poincare_hessenberg, hess_cells and the harness checks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .nilpotent import (
     Partition,
@@ -183,13 +186,19 @@ def springer_min_reps(shape: Partition, p: ParabolicData) -> tuple[Permutation, 
     """
     if p.n != shape.n:
         raise ValueError("degree mismatch")
+    images = _sn_images(shape.n)
+    return tuple(Permutation(images[idx]) for idx in _min_rep_indices(shape, p))
+
+
+def _min_rep_indices(shape: Partition, p: ParabolicData) -> list[int]:
+    """S_n indices of the Springer fiber flags increasing across every i in J."""
     member = _fiber_bitmap(shape)
     j = p.sorted_j()
-    out = []
-    for idx, images in enumerate(_sn_images(shape.n)):
-        if member[idx] and all(images[i - 1] < images[i] for i in j):
-            out.append(Permutation(images))
-    return tuple(out)
+    return [
+        idx
+        for idx, images in enumerate(_sn_images(shape.n))
+        if member[idx] and all(images[i - 1] < images[i] for i in j)
+    ]
 
 
 def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:
@@ -202,6 +211,37 @@ def _position_pairs(shape: Partition) -> tuple[tuple[tuple[int, int], ...], ...]
     ideal = dominance_ideal_from_filling(shape).roots
     pairs = [((i - 1, j - 1), (i, j) in ideal) for i, j in positive_roots(shape.n)]
     return tuple(ij for ij, inside in pairs if not inside), tuple(ij for ij, inside in pairs if inside)
+
+
+def _staircase_dims(
+    shape: Partition, h: HessenbergFunction, winvs: Iterable[tuple[int, ...]]
+) -> Iterator[int]:
+    """Cell dimension for each one line w^(-1) in winvs, -1 where the cell is empty.
+
+    The cell is nonempty when w^(-1) moves every root of X into the
+    staircase; its dimension counts the inverted pairs outside the orbit
+    ideal, and the inverted pairs inside it that land in the staircase.
+    It must never factor w through a coset: it is the side that the
+    harness compares with the coset route.
+    """
+    # values a > b of w^(-1) land in the staircase exactly when a is at most top[b]
+    top = (0,) + h.values
+    phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
+    free, pinned = _position_pairs(shape)
+    for winv in winvs:
+        for a, b in phi_x:
+            if winv[a] > top[winv[b]]:
+                yield -1
+                break
+        else:
+            dim = 0
+            for i, j in free:
+                if winv[i] > winv[j]:
+                    dim += 1
+            for i, j in pinned:
+                if winv[j] < winv[i] <= top[winv[j]]:
+                    dim += 1
+            yield dim
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,26 +257,8 @@ def poincare_hessenberg(shape: Partition, h: HessenbergFunction) -> Poly:
     """
     if shape.n != h.n:
         raise ValueError("degree mismatch")
-    # values a > b of w^(-1) land in the staircase exactly when a <= top[b]
-    top = (0,) + h.values
-    phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
-    free, pinned = _position_pairs(shape)
-    counts = [0] * (len(free) + len(pinned) + 1)
-    for winv in itertools.permutations(range(1, shape.n + 1)):
-        for a, b in phi_x:
-            if winv[a] > top[winv[b]]:
-                break
-        else:
-            # an inverted pair counts outside the ideal, inside it only in the staircase
-            dim = 0
-            for i, j in free:
-                if winv[i] > winv[j]:
-                    dim += 1
-            for i, j in pinned:
-                if winv[j] < winv[i] <= top[winv[j]]:
-                    dim += 1
-            counts[dim] += 1
-    return Poly(tuple(counts))
+    dims = _staircase_dims(shape, h, itertools.permutations(range(1, shape.n + 1)))
+    return Poly.from_exponents(dim for dim in dims if dim >= 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,12 +272,7 @@ def poincare_parabolic_formula(shape: Partition, p: ParabolicData) -> Poly:
     if p.n != shape.n:
         raise ValueError("degree mismatch")
     dims = _springer_dim_table(shape)
-    member = _fiber_bitmap(shape)
-    j = p.sorted_j()
-    exponents = []
-    for idx, images in enumerate(_sn_images(shape.n)):
-        if member[idx] and all(images[i - 1] < images[i] for i in j):
-            exponents.append(dims[idx])
+    exponents = (dims[idx] for idx in _min_rep_indices(shape, p))
     return Poly.from_exponents(exponents) * poincare_subgroup(p)
 
 
@@ -273,20 +290,11 @@ def hess_cells(shape: Partition, p: ParabolicData) -> tuple[HessCell, ...]:
     """All nonempty cells for the block staircase of p, in w lex order."""
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    h = h_from_parabolic(p)
+    dims = _staircase_dims(shape, h_from_parabolic(p), _sn_inverse_images(shape.n))
     out = []
-    for w in _iter_nonempty(shape, h):
-        v, y = coset_factor(w, p)
-        out.append(HessCell(w=w, dim=cell_dim(w, shape, h), v=v, y=y))
+    for images, dim in zip(_sn_images(shape.n), dims):
+        if dim >= 0:
+            w = Permutation(images)
+            v, y = coset_factor(w, p)
+            out.append(HessCell(w=w, dim=dim, v=v, y=y))
     return tuple(out)
-
-
-def _iter_nonempty(shape: Partition, h: HessenbergFunction) -> Iterable[Permutation]:
-    phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
-    top = (0,) + h.values
-    for images, winv in zip(_sn_images(shape.n), _sn_inverse_images(shape.n)):
-        for a, b in phi_x:
-            if winv[a] > top[winv[b]]:
-                break
-        else:
-            yield Permutation(images)

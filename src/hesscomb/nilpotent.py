@@ -108,9 +108,6 @@ class BaseFilling:
                     return (r, c)
         raise ValueError(f"label {label} not in filling")
 
-    def label_at(self, row: int, col: int) -> int:
-        return self.rows[row - 1][col - 1]
-
     def right_of(self, label: int) -> int:
         """Label directly to the right, or 0 at the end of a row."""
         r, c = self.box_of(label)
@@ -245,9 +242,6 @@ class Tableau:
         if sorted(entries) != list(range(1, self.shape.n + 1)):
             raise ValueError(f"entries must be a bijection with 1..{self.shape.n}")
 
-    def entry(self, row: int, col: int) -> int:
-        return self.rows[row - 1][col - 1]
-
     def row_of(self, value: int) -> int:
         for r, row in enumerate(self.rows, start=1):
             if value in row:
@@ -256,10 +250,6 @@ class Tableau:
 
     def is_row_strict(self) -> bool:
         return all(a < b for row in self.rows for a, b in zip(row, row[1:]))
-
-    def text(self) -> str:
-        """Compact form like "245/13" (entries of each row, rows joined by /)."""
-        return "/".join("".join(str(e) for e in row) for row in self.rows)
 
 
 def springer_tableau(w: Permutation, shape: Partition) -> Tableau:

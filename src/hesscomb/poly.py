@@ -37,13 +37,6 @@ class Poly:
         return Poly((1,))
 
     @staticmethod
-    def t_power(k: int) -> Poly:
-        """t^k as a polynomial."""
-        if k < 0:
-            raise ValueError("negative exponent")
-        return Poly((0,) * k + (1,))
-
-    @staticmethod
     def from_exponents(exponents: Iterable[int]) -> Poly:
         """Sum of t^e over a multiset of exponents, i.e. a census by degree."""
         counts: dict[int, int] = {}
@@ -60,9 +53,6 @@ class Poly:
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
         return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other: Poly) -> Poly:
         a, b = self.coeffs, other.coeffs

@@ -58,17 +58,6 @@ class RootSet:
     def sorted_roots(self) -> tuple[Root, ...]:
         return tuple(sorted(self.roots))
 
-    def positive_part(self) -> RootSet:
-        return RootSet(self.n, frozenset(r for r in self.roots if is_positive(r)))
-
-    def negative_part(self) -> RootSet:
-        return RootSet(self.n, frozenset(r for r in self.roots if not is_positive(r)))
-
-    def complement_positive(self) -> RootSet:
-        """Positive roots of degree n not in this set."""
-        missing = set(positive_roots(self.n)) - self.roots
-        return RootSet(self.n, frozenset(missing))
-
 
 def all_roots(n: int) -> RootSet:
     roots = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)

@@ -23,6 +23,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from .poly import Poly, t_factorial
 from .rootsys import Root, RootSet
 
+# Largest degree the single CLI queries accept.  They sweep all of S_n, and
+# from degree 10 on the sweeps take ten times longer and the tables gigabytes.
+MAX_DEGREE = 9
+
 
 @dataclasses.dataclass(frozen=True, order=True)
 class Permutation:
@@ -65,19 +69,12 @@ class Permutation:
             inv[val - 1] = pos
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(val == pos for pos, val in enumerate(self.images, start=1))
-
     def length(self) -> int:
         """Coxeter length: the number of inversions."""
         return _length(self.images)
 
     def one_line(self) -> str:
         return ",".join(str(v) for v in self.images)
-
-    @staticmethod
-    def from_one_line(text: str) -> Permutation:
-        return Permutation(tuple(int(part) for part in text.split(",")))
 
     def __str__(self) -> str:
         return self.one_line()
@@ -261,6 +258,19 @@ class ParabolicData:
         return ",".join(str(i) for i in self.sorted_j())
 
 
+def parabolics(n: int) -> list[ParabolicData]:
+    """Every subset J of {1, ..., n-1}, by size then lexicographically.
+
+    >>> [str(p) for p in parabolics(3)]
+    ['', '1', '2', '1,2']
+    """
+    return [
+        ParabolicData.from_iterable(n, combo)
+        for size in range(n)
+        for combo in itertools.combinations(range(1, n), size)
+    ]
+
+
 def coset_factor(w: Permutation, p: ParabolicData) -> tuple[Permutation, Permutation]:
     """Factor w = v * y with v a minimal coset representative and y in W_J.
 
@@ -342,9 +352,6 @@ class StringDecomposition:
         for string in reversed(self.strings):
             out.extend(string)
         return tuple(out)
-
-    def to_permutation(self) -> Permutation:
-        return perm_from_word(self.word(), self.n)
 
 
 def string_decompose(w: Permutation) -> StringDecomposition:

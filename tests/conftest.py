@@ -11,9 +11,10 @@ from __future__ import annotations
 import functools
 import itertools
 
+import pytest
 from hypothesis import strategies as st
 
-from hesscomb import ParabolicData, Permutation, Poly, perm_from_word
+from hesscomb import CHECKS, ParabolicData, Permutation, Poly, harness, perm_from_word
 
 
 def reduced_word_of(w: Permutation) -> tuple[int, ...]:
@@ -67,13 +68,18 @@ def brute_poincare_subgroup(p: ParabolicData) -> Poly:
     return Poly.from_exponents(w.length() for w in brute_subgroup(p))
 
 
-def all_parabolics(n: int) -> list[ParabolicData]:
-    """Every subset of {1, ..., n-1}, by size then lexicographically."""
-    out = []
-    for size in range(n):
-        for combo in itertools.combinations(range(1, n), size):
-            out.append(ParabolicData.from_iterable(n, combo))
-    return out
+@pytest.fixture
+def fifteen_hundred_failures(monkeypatch):
+    """Replace the phi-V-equivalence check by one recording 1500 failures,
+    witnesses "0" to "1499"."""
+
+    def check(n):
+        failures = harness._FailureLog()
+        for k in range(1500):
+            failures.record(None, None, (k,))
+        return 1500, failures
+
+    monkeypatch.setitem(CHECKS, "phi-V-equivalence", check)
 
 
 def permutations_of(n: int) -> st.SearchStrategy[Permutation]:

@@ -33,6 +33,7 @@ from hesscomb import (
     is_min_coset_rep_strings,
     longest_element,
     parabolic_cell_dim,
+    parabolics,
     partitions,
     perm_from_word,
     poincare_hessenberg,
@@ -49,7 +50,7 @@ from hesscomb import (
     t_factorial,
 )
 
-from conftest import all_parabolics, brute_poincare_subgroup, bruhat_leq_subword
+from conftest import brute_poincare_subgroup, bruhat_leq_subword
 
 # Pinned tolerances: wall clock budgets in seconds.
 SMALL_EXAMPLE_BUDGET = 1.0
@@ -256,7 +257,7 @@ def _item_c_dimension_formulas():
 def _item_d_parabolic_dimension():
     for total in range(1, 7):
         for shape in partitions(total):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 h = h_from_parabolic(p)
                 for w in enumerate_sn(total):
                     if hess_contains(w, shape, h):
@@ -268,14 +269,14 @@ def _item_d_parabolic_dimension():
 def _item_e_poincare_formula():
     for total in range(1, 7):
         for shape in partitions(total):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 swept = poincare_hessenberg(shape, h_from_parabolic(p))
                 assert swept == poincare_parabolic_formula(shape, p), (shape, p)
 
 
 def _item_f_coset_criteria():
     for total in range(1, 7):
-        for p in all_parabolics(total):
+        for p in parabolics(total):
             for w in enumerate_sn(total):
                 assert is_min_coset_rep(w, p) == is_min_coset_rep_strings(w, p), (w, p)
 
@@ -290,7 +291,7 @@ def _item_g_bruhat_oracle():
 def _item_h_fixed_points():
     for total in range(1, 7):
         for shape in partitions(total):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 h = h_from_parabolic(p)
                 for w in enumerate_sn(total):
                     v, _ = coset_factor(w, p)
@@ -332,7 +333,7 @@ def test_criterion_7_q_factorial_identity(capsys):
     """poincare_subgroup is the product of block t-factorials, n <= 7."""
     with criterion(capsys, 7, "q-factorial identity n <= 7"):
         for total in range(1, 8):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 expected = brute_poincare_subgroup(p)
                 assert poincare_subgroup(p) == expected, p
         full = ParabolicData.from_iterable(4, (1, 2, 3))

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from hesscomb import census, rows_to_csv
+from hesscomb import census, cli, rows_to_csv
 from hesscomb.cli import main
 
 
@@ -341,6 +342,55 @@ def test_verify_bad_degree(capsys):
     status, _, err = run(capsys, "verify", "--n", "9")
     assert status == 1
     assert "between 1 and 8" in err
+
+
+def test_verify_prints_every_failure_not_only_the_stored(fifteen_hundred_failures, capsys):
+    status, out, _ = run(capsys, "verify", "--n", "1", "--checks", "phi-V-equivalence")
+    assert status == 3
+    assert out.startswith("FAIL") and "failures=1500" in out.splitlines()[0]
+    status, out, _ = run(
+        capsys, "verify", "--n", "1", "--checks", "phi-V-equivalence", "--format", "json"
+    )
+    (report,) = json.loads(out)
+    assert report["failures_total"] == 1500 and len(report["failures"]) == 1000
+
+
+# --- boundaries ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poincare", "--partition", "10", "--parabolic", ""),
+        ("poincare", "--partition", "5,5", "--hessenberg", "2,3,4,5,6,7,8,9,10,10"),
+        ("springer", "--partition", "10"),
+        ("union", "--partition", "10", "--parabolic", ""),
+        ("components", "--partition", "4,3,3", "--parabolic", "1"),
+    ],
+)
+def test_degree_above_the_limit_fails_fast(capsys, argv):
+    start = time.perf_counter()
+    status, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert status == 1 and out == ""
+    assert err == "error: partition has degree 10, at most 9 is supported\n"
+
+
+def test_degree_limit_admits_nine(capsys):
+    status, out, _ = run(capsys, "poincare", "--partition", "9", "--parabolic", "")
+    assert status == 0
+    assert out == "1\n"
+
+
+def test_internal_error_is_status_4(monkeypatch, capsys):
+    def disagree(w, shape):
+        raise RuntimeError(f"dimension formulas disagree for w={w.one_line()}")
+
+    monkeypatch.setattr(cli, "springer_cell_dim", disagree)
+    status, out, err = run(capsys, "springer", "--partition", "2")
+    assert status == 4
+    assert out == ""
+    assert err == "internal error: dimension formulas disagree for w=1,2\n"
 
 
 # --- census ---------------------------------------------------------------------------

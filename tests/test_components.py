@@ -15,13 +15,15 @@ from hesscomb import (
     component_candidates,
     h_from_parabolic,
     hess_contains,
+    identity,
     longest_element,
+    parabolics,
     schubert_point,
     springer_cell_dim,
     springer_min_reps,
 )
 
-from conftest import all_parabolics, brute_subgroup
+from conftest import brute_subgroup
 
 
 def test_trivial_case():
@@ -30,9 +32,7 @@ def test_trivial_case():
     cands = component_candidates(shape, p)
     assert len(cands) == 1
     only = cands[0]
-    assert only.v.is_identity()
-    assert only.top_cell.is_identity()
-    assert only.schubert_top.is_identity()
+    assert only.v == only.top_cell == only.schubert_top == identity(1)
     assert only.cell_dim == 0
     assert only.full_cell and only.bruhat_maximal
 
@@ -62,7 +62,7 @@ def test_2_1_1_example():
 
 def test_sorted_by_dim_then_v():
     for total in (3, 4, 5):
-        for p in all_parabolics(total):
+        for p in parabolics(total):
             for shape in (Partition((total,)), Partition((1,) * total)):
                 cands = component_candidates(shape, p)
                 keys = [(-c.cell_dim, c.v.images) for c in cands]
@@ -82,7 +82,7 @@ def test_candidate_fields_consistent():
 
 def test_maximality_flag_matches_pairwise_bruhat():
     for total in (2, 3, 4):
-        for p in all_parabolics(total):
+        for p in parabolics(total):
             for shape in (Partition((2,) + (1,) * (total - 2)) if total > 2 else Partition((total,)),):
                 cands = component_candidates(shape, p)
                 tops = [c.schubert_top for c in cands]
@@ -98,7 +98,7 @@ def test_top_cell_dominates_its_coset():
     # the candidate at v w_J has the largest dimension among cells over v
     for total in (2, 3, 4):
         for shape in (Partition((2,) + (1,) * (total - 2)) if total > 2 else Partition((total,)),):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 h = h_from_parabolic(p)
                 w_j = longest_element(p)
                 for v in springer_min_reps(shape, p):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import types
 
 import pytest
 
@@ -10,11 +11,19 @@ from hesscomb import (
     CHECKS,
     ParabolicData,
     Partition,
+    Permutation,
+    Poly,
+    RootSet,
     census,
+    harness,
     hess_cells,
+    hessvar,
+    nilpotent,
     rows_to_csv,
     rows_to_json,
     run_checks,
+    schubert,
+    symgroup,
 )
 from hesscomb.harness import CELL_FIELDS, SUMMARY_FIELDS
 
@@ -86,8 +95,92 @@ def test_check_report_json():
     assert d["check_id"] == "dim-formulas-agree"
     assert d["n"] == 1
     assert d["failures"] == []
+    assert d["failures_total"] == 0
     assert isinstance(d["elapsed"], float)
     json.dumps(d)
+
+
+def test_failures_total_counts_past_the_stored_witnesses(fifteen_hundred_failures):
+    (report,) = run_checks(1, checks=["phi-V-equivalence"])
+    assert not report.passed
+    assert report.failures_total == 1500
+    assert len(report.failures) == 1000
+    assert report.failures[-1].witness == "999"
+    assert report.to_json_dict()["failures_total"] == 1500
+
+
+# --- Each check can fail ----------------------------------------------------------
+
+
+def _clear_caches():
+    for module in (symgroup, nilpotent, hessvar, schubert):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def clean_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def _off_by_one(kernel):
+    return lambda shape, h, winvs: (dim + 1 for dim in kernel(shape, h, winvs))
+
+
+def _reversed_point(schubert_point):
+    def point(w, shape):
+        images = schubert_point(w, shape).point.images
+        return types.SimpleNamespace(point=Permutation(tuple(reversed(images))))
+
+    return point
+
+
+# check id -> (module, name, wrong version of the named route)
+WRONG_ROUTES = {
+    "fixed-points": (harness, "_staircase_dims", _off_by_one),
+    "parabolic-dimension": (harness, "_staircase_dims", _off_by_one),
+    "poincare-corollary": (
+        harness,
+        "poincare_parabolic_formula",
+        lambda formula: lambda shape, p: formula(shape, p) * Poly((1, 1)),
+    ),
+    "strings-coset": (
+        harness,
+        "is_min_coset_rep_strings",
+        lambda test: lambda w, p: not test(w, p),
+    ),
+    "schubert-coset": (harness, "schubert_point", _reversed_point),
+    # the identity is the lowest point, so dropping it opens a hole in the ideal
+    "schubert-ideal": (
+        harness,
+        "springer_min_reps",
+        lambda reps: lambda shape, p: reps(shape, p)[1:],
+    ),
+    "main-theorem": (hessvar, "_staircase_dims", _off_by_one),
+    "phi-V-equivalence": (
+        harness,
+        "dominance_ideal",
+        lambda ideal: lambda phi_x, n: RootSet(n, frozenset()),
+    ),
+    "dim-formulas-agree": (
+        nilpotent,
+        "_row_inversion_vector",
+        lambda vector: lambda w, shape: vector(w, shape) + (1,),
+    ),
+}
+
+
+@pytest.mark.parametrize("check_id", EXPECTED_IDS)
+def test_each_check_fails_when_one_route_is_wrong(check_id, clean_caches, monkeypatch):
+    module, name, wrong = WRONG_ROUTES[check_id]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    report = run_checks(4, checks=[check_id])[-1]
+    assert report.n == 4
+    assert not report.passed
+    assert report.failures_total >= len(report.failures) > 0
 
 
 # --- Census ---------------------------------------------------------------------

@@ -18,9 +18,11 @@ from hesscomb import (
     h_from_parabolic,
     hess_cells,
     hess_contains,
+    identity,
     is_parabolic_function,
     parabolic_cell_dim,
     parabolic_from_h,
+    parabolics,
     partitions,
     poincare_hessenberg,
     poincare_parabolic_formula,
@@ -30,8 +32,6 @@ from hesscomb import (
     t_factorial,
 )
 from hesscomb import symgroup
-
-from conftest import all_parabolics
 
 
 # --- Hessenberg functions ------------------------------------------------------
@@ -77,7 +77,7 @@ def test_is_parabolic_function():
 
 def test_parabolic_round_trip():
     for n in (1, 2, 3, 4, 5):
-        for p in all_parabolics(n):
+        for p in parabolics(n):
             h = h_from_parabolic(p)
             assert is_parabolic_function(h)
             back = parabolic_from_h(h)
@@ -156,7 +156,7 @@ def test_cell_dim_springer_case_matches_springer_cell_dim():
 def test_parabolic_cell_dim_matches_cell_dim():
     for total in (2, 3, 4, 5):
         for shape in partitions(total):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 h = h_from_parabolic(p)
                 for w in enumerate_sn(total):
                     if hess_contains(w, shape, h):
@@ -189,7 +189,7 @@ def test_springer_min_reps_is_filtered_intersection():
 
     for total in (2, 3, 4):
         for shape in partitions(total):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 expected = [
                     w.images
                     for w in enumerate_sn(total)
@@ -220,7 +220,7 @@ def test_poincare_hessenberg_regular_nilpotent_is_point():
 
 def test_poincare_hessenberg_counts_cells():
     for shape in partitions(4):
-        for p in all_parabolics(4):
+        for p in parabolics(4):
             h = h_from_parabolic(p)
             poly = poincare_hessenberg(shape, h)
             assert poly(1) == len(hess_cells(shape, p))
@@ -229,7 +229,7 @@ def test_poincare_hessenberg_counts_cells():
 def test_poincare_formula_matches_sweep():
     for total in (1, 2, 3, 4, 5):
         for shape in partitions(total):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 sweep = poincare_hessenberg(shape, h_from_parabolic(p))
                 formula = poincare_parabolic_formula(shape, p)
                 assert sweep.coeffs == formula.coeffs, (shape, p)
@@ -297,13 +297,13 @@ def test_hess_cells_2_2_example():
     by_w = {c.w.one_line(): c for c in cells}
     assert sorted(by_w) == [c.w.one_line() for c in cells]  # lex order
     top = by_w["2,4,1,3"]
-    assert top.dim == 2 and top.v.one_line() == "2,4,1,3" and top.y.is_identity()
+    assert top.dim == 2 and top.v.one_line() == "2,4,1,3" and top.y == identity(4)
     assert by_w["4,2,3,1"].dim == 4
 
 
 def test_hess_cells_factorization_consistent():
     for shape in partitions(4):
-        for p in all_parabolics(4):
+        for p in parabolics(4):
             for cell in hess_cells(shape, p):
                 v, y = coset_factor(cell.w, p)
                 assert (cell.v, cell.y) == (v, y)

@@ -81,7 +81,7 @@ def test_base_filling_lookups():
     f = base_filling(Partition((3, 2)))
     assert f.box_of(4) == (1, 2)
     assert f.box_of(1) == (2, 1)
-    assert f.label_at(1, 1) == 2
+    assert f.rows[0][0] == 2
     assert f.right_of(2) == 4
     assert f.right_of(5) == 0
     with pytest.raises(ValueError):
@@ -175,10 +175,10 @@ def test_tableau_validation():
 
 def test_tableau_accessors():
     t = Tableau(Partition((2, 1)), ((1, 3), (2,)))
-    assert t.entry(1, 2) == 3
+    assert t.rows[0][1] == 3
     assert t.row_of(2) == 2
     assert t.is_row_strict()
-    assert t.text() == "13/2"
+    assert t.rows == ((1, 3), (2,))
     assert not Tableau(Partition((2, 1)), ((3, 1), (2,))).is_row_strict()
 
 

@@ -25,7 +25,7 @@ def test_zero_and_one():
 
 
 def test_t_power():
-    assert Poly.t_power(3).coeffs == (0, 0, 0, 1)
+    assert Poly.from_exponents([3]).coeffs == (0, 0, 0, 1)
 
 
 def test_from_exponents():
@@ -35,9 +35,9 @@ def test_from_exponents():
 
 def test_coefficient_out_of_range():
     p = Poly((1, 3))
-    assert p.coefficient(0) == 1
-    assert p.coefficient(1) == 3
-    assert p.coefficient(5) == 0
+    assert p.coeffs[0] == 1
+    assert p.coeffs[1] == 3
+    assert p.coeffs[5:] == ()
 
 
 def test_str_rendering():

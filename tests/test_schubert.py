@@ -15,6 +15,7 @@ from hesscomb import (
     compare_with_schubert_union,
     enumerate_sn,
     identity,
+    parabolics,
     partitions,
     perm_from_word,
     poincare_schubert_union,
@@ -26,7 +27,7 @@ from hesscomb import (
     union_hypothesis,
 )
 
-from conftest import all_parabolics, subword_ideal
+from conftest import subword_ideal
 
 
 # --- Schubert points ---------------------------------------------------------
@@ -34,7 +35,7 @@ from conftest import all_parabolics, subword_ideal
 
 def test_schubert_point_identity_flag():
     sp = schubert_point(identity(4), Partition((2, 1, 1)))
-    assert sp.point.is_identity()
+    assert sp.point == identity(4)
     assert sp.string_lengths == (0, 0, 0)
     assert sp.word() == ()
 
@@ -186,7 +187,7 @@ def test_schubert_union_tops_products_are_reduced():
 
     for total in (2, 3, 4, 5):
         for shape in partitions(total):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 w_j = longest_element(p)
                 for top in schubert_union_tops(shape, p):
                     # every top splits as (point) * w_J with lengths adding
@@ -232,7 +233,7 @@ def test_compare_to_json_dict():
 def test_main_comparison_holds_in_hypothesis_n_le_5():
     for total in (1, 2, 3, 4, 5):
         for shape in partitions(total):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 report = compare_with_schubert_union(shape, p)
                 if report.in_hypothesis:
                     assert report.equal, (shape, p)
@@ -241,7 +242,7 @@ def test_main_comparison_holds_in_hypothesis_n_le_5():
 def test_schubert_point_respects_cosets_small():
     for total in (1, 2, 3, 4, 5):
         for shape in partitions(total):
-            for p in all_parabolics(total):
+            for p in parabolics(total):
                 assert schubert_point_respects_cosets(shape, p)
 
 
