@@ -28,14 +28,15 @@ from .components import component_candidates
 from .harness import census, rows_to_csv, rows_to_json, run_checks
 from .hessvar import (
     HessenbergFunction,
+    _fiber,
     h_from_parabolic,
     is_parabolic_function,
     parabolic_from_h,
     poincare_hessenberg,
 )
-from .nilpotent import Partition, springer_cell_dim, springer_contains
+from .nilpotent import Partition, springer_cell_dim
 from .schubert import compare_with_schubert_union, schubert_point
-from .symgroup import MAX_DEGREE, ParabolicData, Permutation, enumerate_sn, perm_from_word
+from .symgroup import MAX_DEGREE, ParabolicData, Permutation, perm_from_word
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -101,17 +102,14 @@ def _cmd_poincare(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
     shape = _bounded_partition(args)
-    cells = []
-    for w in enumerate_sn(shape.n):
-        if not springer_contains(w, shape):
-            continue
-        cells.append(
-            {
-                "w": w.one_line(),
-                "dim": springer_cell_dim(w, shape),
-                "schubert_point": schubert_point(w, shape).point.one_line(),
-            }
-        )
+    cells = [
+        {
+            "w": w.one_line(),
+            "dim": springer_cell_dim(w, shape),
+            "schubert_point": schubert_point(w, shape).point.one_line(),
+        }
+        for w in _fiber(shape)
+    ]
     poly = poincare_hessenberg(shape, HessenbergFunction.identity(shape.n))
     if args.format == "json":
         payload = {

@@ -19,6 +19,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 
 from .hessvar import (
+    _fiber,
     _staircase_dims,
     h_from_parabolic,
     hess_cells,
@@ -37,7 +38,7 @@ from .nilpotent import (
     springer_cell_dim,
 )
 from .schubert import (
-    _maximal_keys,
+    _quotient_ideal,
     compare_with_schubert_union,
     schubert_point,
     union_hypothesis,
@@ -46,9 +47,7 @@ from .symgroup import (
     ParabolicData,
     Permutation,
     _coset_table,
-    _guard_mask,
-    _key_leq,
-    _sn_domkeys,
+    _quotient_indices,
     _sn_images,
     _sn_index,
     _sn_inverse_images,
@@ -125,11 +124,6 @@ class _FailureLog:
                     witness=None if images is None else ",".join(str(i) for i in images),
                 )
             )
-
-
-def _fiber(shape: Partition) -> tuple[Permutation, ...]:
-    """The Springer fiber flags: for J empty every flag is its own minimal representative."""
-    return springer_min_reps(shape, ParabolicData(shape.n, frozenset()))
 
 
 def _covers_down(images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -243,9 +237,6 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
     image of the minimal representatives is closed downward within them."""
     images_list = _sn_images(n)
     index = _sn_index(n)
-    keys = _sn_domkeys(n)
-    lengths = _sn_lengths(n)
-    guard = _guard_mask(n)
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
@@ -264,21 +255,12 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
                 if index[lower] not in image:
                     failures.record(shape, None, images_list[pidx])
         for p in parabolics(n):
-            j = p.sorted_j()
             points = [schubert_point(v, shape).point for v in springer_min_reps(shape, p)]
             in_image = {index[point.images] for point in points}
-            maximal = _maximal_keys(points, n)
-            for idx, images in enumerate(images_list):
-                if not all(images[i - 1] < images[i] for i in j):
-                    continue
-                cases += 1
-                if idx in in_image:
-                    continue
-                if any(
-                    lengths[idx] <= ml and _key_leq(keys[idx], mk, guard)
-                    for ml, mk in maximal
-                ):
-                    failures.record(shape, p, images)
+            cases += len(_quotient_indices(n, p.sorted_j()))
+            for idx in _quotient_ideal(points, n, p):
+                if idx not in in_image:
+                    failures.record(shape, p, images_list[idx])
     return cases, failures
 
 

@@ -31,6 +31,7 @@ from .rootsys import positive_roots, root_act
 from .symgroup import (
     ParabolicData,
     Permutation,
+    _quotient_indices,
     _sn_images,
     _sn_inverse_images,
     coset_factor,
@@ -191,14 +192,14 @@ def springer_min_reps(shape: Partition, p: ParabolicData) -> tuple[Permutation, 
 
 
 def _min_rep_indices(shape: Partition, p: ParabolicData) -> list[int]:
-    """S_n indices of the Springer fiber flags increasing across every i in J."""
+    """S_n indices of the Springer fiber flags in W^J."""
     member = _fiber_bitmap(shape)
-    j = p.sorted_j()
-    return [
-        idx
-        for idx, images in enumerate(_sn_images(shape.n))
-        if member[idx] and all(images[i - 1] < images[i] for i in j)
-    ]
+    return [idx for idx in _quotient_indices(shape.n, p.sorted_j()) if member[idx]]
+
+
+def _fiber(shape: Partition) -> tuple[Permutation, ...]:
+    """The Springer fiber flags: for J empty every flag is its own minimal representative."""
+    return springer_min_reps(shape, ParabolicData(shape.n, frozenset()))
 
 
 def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:

@@ -8,29 +8,35 @@ shapes with at most three rows or at most two columns, the parabolic
 Hessenberg variety has the same Poincare polynomial as the union of the
 Schubert varieties indexed by these points times the longest element of
 W_J; that comparison is packaged as a report here.
+
+Each top v w_J is the longest element of its coset, so the union is a
+union of whole cosets u W_J: its ideal is tested over the quotient W^J
+only, times the Poincare polynomial of W_J (poincare_schubert_union).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
-from .hessvar import poincare_hessenberg, h_from_parabolic, springer_min_reps
+from .hessvar import _fiber, poincare_hessenberg, h_from_parabolic, springer_min_reps
 from .nilpotent import Partition, Tableau, _row_inversion_vector, springer_contains, springer_tableau
 from .poly import Poly
 from .symgroup import (
     ParabolicData,
     Permutation,
+    _dominance_key,
     _guard_mask,
     _key_leq,
+    _quotient_indices,
     _sn_domkeys,
-    _sn_index,
+    _sn_images,
     _sn_lengths,
-    enumerate_sn,
     is_min_coset_rep,
     longest_element,
     perm_from_word,
+    poincare_subgroup,
 )
 
 
@@ -92,38 +98,28 @@ def schubert_point(w: Permutation, shape: Partition) -> SchubertPoint:
 def _maximal_keys(tops: Iterable[Permutation], n: int) -> list[tuple[int, int]]:
     """(length, dominance key) of the Bruhat maximal elements among tops."""
     guard = _guard_mask(n)
-    index = _sn_index(n)
-    keys = _sn_domkeys(n)
-    lengths = _sn_lengths(n)
-    seen: set[int] = set()
-    ranked = []
+    ranked = set()
     for top in tops:
         if top.n != n:
             raise ValueError("degree mismatch")
-        idx = index[top.images]
-        if idx not in seen:
-            seen.add(idx)
-            ranked.append((lengths[idx], keys[idx]))
-    ranked.sort(key=lambda pair: -pair[0])
+        ranked.add((top.length(), _dominance_key(top.images)))
     maximal: list[tuple[int, int]] = []
-    for length, key in ranked:
+    for length, key in sorted(ranked, reverse=True):
         if not any(_key_leq(key, mk, guard) for _, mk in maximal):
             maximal.append((length, key))
     return maximal
 
 
-def _ideal_bitmap(tops: Iterable[Permutation], n: int) -> list[bool]:
+def _quotient_ideal(tops: Iterable[Permutation], n: int, p: ParabolicData) -> Iterator[int]:
+    """S_n indices of the elements of W^J below some element of tops."""
     guard = _guard_mask(n)
     keys = _sn_domkeys(n)
     lengths = _sn_lengths(n)
     maximal = _maximal_keys(tops, n)
-    out = []
-    for idx in range(len(keys)):
+    for idx in _quotient_indices(n, p.sorted_j()):
         key, length = keys[idx], lengths[idx]
-        out.append(
-            any(length <= ml and _key_leq(key, mk, guard) for ml, mk in maximal)
-        )
-    return out
+        if any(length <= ml and _key_leq(key, mk, guard) for ml, mk in maximal):
+            yield idx
 
 
 def bruhat_lower_ideal(tops: Iterable[Permutation], n: int) -> set[Permutation]:
@@ -132,21 +128,31 @@ def bruhat_lower_ideal(tops: Iterable[Permutation], n: int) -> set[Permutation]:
     >>> sorted(u.length() for u in bruhat_lower_ideal([perm_from_word([1, 2], 3)], 3))
     [0, 1, 1, 2]
     """
-    bitmap = _ideal_bitmap(tops, n)
-    return {w for idx, w in enumerate(enumerate_sn(n)) if bitmap[idx]}
+    images = _sn_images(n)
+    below = _quotient_ideal(tops, n, ParabolicData(n, frozenset()))
+    return {Permutation(images[idx]) for idx in below}
 
 
 def poincare_schubert_union(tops: Iterable[Permutation], n: int) -> Poly:
     """Poincare polynomial of a union of Schubert varieties, graded by length.
 
     Coefficient of t^k counts the Bruhat lower ideal elements of length k.
+    With J the right descents that every top shares, each top is longest
+    in its coset top W_J, so by the lifting property (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Prop. 2.2.7) u y <= top iff u <= top
+    for u in W^J and y in W_J.  As l(u y) = l(u) + l(y), the polynomial
+    is the length count of the ideal within W^J times that of W_J.
 
     >>> str(poincare_schubert_union([perm_from_word([1, 2, 3, 1], 4)], 4))
     '1 + 3t + 4t^2 + 3t^3 + t^4'
     """
-    bitmap = _ideal_bitmap(tops, n)
+    tops = tuple(tops)
+    if any(top.n != n for top in tops):
+        raise ValueError("degree mismatch")
+    shared = (i for i in range(1, n) if all(t.images[i - 1] > t.images[i] for t in tops))
+    p = ParabolicData(n, frozenset(shared))
     lengths = _sn_lengths(n)
-    return Poly.from_exponents(lengths[idx] for idx, hit in enumerate(bitmap) if hit)
+    return Poly.from_exponents(lengths[idx] for idx in _quotient_ideal(tops, n, p)) * poincare_subgroup(p)
 
 
 def schubert_union_tops(shape: Partition, p: ParabolicData) -> tuple[Permutation, ...]:
@@ -228,9 +234,7 @@ def schubert_point_respects_cosets(shape: Partition, p: ParabolicData) -> bool:
     over every flag of the Springer fiber."""
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    for w in enumerate_sn(shape.n):
-        if not springer_contains(w, shape):
-            continue
+    for w in _fiber(shape):
         point = schubert_point(w, shape).point
         if is_min_coset_rep(w, p) != is_min_coset_rep(point, p):
             return False

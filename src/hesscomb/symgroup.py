@@ -15,6 +15,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import functools
 import itertools
@@ -148,19 +149,20 @@ def _digit_bits(n: int) -> int:
     return n.bit_length() + 1
 
 
-def _dominance_key(images: tuple[int, ...]) -> int:
-    n = len(images)
+@functools.lru_cache(maxsize=None)
+def _key_terms(n: int) -> tuple[tuple[int, ...], ...]:
+    """terms[i][v] adds 1 to the digits 1..v of rows i..n-1: the share of
+    the value v at position i in every prefix count that covers it."""
     bits = _digit_bits(n)
-    counts = [0] * (n + 1)
-    key = 0
-    shift = 0
-    for val in images:
-        for k in range(1, val + 1):
-            counts[k] += 1
-        for k in range(1, n + 1):
-            key |= counts[k] << shift
-            shift += bits
-    return key
+    # digit k of row r sits at bits * (r*n + k - 1); the two sums meet no digit twice
+    counts = [sum(1 << bits * k for k in range(v)) for v in range(n + 1)]
+    rows = [sum(1 << bits * n * r for r in range(i, n)) for i in range(n)]
+    return tuple(tuple(row * count for count in counts) for row in rows)
+
+
+def _dominance_key(images: tuple[int, ...]) -> int:
+    terms = _key_terms(len(images))
+    return sum(terms[i][v] for i, v in enumerate(images))
 
 
 @functools.lru_cache(maxsize=None)
@@ -411,9 +413,10 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 
 # ---------------------------------------------------------------------------
 # Cached per degree tables, aligned with the lexicographic order of S_n:
-# one line arrays, their index, inverses, lengths, dominance keys and coset
-# representatives.  They serve the harness sweeps and per shape tables; a
-# single poincare_hessenberg query streams S_n and builds none of them.
+# one line arrays, their index, inverses, lengths, dominance keys, the
+# quotients W^J and coset representatives.  They serve the harness sweeps
+# and per shape tables; a single poincare_hessenberg query streams S_n and
+# builds none of them.
 # ---------------------------------------------------------------------------
 
 
@@ -446,6 +449,17 @@ def _sn_lengths(n: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _sn_domkeys(n: int) -> tuple[int, ...]:
     return tuple(_dominance_key(images) for images in _sn_images(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _quotient_indices(n: int, j: tuple[int, ...]) -> array.array:
+    """S_n indices of W^J, the minimal coset representatives: the one line
+    arrays increasing across every i in J, in lexicographic order."""
+    images = _sn_images(n)
+    kept: Iterable[int] = range(len(images))
+    for i in j:
+        kept = [idx for idx in kept if images[idx][i - 1] < images[idx][i]]
+    return array.array("I", kept)
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,7 +16,6 @@ import pytest
 from hesscomb import (
     ParabolicData,
     Partition,
-    Permutation,
     bruhat_leq,
     bruhat_lower_ideal,
     cell_dim,

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from hesscomb import (
-    ComponentCandidate,
     ParabolicData,
     Partition,
     bruhat_leq,

@@ -183,6 +183,22 @@ def test_each_check_fails_when_one_route_is_wrong(check_id, clean_caches, monkey
     assert report.failures_total >= len(report.failures) > 0
 
 
+@pytest.mark.parametrize(
+    ("module", "check_id"),
+    [(schubert, "main-theorem"), (hessvar, "poincare-corollary")],
+    ids=["schubert-main-theorem", "hessvar-poincare-corollary"],
+)
+def test_each_check_fails_without_the_identity_in_the_quotient(
+    module, check_id, clean_caches, monkeypatch
+):
+    # index 0 is the identity, the bottom of every W^J
+    quotient = module._quotient_indices
+    monkeypatch.setattr(module, "_quotient_indices", lambda n, j: quotient(n, j)[1:])
+    report = run_checks(4, checks=[check_id])[-1]
+    assert report.n == 4
+    assert not report.passed
+
+
 # --- Census ---------------------------------------------------------------------
 
 

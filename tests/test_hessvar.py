@@ -267,7 +267,7 @@ def test_poincare_hessenberg_matches_per_permutation_cells():
 def test_poincare_hessenberg_builds_no_sn_table():
     tables = [
         f for name, f in vars(symgroup).items()
-        if name.startswith("_sn_") or name == "_coset_table"
+        if name.startswith("_sn_") or name in ("_coset_table", "_quotient_indices")
     ]
     for table in tables:
         table.cache_clear()

@@ -11,7 +11,6 @@ from hesscomb import (
     Partition,
     Permutation,
     Tableau,
-    all_roots,
     base_filling,
     dominance_ideal,
     dominance_ideal_from_filling,

@@ -5,16 +5,21 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesscomb import (
     ParabolicData,
     Partition,
     Permutation,
+    Poly,
     bruhat_leq,
     bruhat_lower_ideal,
     compare_with_schubert_union,
+    coset_factor,
     enumerate_sn,
     identity,
+    longest_element,
     parabolics,
     partitions,
     perm_from_word,
@@ -27,7 +32,7 @@ from hesscomb import (
     union_hypothesis,
 )
 
-from conftest import subword_ideal
+from conftest import bruhat_leq_subword, permutations_of, subword_ideal
 
 
 # --- Schubert points ---------------------------------------------------------
@@ -145,6 +150,8 @@ def test_bruhat_lower_ideal_duplicate_and_dominated_tops():
 def test_bruhat_lower_ideal_degree_mismatch():
     with pytest.raises(ValueError):
         bruhat_lower_ideal([identity(3)], 4)
+    with pytest.raises(ValueError):
+        poincare_schubert_union([identity(3)], 4)
 
 
 def test_poincare_schubert_union_examples():
@@ -160,6 +167,29 @@ def test_poincare_schubert_union_counts_ideal():
     tops = [perm_from_word([1, 3], 4), perm_from_word([2, 1], 4)]
     poly = poincare_schubert_union(tops, 4)
     assert poly(1) == len(bruhat_lower_ideal(tops, 4))
+
+
+@st.composite
+def union_tops(draw) -> tuple[int, list[Permutation]]:
+    """Degree and one to three tops: random, or all of the form v w_J so
+    that the tops share the right descents J."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    p = draw(st.sampled_from(parabolics(n)))
+    w_j = longest_element(p)
+    ends_cosets = draw(st.booleans())
+    tops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        w = draw(permutations_of(n))
+        tops.append(coset_factor(w, p)[0] * w_j if ends_cosets else w)
+    return n, tops
+
+
+@given(union_tops())
+@settings(max_examples=150, deadline=None)
+def test_poincare_schubert_union_matches_subword_count(case):
+    n, tops = case
+    ideal = [u for u in enumerate_sn(n) if any(bruhat_leq_subword(u, top) for top in tops)]
+    assert poincare_schubert_union(tops, n) == Poly.from_exponents(u.length() for u in ideal)
 
 
 # --- Union of Schubert varieties ---------------------------------------------------

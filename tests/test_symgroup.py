@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable
 
@@ -26,7 +25,7 @@ from hesscomb import (
     poincare_subgroup,
     string_decompose,
 )
-from hesscomb.symgroup import StringDecomposition
+from hesscomb.symgroup import StringDecomposition, _digit_bits, _dominance_key, _quotient_indices
 
 from conftest import (
     brute_poincare_subgroup,
@@ -241,6 +240,27 @@ def test_bruhat_leq_matches_direct_dominance_to_degree_40(pair):
     assert bruhat_leq(w, u) == dominance_leq(w, u)
 
 
+def _digit_loop_key(images: tuple[int, ...]) -> int:
+    """The dominance key packed one prefix count at a time."""
+    n = len(images)
+    bits = _digit_bits(n)
+    counts = [0] * (n + 1)
+    key = shift = 0
+    for val in images:
+        for k in range(1, val + 1):
+            counts[k] += 1
+        for k in range(1, n + 1):
+            key |= counts[k] << shift
+            shift += bits
+    return key
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dominance_key_matches_digit_loop(n):
+    for w in enumerate_sn(n):
+        assert _dominance_key(w.images) == _digit_loop_key(w.images)
+
+
 @given(small_permutations(5), small_permutations(5))
 def test_bruhat_leq_degree_mismatch_or_consistent(u, w):
     if u.n != w.n:
@@ -322,6 +342,15 @@ def test_is_min_coset_rep_is_shortest_in_coset():
             for w in enumerate_sn(n):
                 shortest = min((w * y).length() for y in subgroup)
                 assert is_min_coset_rep(w, p) == (w.length() == shortest)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_quotient_indices_are_the_min_coset_reps(n):
+    perms = list(enumerate_sn(n))
+    for p in parabolics(n):
+        got = _quotient_indices(n, p.sorted_j())
+        assert list(got) == [idx for idx, w in enumerate(perms) if is_min_coset_rep(w, p)]
+        assert len(got) == math.factorial(n) // math.prod(math.factorial(m) for m in p.mu)
 
 
 def test_longest_element_examples():
