@@ -34,9 +34,9 @@ from .hessvar import (
     parabolic_from_h,
     poincare_hessenberg,
 )
-from .nilpotent import Partition, springer_cell_dim
+from .nilpotent import Partition, springer_cell_dim, springer_tableau
 from .schubert import compare_with_schubert_union, schubert_point
-from .symgroup import MAX_DEGREE, ParabolicData, Permutation, perm_from_word
+from .symgroup import MAX_DEGREE, ParabolicData, Permutation, perm_from_word, string_decompose
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -106,7 +106,7 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
         {
             "w": w.one_line(),
             "dim": springer_cell_dim(w, shape),
-            "schubert_point": schubert_point(w, shape).point.one_line(),
+            "schubert_point": schubert_point(w, shape).one_line(),
         }
         for w in _fiber(shape)
     ]
@@ -134,17 +134,18 @@ def _cmd_schubert_point(args: argparse.Namespace) -> tuple[str, int]:
     else:
         w = perm_from_word(_parse_ints(args.word), shape.n)
     point = schubert_point(w, shape)
+    strings = string_decompose(point)
     if args.format == "json":
         payload = {
             "lambda": list(shape.parts),
-            "source": list(point.source.images),
-            "tableau": [list(row) for row in point.tableau.rows],
-            "string_lengths": list(point.string_lengths),
-            "word": list(point.word()),
-            "point": list(point.point.images),
+            "source": list(w.images),
+            "tableau": [list(row) for row in springer_tableau(w, shape).rows],
+            "string_lengths": list(strings.lengths()),
+            "word": list(strings.word()),
+            "point": list(point.images),
         }
         return json.dumps(payload, indent=2) + "\n", 0
-    return f"{_word_text(point.word())}\n{point.point.one_line()}\n", 0
+    return f"{_word_text(strings.word())}\n{point.one_line()}\n", 0
 
 
 def _cmd_union(args: argparse.Namespace) -> tuple[str, int]:

@@ -17,8 +17,8 @@ from typing import Any
 
 from .hessvar import springer_min_reps
 from .nilpotent import Partition, springer_cell_dim
-from .schubert import schubert_point
-from .symgroup import ParabolicData, Permutation, bruhat_leq, longest_element
+from .schubert import _maximal_keys, schubert_point
+from .symgroup import ParabolicData, Permutation, _dominance_key, longest_element
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,20 +74,19 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
     rows: list[tuple[Permutation, Permutation, Permutation, int]] = []
     for v in springer_min_reps(shape, p):
         dim = springer_cell_dim(v, shape) + len_wj
-        rows.append((v, v * w_j, schubert_point(v, shape).point * w_j, dim))
-    tops = [row[2] for row in rows]
-    out = []
-    for v, top, s_top, dim in rows:
-        is_max = not any(s_top != other and bruhat_leq(s_top, other) for other in tops)
-        out.append(
-            ComponentCandidate(
-                v=v,
-                top_cell=top,
-                schubert_top=s_top,
-                cell_dim=dim,
-                full_cell=dim == top.length(),
-                bruhat_maximal=is_max,
-            )
+        rows.append((v, v * w_j, schubert_point(v, shape) * w_j, dim))
+    # distinct permutations have distinct dominance keys
+    maximal = {key for _, key in _maximal_keys((row[2] for row in rows), shape.n)}
+    out = [
+        ComponentCandidate(
+            v=v,
+            top_cell=top,
+            schubert_top=s_top,
+            cell_dim=dim,
+            full_cell=dim == top.length(),
+            bruhat_maximal=_dominance_key(s_top.images) in maximal,
         )
+        for v, top, s_top, dim in rows
+    ]
     out.sort(key=lambda c: (-c.cell_dim, c.v.images))
     return out

@@ -55,6 +55,7 @@ from .symgroup import (
     is_min_coset_rep,
     is_min_coset_rep_strings,
     parabolics,
+    string_decompose,
 )
 
 _MAX_RECORDED_FAILURES = 1000
@@ -205,14 +206,16 @@ def _check_poincare_corollary(n: int) -> tuple[int, _FailureLog]:
 def _check_strings_coset(n: int) -> tuple[int, _FailureLog]:
     """The sorted block test and the string length test agree about which
     permutations are minimal coset representatives."""
-    perms = tuple(Permutation(images) for images in _sn_images(n))
+    ps = parabolics(n)
     cases = 0
     failures = _FailureLog()
-    for p in parabolics(n):
-        for w in perms:
+    for images in _sn_images(n):
+        w = Permutation(images)
+        strings = string_decompose(w)
+        for p in ps:
             cases += 1
-            if is_min_coset_rep(w, p) != is_min_coset_rep_strings(w, p):
-                failures.record(None, p, w.images)
+            if is_min_coset_rep(w, p) != is_min_coset_rep_strings(strings, p):
+                failures.record(None, p, images)
     return cases, failures
 
 
@@ -222,7 +225,7 @@ def _check_schubert_coset(n: int) -> tuple[int, _FailureLog]:
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
-        pairs = [(w, schubert_point(w, shape).point) for w in _fiber(shape)]
+        pairs = [(w, schubert_point(w, shape)) for w in _fiber(shape)]
         for p in parabolics(n):
             for w, point in pairs:
                 cases += 1
@@ -244,7 +247,7 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
             continue
         image: set[int] = set()
         for w in _fiber(shape):
-            pidx = index[schubert_point(w, shape).point.images]
+            pidx = index[schubert_point(w, shape).images]
             cases += 1
             if pidx in image:
                 failures.record(shape, None, w.images)
@@ -255,7 +258,7 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
                 if index[lower] not in image:
                     failures.record(shape, None, images_list[pidx])
         for p in parabolics(n):
-            points = [schubert_point(v, shape).point for v in springer_min_reps(shape, p)]
+            points = [schubert_point(v, shape) for v in springer_min_reps(shape, p)]
             in_image = {index[point.images] for point in points}
             cases += len(_quotient_indices(n, p.sorted_j()))
             for idx in _quotient_ideal(points, n, p):
@@ -392,7 +395,7 @@ def _census_cells(n: int) -> list[dict[str, object]]:
                         "y": cell.y.one_line(),
                         "dim": cell.dim,
                         "springer": member[index[cell.w.images]],
-                        "schubert_point": schubert_point(cell.v, shape).point.one_line(),
+                        "schubert_point": schubert_point(cell.v, shape).one_line(),
                     }
                 )
     return rows

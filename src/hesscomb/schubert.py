@@ -20,8 +20,8 @@ import dataclasses
 import functools
 from collections.abc import Iterable, Iterator
 
-from .hessvar import _fiber, poincare_hessenberg, h_from_parabolic, springer_min_reps
-from .nilpotent import Partition, Tableau, _row_inversion_vector, springer_contains, springer_tableau
+from .hessvar import poincare_hessenberg, h_from_parabolic, springer_min_reps
+from .nilpotent import Partition, _row_inversion_vector, springer_contains
 from .poly import Poly
 from .symgroup import (
     ParabolicData,
@@ -40,44 +40,14 @@ from .symgroup import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class SchubertPoint:
-    """The Schubert point attached to a Springer fiber flag.
-
-    string_lengths[q-2] is the number of row inversions of entry q in the
-    flag's tableau; the point multiplies the strings s_(q-l)...s_(q-1)
-    from q = n down to 2, and its length is the sum of the string lengths,
-    which is the Springer cell dimension at the source flag.
-    """
-
-    source: Permutation
-    tableau: Tableau
-    point: Permutation
-    string_lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for q, length in enumerate(self.string_lengths, start=2):
-            if not 0 <= length <= q - 1:
-                raise ValueError(f"string length {length} out of range for entry {q}")
-        if self.point.length() != sum(self.string_lengths):
-            raise ValueError("point length does not match the string lengths")
-
-    def word(self) -> tuple[int, ...]:
-        """Reduced word of the point, highest string first."""
-        out: list[int] = []
-        for q in range(len(self.string_lengths) + 1, 1, -1):
-            length = self.string_lengths[q - 2]
-            out.extend(range(q - length, q))
-        return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
-def schubert_point(w: Permutation, shape: Partition) -> SchubertPoint:
-    """Build the Schubert point of a flag in the Springer fiber.
+def schubert_point(w: Permutation, shape: Partition) -> Permutation:
+    """The Schubert point of a flag in the Springer fiber: the permutation
+    whose string_decompose lengths are the row inversion numbers of the
+    flag's tableau, so its length is the Springer cell dimension at w.
 
-    >>> sp = schubert_point(Permutation((3, 4, 1, 2)), Partition((2, 1, 1)))
-    >>> sp.word(), sp.point.images
-    ((3, 2), (1, 4, 2, 3))
+    >>> schubert_point(Permutation((3, 4, 1, 2)), Partition((2, 1, 1))).images
+    (1, 4, 2, 3)
     """
     if not springer_contains(w, shape):
         raise ValueError("flag is not in the Springer fiber")
@@ -86,13 +56,7 @@ def schubert_point(w: Permutation, shape: Partition) -> SchubertPoint:
     for q in range(shape.n, 1, -1):
         length = lengths[q - 2]
         word.extend(range(q - length, q))
-    point = perm_from_word(word, shape.n)
-    return SchubertPoint(
-        source=w,
-        tableau=springer_tableau(w, shape),
-        point=point,
-        string_lengths=lengths,
-    )
+    return perm_from_word(word, shape.n)
 
 
 def _maximal_keys(tops: Iterable[Permutation], n: int) -> list[tuple[int, int]]:
@@ -167,13 +131,13 @@ def schubert_union_tops(shape: Partition, p: ParabolicData) -> tuple[Permutation
     w_j = longest_element(p)
     tops = set()
     for v in springer_min_reps(shape, p):
-        point = schubert_point(v, shape).point
-        product = point * w_j
-        if product.length() != point.length() + w_j.length():
+        point = schubert_point(v, shape)
+        # l(point w_J) = l(point) + l(w_J) exactly when point lies in W^J
+        if not is_min_coset_rep(point, p):
             raise RuntimeError(
                 f"product not reduced for v={v.one_line()}: point {point.one_line()}"
             )
-        tops.add(product)
+        tops.add(point * w_j)
     return tuple(sorted(tops))
 
 
@@ -227,15 +191,3 @@ def compare_with_schubert_union(shape: Partition, p: ParabolicData) -> UnionComp
         in_hypothesis=union_hypothesis(shape),
         tops=tops,
     )
-
-
-def schubert_point_respects_cosets(shape: Partition, p: ParabolicData) -> bool:
-    """Whether w and its Schubert point agree about minimal coset membership,
-    over every flag of the Springer fiber."""
-    if p.n != shape.n:
-        raise ValueError("degree mismatch")
-    for w in _fiber(shape):
-        point = schubert_point(w, shape).point
-        if is_min_coset_rep(w, p) != is_min_coset_rep(point, p):
-            return False
-    return True

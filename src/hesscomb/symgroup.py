@@ -381,15 +381,15 @@ def string_decompose(w: Permutation) -> StringDecomposition:
     return StringDecomposition(tuple(strings))
 
 
-def is_min_coset_rep_strings(w: Permutation, p: ParabolicData) -> bool:
+def is_min_coset_rep_strings(strings: StringDecomposition, p: ParabolicData) -> bool:
     """Minimal coset representative test read off the string lengths.
 
     w is shortest in w W_J exactly when l(w_i) <= l(w_(i-1)) for every
-    i in J, with l(w_0) taken to be 0.
+    i in J, with l(w_0) taken to be 0; strings is string_decompose(w).
     """
-    if w.n != p.n:
+    if strings.n != p.n:
         raise ValueError("degree mismatch")
-    lengths = string_decompose(w).lengths()
+    lengths = strings.lengths()
     for i in p.J:
         above = lengths[i - 1]
         below = lengths[i - 2] if i >= 2 else 0

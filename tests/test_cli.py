@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from hesscomb import census, cli, rows_to_csv
+from hesscomb import Permutation, census, cli, rows_to_csv, schubert
 from hesscomb.cli import main
 
 
@@ -391,6 +391,20 @@ def test_internal_error_is_status_4(monkeypatch, capsys):
     assert status == 4
     assert out == ""
     assert err == "internal error: dimension formulas disagree for w=1,2\n"
+
+
+def test_union_point_outside_quotient_is_status_4(monkeypatch, capsys):
+    point = schubert.schubert_point
+
+    def reversed_point(w, shape):
+        return Permutation(tuple(reversed(point(w, shape).images)))
+
+    monkeypatch.setattr(schubert, "schubert_point", reversed_point)
+    status, out, err = run(capsys, "union", "--partition", "2,1,1", "--parabolic", "1,3")
+    assert status == 4
+    assert out == ""
+    assert err.startswith("internal error: product not reduced for v=")
+    assert err.count("\n") == 1
 
 
 # --- census ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hesscomb import (
     identity,
     longest_element,
     parabolics,
+    partitions,
     schubert_point,
     springer_cell_dim,
     springer_min_reps,
@@ -74,15 +75,15 @@ def test_candidate_fields_consistent():
     w_j = longest_element(p)
     for c in component_candidates(shape, p):
         assert c.top_cell == c.v * w_j
-        assert c.schubert_top == schubert_point(c.v, shape).point * w_j
+        assert c.schubert_top == schubert_point(c.v, shape) * w_j
         assert c.cell_dim == springer_cell_dim(c.v, shape) + w_j.length()
         assert c.full_cell == (c.cell_dim == c.top_cell.length())
 
 
 def test_maximality_flag_matches_pairwise_bruhat():
-    for total in (2, 3, 4):
+    for total in (1, 2, 3, 4, 5):
         for p in parabolics(total):
-            for shape in (Partition((2,) + (1,) * (total - 2)) if total > 2 else Partition((total,)),):
+            for shape in partitions(total):
                 cands = component_candidates(shape, p)
                 tops = [c.schubert_top for c in cands]
                 for c in cands:

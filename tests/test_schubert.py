@@ -24,13 +24,16 @@ from hesscomb import (
     partitions,
     perm_from_word,
     poincare_schubert_union,
+    run_checks,
     schubert_point,
-    schubert_point_respects_cosets,
     schubert_union_tops,
     springer_cell_dim,
     springer_contains,
+    springer_tableau,
+    string_decompose,
     union_hypothesis,
 )
+from hesscomb.nilpotent import _row_inversion_vector
 
 from conftest import bruhat_leq_subword, permutations_of, subword_ideal
 
@@ -39,19 +42,19 @@ from conftest import bruhat_leq_subword, permutations_of, subword_ideal
 
 
 def test_schubert_point_identity_flag():
-    sp = schubert_point(identity(4), Partition((2, 1, 1)))
-    assert sp.point == identity(4)
-    assert sp.string_lengths == (0, 0, 0)
-    assert sp.word() == ()
+    point = schubert_point(identity(4), Partition((2, 1, 1)))
+    assert point == identity(4)
+    assert string_decompose(point).lengths() == (0, 0, 0)
+    assert string_decompose(point).word() == ()
 
 
 def test_schubert_point_example():
-    sp = schubert_point(Permutation((3, 4, 1, 2)), Partition((2, 1, 1)))
-    assert sp.word() == (3, 2)
-    assert sp.point.images == (1, 4, 2, 3)
-    assert sp.string_lengths == (0, 1, 1)
-    assert sp.tableau.rows == ((1, 2), (4,), (3,))
-    assert sp.source.images == (3, 4, 1, 2)
+    w, shape = Permutation((3, 4, 1, 2)), Partition((2, 1, 1))
+    point = schubert_point(w, shape)
+    assert string_decompose(point).word() == (3, 2)
+    assert point.images == (1, 4, 2, 3)
+    assert string_decompose(point).lengths() == (0, 1, 1)
+    assert springer_tableau(w, shape).rows == ((1, 2), (4,), (3,))
 
 
 def test_schubert_point_zero_nilpotent_is_inverse_map():
@@ -60,8 +63,7 @@ def test_schubert_point_zero_nilpotent_is_inverse_map():
     # equals l(w) since every root lies outside the (empty) ideal
     shape = Partition((1, 1, 1, 1))
     for w in enumerate_sn(4):
-        sp = schubert_point(w, shape)
-        assert sp.point.length() == w.length()
+        assert schubert_point(w, shape).length() == w.length()
 
 
 def test_schubert_point_word_multiplies_to_point():
@@ -70,9 +72,11 @@ def test_schubert_point_word_multiplies_to_point():
             for w in enumerate_sn(total):
                 if not springer_contains(w, shape):
                     continue
-                sp = schubert_point(w, shape)
-                assert perm_from_word(sp.word(), total) == sp.point
-                assert sp.point.length() == sum(sp.string_lengths)
+                point = schubert_point(w, shape)
+                strings = string_decompose(point)
+                assert perm_from_word(strings.word(), total) == point
+                assert strings.lengths() == _row_inversion_vector(w, shape)
+                assert point.length() == sum(strings.lengths())
 
 
 def test_schubert_point_length_is_cell_dim():
@@ -80,8 +84,8 @@ def test_schubert_point_length_is_cell_dim():
         for shape in partitions(total):
             for w in enumerate_sn(total):
                 if springer_contains(w, shape):
-                    sp = schubert_point(w, shape)
-                    assert sp.point.length() == springer_cell_dim(w, shape)
+                    point = schubert_point(w, shape)
+                    assert point.length() == springer_cell_dim(w, shape)
 
 
 def test_schubert_point_outside_fiber():
@@ -270,12 +274,4 @@ def test_main_comparison_holds_in_hypothesis_n_le_5():
 
 
 def test_schubert_point_respects_cosets_small():
-    for total in (1, 2, 3, 4, 5):
-        for shape in partitions(total):
-            for p in parabolics(total):
-                assert schubert_point_respects_cosets(shape, p)
-
-
-def test_schubert_point_respects_cosets_degree_mismatch():
-    with pytest.raises(ValueError):
-        schubert_point_respects_cosets(Partition((2, 2)), ParabolicData.from_iterable(3, ()))
+    assert all(report.passed for report in run_checks(5, ["schubert-coset"]))

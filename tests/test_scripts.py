@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("main_theorem_sweep.py", ("--n-max", "3"), "all in-regime comparisons equal"),
         ("component_survey.py", ("--n", "3"), "12 pairs surveyed, 0 with mixed top dimensions"),
+        ("component_survey.py", ("--n", "5"), "112 pairs surveyed, 23 with mixed top dimensions"),
     ],
 )
 def test_script_exits_zero(script, args, last_line):

@@ -403,10 +403,13 @@ def test_strings_criterion_matches_direct_test():
     for n in (1, 2, 3, 4, 5):
         for p in parabolics(n):
             for w in enumerate_sn(n):
-                assert is_min_coset_rep_strings(w, p) == is_min_coset_rep(w, p), (
-                    w,
-                    p,
-                )
+                strings = string_decompose(w)
+                assert is_min_coset_rep_strings(strings, p) == is_min_coset_rep(w, p), (w, p)
+
+
+def test_strings_criterion_degree_mismatch():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        is_min_coset_rep_strings(string_decompose(identity(3)), ParabolicData(4, frozenset()))
 
 
 # --- Poincare polynomial of W_J ----------------------------------------------
