@@ -2,10 +2,12 @@
 
 Every theorem in the package has a named check that runs over all shapes
 of a given degree and all parabolic subsets, comparing two independent
-routes to the same answer.  The staircase side is the coset free sweep
-hessvar._staircase_dims; the other side reads the cached coset and fiber
-tables of symgroup and nilpotent.  A check counts every failure and keeps
-the first 1000 witnesses.  The census functions dump the same ground
+routes to the same answer.  The staircase side is the coset free kernel
+hessvar._staircase_planes, which holds a set of permutations as one int
+over S_n; the other side reads the cached coset and fiber tables of
+symgroup and nilpotent, and gathers them into the same form where the
+two are compared as sets.  A check counts every failure and keeps the
+first 1000 witnesses.  The census functions dump the same ground
 truth as flat rows for offline diffing.
 """
 
@@ -14,13 +16,15 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import time
 from collections.abc import Callable, Iterable, Iterator
 
 from .hessvar import (
     _fiber,
-    _staircase_dims,
+    _staircase_members,
+    _staircase_planes,
     h_from_parabolic,
     hess_cells,
     poincare_hessenberg,
@@ -44,13 +48,15 @@ from .schubert import (
     union_hypothesis,
 )
 from .symgroup import (
+    MAX_SWEEP_DEGREE,
     ParabolicData,
     Permutation,
+    _bit_indices,
     _coset_table,
+    _gather,
     _quotient_indices,
     _sn_images,
     _sn_index,
-    _sn_inverse_images,
     _sn_lengths,
     is_min_coset_rep,
     is_min_coset_rep_strings,
@@ -126,6 +132,49 @@ class _FailureLog:
                 )
             )
 
+    def record_set(
+        self,
+        shape: Partition,
+        p: ParabolicData,
+        bits: int,
+        images: tuple[tuple[int, ...], ...],
+    ) -> None:
+        """One failure per set bit of bits, bit i naming images[i], lowest first."""
+        count = bits.bit_count()
+        stored = min(count, max(0, _MAX_RECORDED_FAILURES - len(self.witnesses)))
+        for idx in itertools.islice(_bit_indices(bits), stored):
+            self.record(shape, p, images[idx])
+        self.total += count - stored
+
+
+# _BIT_CHARS[k] maps a byte to b"1" when its bit k is set, else to b"0"
+_BIT_CHARS = tuple(bytes(48 + (value >> k & 1) for value in range(256)) for k in range(8))
+_NONZERO_CHARS = bytes(48 + (value > 0) for value in range(256))
+
+
+def _bitset(data: bytes, level: int = 0) -> int:
+    """The indices i with bit `level` of their byte set, as one int; data
+    holds one byte per S_n index, the highest index first."""
+    return int(data.translate(_BIT_CHARS[level]), 2)
+
+
+def _records(columns: list[bytes]) -> list[bytes]:
+    """Per shape tables of one byte per S_n index, interleaved into one
+    record per index, so that one gather serves every shape."""
+    width = len(columns)
+    interleaved = bytearray(width * len(columns[0]))
+    for k, column in enumerate(columns):
+        interleaved[k::width] = column
+    return [bytes(interleaved[v : v + width]) for v in range(0, len(interleaved), width)]
+
+
+def _by_coset(records: list[bytes], n: int, p: ParabolicData) -> list[bytes]:
+    """Each shape's byte at the minimal coset representative of every w,
+    the highest w first, one byte string per shape."""
+    width = len(records[0])
+    gathered = b"".join(_gather(records, _coset_table(n, p.sorted_j())[::-1]))
+    return [gathered[k::width] for k in range(width)]
+
 
 def _covers_down(images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """One line arrays covered by images in Bruhat order (length drops by 1).
@@ -149,44 +198,53 @@ def _covers_down(images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
     """A flag lies in the parabolic Hessenberg variety iff the minimal
     representative of its coset lies in the Springer fiber."""
-    images_list = _sn_images(n)
-    inverse_images = _sn_inverse_images(n)
+    images = _sn_images(n)
+    shapes = list(partitions(n))
+    fibers = _records([bytes(_fiber_bitmap(shape)) for shape in shapes])
     cases = 0
     failures = _FailureLog()
-    for shape in partitions(n):
-        member = _fiber_bitmap(shape)
-        for p in parabolics(n):
-            ctable = _coset_table(n, p.sorted_j())
-            dims = _staircase_dims(shape, h_from_parabolic(p), inverse_images)
-            for idx, dim in enumerate(dims):
-                cases += 1
-                if (dim >= 0) != member[ctable[idx]]:
-                    failures.record(shape, p, images_list[idx])
+    for p in parabolics(n):
+        for shape, in_fiber in zip(shapes, _by_coset(fibers, n, p)):
+            by_staircase = _staircase_members(shape, h_from_parabolic(p))
+            cases += len(images)
+            failures.record_set(shape, p, _bitset(in_fiber) ^ by_staircase, images)
     return cases, failures
 
 
 def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     """The staircase inversion count of a nonempty cell equals the Springer
     dimension of its minimal representative plus the length of the tail."""
-    images_list = _sn_images(n)
-    inverse_images = _sn_inverse_images(n)
+    images = _sn_images(n)
     lengths = _sn_lengths(n)
+    # one base 256 digit per S_n index, digit i holding l(w_i) + 1
+    length_digits = int.from_bytes(bytes(length + 1 for length in lengths), "little")
+    levels = max(lengths).bit_length()
+    shapes = list(partitions(n))
+    excess = _records([_excess(shape, lengths) for shape in shapes])
     cases = 0
     failures = _FailureLog()
-    for shape in partitions(n):
-        member = _fiber_bitmap(shape)
-        springer_dims = _springer_dim_table(shape)
-        for p in parabolics(n):
-            ctable = _coset_table(n, p.sorted_j())
+    for p in parabolics(n):
+        for shape, gathered in zip(shapes, _by_coset(excess, n, p)):
             # only the flags whose minimal representative is in the fiber
-            flags = [idx for idx, vidx in enumerate(ctable) if member[vidx]]
-            swept = (inverse_images[idx] for idx in flags)
-            for idx, dim in zip(flags, _staircase_dims(shape, h_from_parabolic(p), swept)):
-                vidx = ctable[idx]
-                cases += 1
-                if dim != springer_dims[vidx] + lengths[idx] - lengths[vidx]:
-                    failures.record(shape, p, images_list[idx])
+            cells = int(gathered.translate(_NONZERO_CHARS), 2)
+            # there digit i becomes sdim(v) + l(y) = l(w) - (l(v) - sdim(v));
+            # a digit never borrows, as l(w) + 1 >= l(v) + 1 >= the excess
+            by_coset = length_digits - int.from_bytes(gathered, "big")
+            digits = by_coset.to_bytes(len(images), "big")
+            members, counter = _staircase_planes(shape, h_from_parabolic(p))
+            wrong = cells & ~members
+            for level in range(max(levels, len(counter))):
+                plane = counter[level] if level < len(counter) else 0
+                wrong |= cells & (plane ^ _bitset(digits, level))
+            cases += cells.bit_count()
+            failures.record_set(shape, p, wrong, images)
     return cases, failures
+
+
+def _excess(shape: Partition, lengths: tuple[int, ...]) -> bytes:
+    """1 + l(v) - sdim(v) per S_n index v in the Springer fiber, 0 off it."""
+    dims = _springer_dim_table(shape)
+    return bytes(1 + lengths[v] - dim if dim >= 0 else 0 for v, dim in enumerate(dims))
 
 
 def _check_poincare_corollary(n: int) -> tuple[int, _FailureLog]:
@@ -329,8 +387,8 @@ def run_checks(n_max: int, checks: Iterable[str] | None = None) -> list[CheckRep
     >>> all(r.passed for r in reports)
     True
     """
-    if not 1 <= n_max <= 8:
-        raise ValueError(f"n_max must be between 1 and 8, got {n_max}")
+    if not 1 <= n_max <= MAX_SWEEP_DEGREE:
+        raise ValueError(f"n_max must be between 1 and {MAX_SWEEP_DEGREE}, got {n_max}")
     if checks is None:
         selected = list(CHECKS)
     else:
@@ -370,8 +428,8 @@ def census(n: int, granularity: str) -> list[dict[str, object]]:
     >>> census(1, "summaries")
     [{'lambda': (1,), 'J': (), 'hessenberg_poly': (1,), 'schubert_union_poly': (1,), 'equal': True}]
     """
-    if not 1 <= n <= 8:
-        raise ValueError(f"degree must be between 1 and 8, got {n}")
+    if not 1 <= n <= MAX_SWEEP_DEGREE:
+        raise ValueError(f"degree must be between 1 and {MAX_SWEEP_DEGREE}, got {n}")
     if granularity == "cells":
         return _census_cells(n)
     if granularity == "summaries":

@@ -7,16 +7,18 @@ from a subset J via h(i) = top of i's block, and for them every cell
 dimension splits along the coset factorization w = v y into a Springer
 part for v and the full length of y.
 
-One coset free sweep, _staircase_dims, reads membership and dimension off
-w^(-1) for poincare_hessenberg, hess_cells and the harness checks.
+One coset free kernel, _staircase_planes, reads membership and dimension
+off the value planes of w^(-1) for all of S_n at once, as integer bitsets
+(symgroup._sn_planes); poincare_hessenberg, hess_cells and the harness
+checks take their staircase side from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
-from collections.abc import Iterable, Iterator
+import math
+from collections.abc import Iterable
 
 from .nilpotent import (
     Partition,
@@ -31,9 +33,10 @@ from .rootsys import positive_roots, root_act
 from .symgroup import (
     ParabolicData,
     Permutation,
+    _bit_indices,
     _quotient_indices,
     _sn_images,
-    _sn_inverse_images,
+    _sn_planes,
     coset_factor,
     inversion_set,
     poincare_subgroup,
@@ -214,35 +217,68 @@ def _position_pairs(shape: Partition) -> tuple[tuple[tuple[int, int], ...], ...]
     return tuple(ij for ij, inside in pairs if not inside), tuple(ij for ij, inside in pairs if inside)
 
 
-def _staircase_dims(
-    shape: Partition, h: HessenbergFunction, winvs: Iterable[tuple[int, ...]]
-) -> Iterator[int]:
-    """Cell dimension for each one line w^(-1) in winvs, -1 where the cell is empty.
+def _staircase_members(shape: Partition, h: HessenbergFunction) -> int:
+    """The w whose cell is nonempty, as a set over S_n: w^(-1) moves every
+    root (a, b) of X into the staircase, w^(-1)(a) <= h(w^(-1)(b)).
 
-    The cell is nonempty when w^(-1) moves every root of X into the
-    staircase; its dimension counts the inverted pairs outside the orbit
-    ideal, and the inverted pairs inside it that land in the staircase.
-    It must never factor w through a coset: it is the side that the
-    harness compares with the coset route.
+    It reads only the value planes of w^(-1) and h, never a coset: it is
+    the side that the harness compares with the coset route.
     """
-    # values a > b of w^(-1) land in the staircase exactly when a is at most top[b]
-    top = (0,) + h.values
-    phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
+    n = shape.n
+    eq, gt = _sn_planes(n)
+    top = [value - 1 for value in h.values]
+    outside = 0
+    for a, b in highest_form_roots(shape).sorted_roots():
+        for x, bound in enumerate(top):
+            if bound < n - 1:
+                outside |= eq[b - 1][x] & gt[a - 1][bound]
+    return ((1 << math.factorial(n)) - 1) ^ outside
+
+
+def _add_plane(counter: list[int], plane: int) -> None:
+    """Add a 0/1 plane to a bit sliced counter, lowest bit plane first."""
+    for level, bits in enumerate(counter):
+        if not plane:
+            return
+        counter[level], plane = bits ^ plane, bits & plane
+    if plane:
+        counter.append(plane)
+
+
+def _staircase_planes(shape: Partition, h: HessenbergFunction) -> tuple[int, list[int]]:
+    """The nonempty cells and their dimensions over all of S_n at once.
+
+    Returns (members, counter): members as in _staircase_members, and the
+    cell dimension of each member w bit sliced, bit k of the dimension in
+    counter[k], zero outside members.  The dimension counts the inverted
+    pairs of w^(-1) outside the orbit ideal, and the inverted pairs inside
+    it whose values land in the staircase, w^(-1)(j) < w^(-1)(i) <=
+    h(w^(-1)(j)); each pair adds its indicator plane to the counter.
+    """
+    eq, gt = _sn_planes(shape.n)
+    top = [value - 1 for value in h.values]
     free, pinned = _position_pairs(shape)
-    for winv in winvs:
-        for a, b in phi_x:
-            if winv[a] > top[winv[b]]:
-                yield -1
-                break
-        else:
-            dim = 0
-            for i, j in free:
-                if winv[i] > winv[j]:
-                    dim += 1
-            for i, j in pinned:
-                if winv[j] < winv[i] <= top[winv[j]]:
-                    dim += 1
-            yield dim
+    counter: list[int] = []
+    for i, j in free:
+        _add_plane(counter, _or(eq[j][x] & gt[i][x] for x in range(shape.n - 1)))
+    for i, j in pinned:
+        # gt[i][bound] lies inside gt[i][x], so the XOR keeps x < w^(-1)(i) <= bound
+        landed = (eq[j][x] & (gt[i][x] ^ gt[i][bound]) for x, bound in enumerate(top) if bound > x)
+        _add_plane(counter, _or(landed))
+    members = _staircase_members(shape, h)
+    return members, [plane & members for plane in counter]
+
+
+def _or(planes: Iterable[int]) -> int:
+    return functools.reduce(int.__or__, planes, 0)
+
+
+def _dimension_sets(members: int, counter: list[int]) -> list[int]:
+    """cells[d]: the members whose bit sliced counter spells d."""
+    cells = [members]
+    for plane in reversed(counter):
+        cells = [part for whole in cells for part in (whole & ~plane, whole & plane)]
+    return cells
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,16 +286,15 @@ def poincare_hessenberg(shape: Partition, h: HessenbergFunction) -> Poly:
     """Poincare polynomial of the Hessenberg variety, graded by complex cell dimension.
 
     Coefficient of t^k counts the permutations w whose cell is nonempty of
-    dimension k; the sweep is exhaustive over S_n.  It streams the one line
-    arrays of w^(-1) and builds no per degree table.
+    dimension k; the count is exhaustive over S_n, as popcounts of the
+    staircase planes, and builds no per degree table besides _sn_planes.
 
     >>> str(poincare_hessenberg(Partition((2, 2)), HessenbergFunction((2, 2, 4, 4))))
     '1 + 3t + 4t^2 + 3t^3 + t^4'
     """
     if shape.n != h.n:
         raise ValueError("degree mismatch")
-    dims = _staircase_dims(shape, h, itertools.permutations(range(1, shape.n + 1)))
-    return Poly.from_exponents(dim for dim in dims if dim >= 0)
+    return Poly(tuple(cells.bit_count() for cells in _dimension_sets(*_staircase_planes(shape, h))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,11 +326,12 @@ def hess_cells(shape: Partition, p: ParabolicData) -> tuple[HessCell, ...]:
     """All nonempty cells for the block staircase of p, in w lex order."""
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    dims = _staircase_dims(shape, h_from_parabolic(p), _sn_inverse_images(shape.n))
+    sets = _dimension_sets(*_staircase_planes(shape, h_from_parabolic(p)))
+    dims = {idx: dim for dim, cells in enumerate(sets) for idx in _bit_indices(cells)}
+    images = _sn_images(shape.n)
     out = []
-    for images, dim in zip(_sn_images(shape.n), dims):
-        if dim >= 0:
-            w = Permutation(images)
-            v, y = coset_factor(w, p)
-            out.append(HessCell(w=w, dim=dim, v=v, y=y))
+    for idx in sorted(dims):
+        w = Permutation(images[idx])
+        v, y = coset_factor(w, p)
+        out.append(HessCell(w=w, dim=dims[idx], v=v, y=y))
     return tuple(out)

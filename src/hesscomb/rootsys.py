@@ -10,12 +10,11 @@ with the pairs directly keeps the Weyl action and the matrix picture
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .hessvar import HessenbergFunction
-    from .symgroup import ParabolicData, Permutation
+    from .symgroup import Permutation
 
 Root = tuple[int, int]
 
@@ -59,34 +58,14 @@ class RootSet:
         return tuple(sorted(self.roots))
 
 
-def all_roots(n: int) -> RootSet:
-    roots = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
-    return RootSet(n, roots)
-
-
 def positive_roots(n: int) -> tuple[Root, ...]:
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-
-
-def root_set(n: int, roots: Iterable[Root]) -> RootSet:
-    return RootSet(n, frozenset(roots))
 
 
 def root_act(w: Permutation, root: Root) -> Root:
     """Weyl action w.(e_i - e_j) = e_w(i) - e_w(j), i.e. (i, j) -> (w(i), w(j))."""
     _check_root(root, w.n)
     return (w(root[0]), w(root[1]))
-
-
-def parabolic_roots(p: ParabolicData) -> RootSet:
-    """Roots of the parabolic subsystem: both endpoints in one block of p."""
-    roots = set()
-    for block in p.blocks:
-        for i in block:
-            for j in block:
-                if i != j:
-                    roots.add((i, j))
-    return RootSet(p.n, frozenset(roots))
 
 
 def root_dominates(g: Root, h: Root) -> bool:
@@ -99,18 +78,3 @@ def root_dominates(g: Root, h: Root) -> bool:
     if not is_positive(g) or not is_positive(h):
         raise ValueError("dominance compares positive roots only")
     return g != h and g[0] <= h[0] and h[1] <= g[1]
-
-
-def hessenberg_roots(h: HessenbergFunction) -> RootSet:
-    """Roots (i, j) with i <= h(j): the matrix positions allowed by h.
-
-    Column j of the Hessenberg space holds nonzero entries in rows 1..h(j),
-    so the root (i, j) is included exactly when i <= h(j).  The condition
-    h(j) >= j makes every positive root a member; the negative members form
-    the staircase below the diagonal.
-    """
-    n = h.n
-    roots = frozenset(
-        (i, j) for j in range(1, n + 1) for i in range(1, h(j) + 1) if i != j
-    )
-    return RootSet(n, roots)

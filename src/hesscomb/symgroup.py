@@ -19,6 +19,8 @@ import array
 import dataclasses
 import functools
 import itertools
+import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 from .poly import Poly, t_factorial
@@ -27,6 +29,9 @@ from .rootsys import Root, RootSet
 # Largest degree the single CLI queries accept.  They sweep all of S_n, and
 # from degree 10 on the sweeps take ten times longer and the tables gigabytes.
 MAX_DEGREE = 9
+# Largest degree of the exhaustive harness sweeps (run_checks and census),
+# which visit every shape and every J of a degree.
+MAX_SWEEP_DEGREE = 8
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -414,9 +419,11 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 # ---------------------------------------------------------------------------
 # Cached per degree tables, aligned with the lexicographic order of S_n:
 # one line arrays, their index, inverses, lengths, dominance keys, the
-# quotients W^J and coset representatives.  They serve the harness sweeps
-# and per shape tables; a single poincare_hessenberg query streams S_n and
-# builds none of them.
+# quotients W^J, the adjacent sorting swaps and coset representatives.
+# They serve the harness sweeps and per shape tables.  A set of
+# permutations can also be one int, bit i standing for the permutation of
+# index i; _sn_planes holds the value planes of w^(-1) in that form, and a
+# poincare_hessenberg query builds them and no other table.
 # ---------------------------------------------------------------------------
 
 
@@ -430,15 +437,33 @@ def _sn_index(n: int) -> dict[tuple[int, ...], int]:
     return {images: idx for idx, images in enumerate(_sn_images(n))}
 
 
+def _inverse_ranks(n: int) -> list[int]:
+    """Index of the inverse of each permutation of S_n, by index.
+
+    Built up degree by degree.  The inverse of the permutation u with u(1) = p
+    is the inverse of u's standardized tail with a new least value put at
+    position p, and insert[p - 1][i] is the index of that insertion into the
+    permutation of index i one degree lower.
+    """
+    ranks = [0]
+    insert = [[0]]
+    for k in range(2, n + 1):
+        block = math.factorial(k - 1)
+        # a new least value at position 1 leaves the index alone; further
+        # right, the first value goes up by one and the insertion moves on
+        insert = [list(range(block))] + [
+            [first * block + idx for first in range(1, k) for idx in row] for row in insert
+        ]
+        ranks = [row[rank] for row in insert for rank in ranks]
+    return ranks
+
+
 @functools.lru_cache(maxsize=None)
 def _sn_inverse_images(n: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for images in _sn_images(n):
-        inv = [0] * n
-        for pos, val in enumerate(images, start=1):
-            inv[val - 1] = pos
-        out.append(tuple(inv))
-    return tuple(out)
+    """The one line arrays of the inverses; each is the very tuple object
+    of _sn_images at the inverse's index, so the table adds no tuples."""
+    images = _sn_images(n)
+    return tuple(images[rank] for rank in _inverse_ranks(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,6 +474,49 @@ def _sn_lengths(n: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _sn_domkeys(n: int) -> tuple[int, ...]:
     return tuple(_dominance_key(images) for images in _sn_images(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _sn_planes(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Value planes (eq, gt) of w^(-1) over S_n, positions and values 0 based.
+
+    eq[pos][val] is the set of w with w^(-1)(pos + 1) = val + 1, that is
+    w(val + 1) = pos + 1, and gt[pos][k] the set with w^(-1)(pos + 1) > k + 1.
+    In lexicographic order S_n is n blocks of (n-1)! permutations, block b
+    holding w(1) = b + 1 and a relabelled S_(n-1) in its tail, so each
+    plane of degree n is an OR of shifted planes of degree n - 1 and no
+    permutation is visited.
+    """
+    if n == 1:
+        return ((1,),), ((0,),)
+    eq_below = _sn_planes(n - 1)[0]
+    size = math.factorial(n - 1)
+    eq = tuple(
+        tuple(
+            # w(1) = pos + 1 fills block pos; w(val + 1) = pos + 1 for a later
+            # position reads, in any other block b, the tail as S_(n-1) with
+            # the values above b + 1 moved down by one
+            ((1 << size) - 1) << (pos * size)
+            if val == 0
+            else sum(eq_below[pos - (pos > b)][val - 1] << (b * size) for b in range(n) if b != pos)
+            for val in range(n)
+        )
+        for pos in range(n)
+    )
+    # gt[pos][k] is the OR of eq[pos][k + 1:], accumulated from the top value
+    gt = tuple(
+        tuple(itertools.accumulate(reversed(row[1:]), int.__or__))[::-1] + (0,) for row in eq
+    )
+    return eq, gt
+
+
+def _bit_indices(bits: int) -> Iterator[int]:
+    """The indices of the set bits of bits, lowest first."""
+    text = bin(bits)[:1:-1]
+    idx = text.find("1")
+    while idx >= 0:
+        yield idx
+        idx = text.find("1", idx + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -463,15 +531,45 @@ def _quotient_indices(n: int, j: tuple[int, ...]) -> array.array:
 
 
 @functools.lru_cache(maxsize=None)
-def _coset_table(n: int, j: tuple[int, ...]) -> tuple[int, ...]:
-    """Index of the minimal coset representative of w W_J, per S_n index."""
-    blocks = ParabolicData(n, frozenset(j)).blocks
+def _sn_sorting_swaps(n: int) -> tuple[array.array, ...]:
+    """swaps[i - 1][idx]: the index of w with the values at positions i and
+    i + 1 put in increasing order, w itself or w s_i."""
+    images = _sn_images(n)
     index = _sn_index(n)
-    out = []
-    for images in _sn_images(n):
-        v = [0] * n
-        for block in blocks:
-            for pos, src in zip(block, sorted(block, key=lambda q: images[q - 1])):
-                v[pos - 1] = images[src - 1]
-        out.append(index[tuple(v)])
-    return tuple(out)
+    return tuple(
+        array.array(
+            "I",
+            (
+                idx if w[i] < w[i + 1] else index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]]
+                for idx, w in enumerate(images)
+            ),
+        )
+        for i in range(n - 1)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_table(n: int, j: tuple[int, ...]) -> array.array:
+    """Index of the minimal coset representative of w W_J, per S_n index:
+    w with each block's values sorted.  j is sorted; the table for j grows
+    from the one without its last member i, whose reps have sorted blocks
+    except that position i + 1 must still be inserted into its block."""
+    if not j:
+        return array.array("I", range(math.factorial(n)))
+    i = j[-1]
+    out = _coset_table(n, j[:-1])
+    lo = i
+    while lo - 1 in j:
+        lo -= 1
+    swaps = _sn_sorting_swaps(n)
+    for k in range(i, lo - 1, -1):
+        out = array.array("I", _gather(swaps[k - 1], out))
+    return out
+
+
+def _gather(values: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
+    """values[i] for each i in indices, in one C level pass."""
+    if len(indices) == 1:
+        # itemgetter of one index returns the bare item
+        return (values[indices[0]],)
+    return operator.itemgetter(*indices)(values)

@@ -3,18 +3,33 @@
 The oracles here recompute package answers by deliberately different
 algorithms: Bruhat order by subword enumeration instead of dominance
 counting, parabolic subgroups by brute filtering instead of block
-products.  Tests compare the two routes exhaustively at small degrees.
+products, the staircase kernel by a per permutation sweep, root sets by
+listing pairs.  Tests compare the two routes exhaustively at small degrees.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable, Iterator
 
 import pytest
 from hypothesis import strategies as st
 
-from hesscomb import CHECKS, ParabolicData, Permutation, Poly, harness, perm_from_word
+from hesscomb import (
+    CHECKS,
+    HessenbergFunction,
+    ParabolicData,
+    Partition,
+    Permutation,
+    Poly,
+    RootSet,
+    harness,
+    highest_form_roots,
+    perm_from_word,
+)
+from hesscomb.hessvar import _position_pairs
+from hesscomb.rootsys import Root
 
 
 def reduced_word_of(w: Permutation) -> tuple[int, ...]:
@@ -66,6 +81,67 @@ def brute_subgroup(p: ParabolicData) -> list[Permutation]:
 def brute_poincare_subgroup(p: ParabolicData) -> Poly:
     """Length histogram of the brute forced W_J."""
     return Poly.from_exponents(w.length() for w in brute_subgroup(p))
+
+
+def all_roots(n: int) -> RootSet:
+    roots = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+    return RootSet(n, roots)
+
+
+def root_set(n: int, roots: Iterable[Root]) -> RootSet:
+    return RootSet(n, frozenset(roots))
+
+
+def parabolic_roots(p: ParabolicData) -> RootSet:
+    """Roots of the parabolic subsystem: both endpoints in one block of p."""
+    return root_set(p.n, ((i, j) for block in p.blocks for i in block for j in block if i != j))
+
+
+def hessenberg_roots(h: HessenbergFunction) -> RootSet:
+    """Roots (i, j) with i <= h(j): the matrix positions allowed by h.
+
+    Column j of the Hessenberg space holds nonzero entries in rows 1..h(j).
+    Every positive root is a member; the negative members form the
+    staircase below the diagonal.
+    """
+    return root_set(h.n, ((i, j) for j in range(1, h.n + 1) for i in range(1, h(j) + 1) if i != j))
+
+
+def staircase_dims(
+    shape: Partition, h: HessenbergFunction, winvs: Iterable[tuple[int, ...]]
+) -> Iterator[int]:
+    """Cell dimension for each one line w^(-1) in winvs, -1 where the cell
+    is empty: the staircase kernel tested one permutation at a time.
+
+    The cell is nonempty when w^(-1) moves every root of X into the
+    staircase; its dimension counts the inverted pairs outside the orbit
+    ideal, and the inverted pairs inside it that land in the staircase.
+    """
+    # values a > b of w^(-1) land in the staircase exactly when a is at most top[b]
+    top = (0,) + h.values
+    phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
+    free, pinned = _position_pairs(shape)
+    for winv in winvs:
+        if any(winv[a] > top[winv[b]] for a, b in phi_x):
+            yield -1
+            continue
+        yield sum(winv[i] > winv[j] for i, j in free) + sum(
+            winv[j] < winv[i] <= top[winv[j]] for i, j in pinned
+        )
+
+
+def hessenberg_functions(n: int) -> list[HessenbergFunction]:
+    """Every nondecreasing h with i <= h(i) <= n."""
+
+    def gen(i: int, low: int):
+        if i > n:
+            yield ()
+            return
+        for value in range(max(low, i), n + 1):
+            for rest in gen(i + 1, value):
+                yield (value,) + rest
+
+    return [HessenbergFunction(values) for values in gen(1, 1)]
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -88,6 +89,12 @@ def test_run_checks_validation():
         run_checks(2, checks=["bogus"])
 
 
+def test_poincare_corollary_at_degree_8():
+    report = run_checks(8, checks=["poincare-corollary"])[-1]
+    assert (report.n, report.cases_run) == (8, 2816)  # p(8) = 22 shapes, 128 subsets
+    assert report.passed
+
+
 def test_check_report_json():
     (report,) = run_checks(1, checks=["dim-formulas-agree"])
     d = report.to_json_dict()
@@ -126,7 +133,18 @@ def clean_caches():
 
 
 def _off_by_one(kernel):
-    return lambda shape, h, winvs: (dim + 1 for dim in kernel(shape, h, winvs))
+    def wrong(shape, h):
+        members, counter = kernel(shape, h)
+        counter = list(counter)
+        hessvar._add_plane(counter, members)
+        return members, counter
+
+    return wrong
+
+
+def _without_identity(kernel):
+    # index 0 is the identity, whose cell is never empty
+    return lambda shape, h: kernel(shape, h) & ~1
 
 
 def _reversed_point(schubert_point):
@@ -135,8 +153,8 @@ def _reversed_point(schubert_point):
 
 # check id -> (module, name, wrong version of the named route)
 WRONG_ROUTES = {
-    "fixed-points": (harness, "_staircase_dims", _off_by_one),
-    "parabolic-dimension": (harness, "_staircase_dims", _off_by_one),
+    "fixed-points": (harness, "_staircase_members", _without_identity),
+    "parabolic-dimension": (harness, "_staircase_planes", _off_by_one),
     "poincare-corollary": (
         harness,
         "poincare_parabolic_formula",
@@ -154,7 +172,7 @@ WRONG_ROUTES = {
         "springer_min_reps",
         lambda reps: lambda shape, p: reps(shape, p)[1:],
     ),
-    "main-theorem": (hessvar, "_staircase_dims", _off_by_one),
+    "main-theorem": (hessvar, "_staircase_planes", _off_by_one),
     "phi-V-equivalence": (
         harness,
         "dominance_ideal",
@@ -176,6 +194,34 @@ def test_each_check_fails_when_one_route_is_wrong(check_id, clean_caches, monkey
     assert report.n == 4
     assert not report.passed
     assert report.failures_total >= len(report.failures) > 0
+
+
+def _with_longest(kernel):
+    # the last index is w0, whose cell is empty for some (shape, J) at n = 4
+    return lambda shape, h: kernel(shape, h) | 1 << (math.factorial(shape.n) - 1)
+
+
+def _members_without_identity(kernel):
+    def wrong(shape, h):
+        members, counter = kernel(shape, h)
+        return members & ~1, counter
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    ("name", "wrong", "check_id"),
+    [
+        ("_staircase_members", _with_longest, "fixed-points"),
+        ("_staircase_planes", _members_without_identity, "parabolic-dimension"),
+    ],
+    ids=["fixed-points-extra-member", "parabolic-dimension-missing-member"],
+)
+def test_set_checks_fail_on_a_member_either_side(name, wrong, check_id, clean_caches, monkeypatch):
+    monkeypatch.setattr(harness, name, wrong(getattr(harness, name)))
+    report = run_checks(4, checks=[check_id])[-1]
+    assert report.n == 4
+    assert not report.passed
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -31,7 +32,10 @@ from hesscomb import (
     springer_min_reps,
     t_factorial,
 )
-from hesscomb import symgroup
+from hesscomb import harness, nilpotent, symgroup
+from hesscomb.hessvar import _dimension_sets, _staircase_members, _staircase_planes
+
+from conftest import hessenberg_functions, staircase_dims
 
 
 # --- Hessenberg functions ------------------------------------------------------
@@ -235,20 +239,6 @@ def test_poincare_formula_matches_sweep():
                 assert sweep.coeffs == formula.coeffs, (shape, p)
 
 
-def hessenberg_functions(n: int) -> list[HessenbergFunction]:
-    """Every nondecreasing h with i <= h(i) <= n."""
-
-    def gen(i: int, low: int):
-        if i > n:
-            yield ()
-            return
-        for value in range(max(low, i), n + 1):
-            for rest in gen(i + 1, value):
-                yield (value,) + rest
-
-    return [HessenbergFunction(values) for values in gen(1, 1)]
-
-
 def test_poincare_hessenberg_matches_per_permutation_cells():
     # the reference goes through the public per permutation API only, so
     # it covers the non parabolic staircases the formula cannot
@@ -276,7 +266,60 @@ def test_poincare_hessenberg_builds_no_sn_table():
     # bypass the result cache so the sweep itself runs
     assert poincare_hessenberg.__wrapped__(shape, h)(1) > 0
     sizes = {table.__name__: table.cache_info().currsize for table in tables}
+    # the value planes, built up degree by degree, are the only table read
+    assert sizes.pop("_sn_planes") == 8
     assert not any(sizes.values()), sizes
+    eq, gt = symgroup._sn_planes(8)
+    size = sum(sys.getsizeof(plane) for planes in (eq, gt) for row in planes for plane in row)
+    assert size <= 2 * 8**2 * math.factorial(8) // 8
+
+
+def _kernel_dims(shape, h):
+    """Cell dimension per S_n index from the plane kernel, -1 where empty."""
+    dims = [-1] * math.factorial(shape.n)
+    for dim, cells in enumerate(_dimension_sets(*_staircase_planes(shape, h))):
+        for idx in symgroup._bit_indices(cells):
+            dims[idx] = dim
+    return dims
+
+
+def test_staircase_planes_match_the_per_permutation_sweep():
+    for total in range(1, 7):
+        winvs = symgroup._sn_inverse_images(total)
+        for h in hessenberg_functions(total):
+            for shape in partitions(total):
+                dims = _kernel_dims(shape, h)
+                assert dims == list(staircase_dims(shape, h, winvs)), (shape, h)
+                members = _staircase_members(shape, h)
+                assert members == sum(1 << idx for idx, dim in enumerate(dims) if dim >= 0)
+
+
+def test_staircase_planes_match_hess_contains_and_cell_dim():
+    for total in range(1, 6):
+        perms = list(enumerate_sn(total))
+        for h in hessenberg_functions(total):
+            for shape in partitions(total):
+                expected = [
+                    cell_dim(w, shape, h) if hess_contains(w, shape, h) else -1 for w in perms
+                ]
+                assert _kernel_dims(shape, h) == expected, (shape, h)
+
+
+def test_coset_route_builds_no_plane():
+    symgroup._sn_planes.cache_clear()
+    shapes = list(partitions(6))
+    fibers = harness._records(
+        [bytes(nilpotent._fiber_bitmap.__wrapped__(shape)) for shape in shapes]
+    )
+    for shape in shapes:
+        nilpotent._springer_dim_table.__wrapped__(shape)
+    for p in parabolics(6):
+        symgroup._coset_table.__wrapped__(6, p.sorted_j())
+        harness._by_coset(fibers, 6, p)
+        for shape in shapes:
+            poincare_parabolic_formula.__wrapped__(shape, p)
+            springer_min_reps.__wrapped__(shape, p)
+    assert symgroup._sn_planes.cache_info().currsize == 0
 
 
 def test_poincare_hessenberg_nonparabolic_staircase():

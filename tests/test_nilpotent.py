@@ -19,7 +19,6 @@ from hesscomb import (
     is_highest_form,
     partitions,
     root_act,
-    root_set,
     row_inversions,
     springer_cell_dim,
     springer_contains,
@@ -27,7 +26,7 @@ from hesscomb import (
 )
 from hesscomb.nilpotent import _row_inversion_vector
 
-from conftest import small_partitions
+from conftest import root_set, small_partitions
 
 
 # --- Partition basics --------------------------------------------------------

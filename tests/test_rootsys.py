@@ -8,15 +8,19 @@ from hesscomb import (
     HessenbergFunction,
     ParabolicData,
     Permutation,
-    all_roots,
-    hessenberg_roots,
-    parabolic_roots,
+    enumerate_sn,
+    h_from_parabolic,
+    hess_contains,
+    highest_form_roots,
+    parabolics,
+    partitions,
     positive_roots,
     root_act,
     root_dominates,
-    root_set,
 )
 from hesscomb.rootsys import is_positive
+
+from conftest import all_roots, hessenberg_functions, hessenberg_roots, parabolic_roots, root_set
 
 
 def test_positive_root_count():
@@ -79,6 +83,11 @@ def test_parabolic_roots():
     assert parabolic_roots(p).sorted_roots() == ((1, 2), (2, 1), (3, 4), (4, 3))
     empty = ParabolicData.from_iterable(3, ())
     assert parabolic_roots(empty).sorted_roots() == ()
+    # the block staircase of p allows exactly the negative roots inside its blocks
+    for n in range(1, 6):
+        for p in parabolics(n):
+            staircase = [r for r in hessenberg_roots(h_from_parabolic(p)) if not is_positive(r)]
+            assert staircase == [r for r in parabolic_roots(p) if not is_positive(r)]
 
 
 def test_hessenberg_roots():
@@ -87,6 +96,14 @@ def test_hessenberg_roots():
     # negatives e_i - e_j with j < i <= h(j), plus every positive root
     assert [r for r in got if not is_positive(r)] == [(2, 1), (4, 3)]
     assert tuple(r for r in got if is_positive(r)) == positive_roots(4)
+    # a cell meets the variety when w^(-1) moves every root of X into the set
+    for n in range(1, 5):
+        for h in hessenberg_functions(n):
+            allowed = hessenberg_roots(h)
+            for shape in partitions(n):
+                for w in enumerate_sn(n):
+                    moved = (root_act(w.inverse(), root) for root in highest_form_roots(shape))
+                    assert hess_contains(w, shape, h) == all(r in allowed for r in moved)
 
 
 def test_hessenberg_roots_identity_is_borel():

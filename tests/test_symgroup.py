@@ -25,7 +25,18 @@ from hesscomb import (
     poincare_subgroup,
     string_decompose,
 )
-from hesscomb.symgroup import StringDecomposition, _digit_bits, _dominance_key, _quotient_indices
+from hesscomb.symgroup import (
+    StringDecomposition,
+    _bit_indices,
+    _coset_table,
+    _digit_bits,
+    _dominance_key,
+    _quotient_indices,
+    _sn_images,
+    _sn_index,
+    _sn_inverse_images,
+    _sn_planes,
+)
 
 from conftest import (
     brute_poincare_subgroup,
@@ -351,6 +362,55 @@ def test_quotient_indices_are_the_min_coset_reps(n):
         got = _quotient_indices(n, p.sorted_j())
         assert list(got) == [idx for idx, w in enumerate(perms) if is_min_coset_rep(w, p)]
         assert len(got) == math.factorial(n) // math.prod(math.factorial(m) for m in p.mu)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coset_table_is_the_coset_factor(n):
+    index = _sn_index(n)
+    perms = list(enumerate_sn(n))
+    for p in parabolics(n):
+        expected = [index[coset_factor(w, p)[0].images] for w in perms]
+        assert list(_coset_table(n, p.sorted_j())) == expected
+
+
+# --- Per degree tables ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sn_planes_layout(n):
+    images = _sn_images(n)
+    eq, gt = _sn_planes(n)
+    assert len(eq) == len(gt) == n
+    for pos in range(n):
+        assert len(eq[pos]) == len(gt[pos]) == n
+        for val in range(n):
+            # w^(-1)(pos + 1) = val + 1 exactly when w(val + 1) = pos + 1
+            assert list(_bit_indices(eq[pos][val])) == [
+                idx for idx, w in enumerate(images) if w[val] == pos + 1
+            ]
+            assert list(_bit_indices(gt[pos][val])) == [
+                idx for idx, w in enumerate(images) if w.index(pos + 1) > val
+            ]
+    # every permutation sits in exactly one value plane per position
+    full = (1 << math.factorial(n)) - 1
+    for row in eq:
+        assert sum(row) == full
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sn_inverse_images_share_the_image_tuples(n):
+    images = _sn_images(n)
+    index = _sn_index(n)
+    for w, inv in zip(images, _sn_inverse_images(n)):
+        assert Permutation(inv) == Permutation(w).inverse()
+        assert inv is images[index[inv]]
+
+
+def test_bit_indices():
+    assert list(_bit_indices(0)) == []
+    assert list(_bit_indices(1)) == [0]
+    assert list(_bit_indices(0b1011000)) == [3, 4, 6]
+    assert list(_bit_indices(1 << 5000 | 2)) == [1, 5000]
 
 
 def test_longest_element_examples():
