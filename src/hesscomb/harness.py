@@ -232,9 +232,9 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
             by_coset = length_digits - int.from_bytes(gathered, "big")
             digits = by_coset.to_bytes(len(images), "big")
             members, counter = _staircase_planes(shape, h_from_parabolic(p))
+            counter += [0] * (levels - len(counter))
             wrong = cells & ~members
-            for level in range(max(levels, len(counter))):
-                plane = counter[level] if level < len(counter) else 0
+            for level, plane in enumerate(counter):
                 wrong |= cells & (plane ^ _bitset(digits, level))
             cases += cells.bit_count()
             failures.record_set(shape, p, wrong, images)
