@@ -74,11 +74,8 @@ def _hessenberg_space(
 
 def _parabolic_space(args: argparse.Namespace, n: int) -> ParabolicData:
     """Like _hessenberg_space but the command only accepts parabolic spaces."""
-    p, _ = _hessenberg_space(args, n)
-    if p is None:
-        h = HessenbergFunction(_parse_ints(args.hessenberg))
-        raise ValueError(f"is_parabolic_function fails for h = {h}")
-    return p
+    p, h = _hessenberg_space(args, n)
+    return parabolic_from_h(h) if p is None else p
 
 
 def _word_text(word: tuple[int, ...]) -> str:

@@ -29,7 +29,7 @@ from .nilpotent import (
     springer_cell_dim,
 )
 from .poly import Poly
-from .rootsys import positive_roots, root_act
+from .rootsys import root_act
 from .symgroup import (
     ParabolicData,
     Permutation,
@@ -210,11 +210,12 @@ def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _position_pairs(shape: Partition) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """0 based position pairs i < j outside and inside the orbit ideal."""
+def _position_pairs(shape: Partition) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per 0 based position j, the positions i < j whose pair (i, j) lies
+    outside the orbit ideal, and those whose pair lies inside it."""
     ideal = dominance_ideal_from_filling(shape).roots
-    pairs = [((i - 1, j - 1), (i, j) in ideal) for i, j in positive_roots(shape.n)]
-    return tuple(ij for ij, inside in pairs if not inside), tuple(ij for ij, inside in pairs if inside)
+    inside = [[i for i in range(j) if (i + 1, j + 1) in ideal] for j in range(shape.n)]
+    return tuple((tuple(i for i in range(j) if i not in row), tuple(row)) for j, row in enumerate(inside))
 
 
 def _staircase_members(shape: Partition, h: HessenbergFunction) -> int:
@@ -225,13 +226,13 @@ def _staircase_members(shape: Partition, h: HessenbergFunction) -> int:
     the side that the harness compares with the coset route.
     """
     n = shape.n
-    eq, gt = _sn_planes(n)
-    top = [value - 1 for value in h.values]
+    ge = _sn_planes(n)
     outside = 0
     for a, b in highest_form_roots(shape).sorted_roots():
-        for x, bound in enumerate(top):
-            if bound < n - 1:
-                outside |= eq[b - 1][x] & gt[a - 1][bound]
+        for x, top in enumerate(h.values):
+            if top < n:
+                # w^(-1)(b) = x + 1 and w^(-1)(a) > h(x + 1)
+                outside |= (ge[b - 1][x] ^ ge[b - 1][x + 1]) & ge[a - 1][top]
     return ((1 << math.factorial(n)) - 1) ^ outside
 
 
@@ -255,16 +256,19 @@ def _staircase_planes(shape: Partition, h: HessenbergFunction) -> tuple[int, lis
     it whose values land in the staircase, w^(-1)(j) < w^(-1)(i) <=
     h(w^(-1)(j)); each pair adds its indicator plane to the counter.
     """
-    eq, gt = _sn_planes(shape.n)
-    top = [value - 1 for value in h.values]
-    free, pinned = _position_pairs(shape)
+    n = shape.n
+    ge = _sn_planes(n)
+    tops = [(x, top) for x, top in enumerate(h.values) if top > x + 1]
     counter: list[int] = []
-    for i, j in free:
-        _add_plane(counter, _or(eq[j][x] & gt[i][x] for x in range(shape.n - 1)))
-    for i, j in pinned:
-        # gt[i][bound] lies inside gt[i][x], so the XOR keeps x < w^(-1)(i) <= bound
-        landed = (eq[j][x] & (gt[i][x] ^ gt[i][bound]) for x, bound in enumerate(top) if bound > x)
-        _add_plane(counter, _or(landed))
+    for j, (free, pinned) in enumerate(_position_pairs(shape)):
+        # at[x] holds w^(-1)(j + 1) = x + 1, and ge[i][x + 1] ^ ge[i][top]
+        # holds x + 1 < w^(-1)(i + 1) <= top = h(x + 1)
+        at = [ge[j][x] ^ ge[j][x + 1] for x in range(n - 1)]
+        for i in free:
+            _add_plane(counter, _or(at[x] & ge[i][x + 1] for x in range(n - 1)))
+        for i in pinned:
+            landed = (at[x] & (ge[i][x + 1] ^ ge[i][top]) for x, top in tops)
+            _add_plane(counter, _or(landed))
     members = _staircase_members(shape, h)
     return members, [plane & members for plane in counter]
 

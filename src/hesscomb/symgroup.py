@@ -10,7 +10,7 @@ Conventions, fixed once for the whole package:
   letter acts first.
 * The subset J of {1, ..., n-1} names simple transpositions generating a
   parabolic subgroup W_J; its blocks are the maximal runs of positions
-  glued by J.
+  glued by J, and w lies in W^J when J meets no right descent of w.
 """
 
 from __future__ import annotations
@@ -302,12 +302,17 @@ def coset_factor(w: Permutation, p: ParabolicData) -> tuple[Permutation, Permuta
 def is_min_coset_rep(w: Permutation, p: ParabolicData) -> bool:
     """True when w is the shortest element of its coset w W_J.
 
-    Equivalent to w increasing across every pair glued by J:
-    w(i) < w(i+1) for all i in J.
+    Equivalent to w increasing across every pair glued by J, w(i) < w(i+1)
+    for all i in J: J meets no right descent of w.
     """
     if w.n != p.n:
         raise ValueError("degree mismatch")
-    return all(w.images[i - 1] < w.images[i] for i in p.J)
+    return not _descents(w.images) & sum(1 << i for i in p.J)
+
+
+def _descents(images: Sequence[int]) -> int:
+    """The right descent set D_R(w) as a bitmask, bit i when w(i) > w(i+1)."""
+    return sum(1 << i for i in range(1, len(images)) if images[i - 1] > images[i])
 
 
 def longest_element(p: ParabolicData) -> Permutation:
@@ -394,13 +399,14 @@ def is_min_coset_rep_strings(strings: StringDecomposition, p: ParabolicData) -> 
     """
     if strings.n != p.n:
         raise ValueError("degree mismatch")
-    lengths = strings.lengths()
-    for i in p.J:
-        above = lengths[i - 1]
-        below = lengths[i - 2] if i >= 2 else 0
-        if above > below:
-            return False
-    return True
+    return not _string_ascents(strings) & sum(1 << i for i in p.J)
+
+
+def _string_ascents(strings: StringDecomposition) -> int:
+    """Bit i set when l(w_i) > l(w_(i-1)), with l(w_0) = 0; for
+    strings = string_decompose(w) it is the right descent set of w."""
+    lengths = (0, *strings.lengths())
+    return sum(1 << i for i in range(1, len(lengths)) if lengths[i] > lengths[i - 1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -477,37 +483,27 @@ def _sn_domkeys(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _sn_planes(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Value planes (eq, gt) of w^(-1) over S_n, positions and values 0 based.
+def _sn_planes(n: int) -> tuple[tuple[int, ...], ...]:
+    """Value planes of w^(-1) over S_n, positions 0 based.
 
-    eq[pos][val] is the set of w with w^(-1)(pos + 1) = val + 1, that is
-    w(val + 1) = pos + 1, and gt[pos][k] the set with w^(-1)(pos + 1) > k + 1.
-    In lexicographic order S_n is n blocks of (n-1)! permutations, block b
-    holding w(1) = b + 1 and a relabelled S_(n-1) in its tail, so each
-    plane of degree n is an OR of shifted planes of degree n - 1 and no
-    permutation is visited.
+    ge[pos][k] is the set of w with w^(-1)(pos + 1) >= k + 1, for k = 0..n:
+    ge[pos][0] is all of S_n, ge[pos][n] is empty, and ge[pos][k] ^
+    ge[pos][k + 1] is the set with w^(-1)(pos + 1) = k + 1, that is
+    w(k + 1) = pos + 1.  In lexicographic order S_n is n blocks of (n-1)!
+    permutations, block b holding w(1) = b + 1 and a relabelled S_(n-1) in
+    its tail, so each plane of degree n is an OR of shifted planes of
+    degree n - 1 and no permutation is visited.
     """
-    if n == 1:
-        return ((1,),), ((0,),)
-    eq_below = _sn_planes(n - 1)[0]
+    below = _sn_planes(n - 1) if n > 1 else ()
     size = math.factorial(n - 1)
-    eq = tuple(
-        tuple(
-            # w(1) = pos + 1 fills block pos; w(val + 1) = pos + 1 for a later
-            # position reads, in any other block b, the tail as S_(n-1) with
-            # the values above b + 1 moved down by one
-            ((1 << size) - 1) << (pos * size)
-            if val == 0
-            else sum(eq_below[pos - (pos > b)][val - 1] << (b * size) for b in range(n) if b != pos)
-            for val in range(n)
-        )
-        for pos in range(n)
-    )
-    # gt[pos][k] is the OR of eq[pos][k + 1:], accumulated from the top value
-    gt = tuple(
-        tuple(itertools.accumulate(reversed(row[1:]), int.__or__))[::-1] + (0,) for row in eq
-    )
-    return eq, gt
+    full = (1 << n * size) - 1
+    planes = []
+    for pos in range(n):
+        # block pos, where w(1) = pos + 1, lies in ge[pos][0] only; any other
+        # block b holds S_(n-1) in its tail, values above b + 1 moved down by one
+        tails = [(b * size, below[pos - (pos > b)]) for b in range(n) if b != pos]
+        planes.append((full, *(sum(row[k] << shift for shift, row in tails) for k in range(n))))
+    return tuple(planes)
 
 
 def _bit_indices(bits: int) -> Iterator[int]:

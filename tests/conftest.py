@@ -120,7 +120,9 @@ def staircase_dims(
     # values a > b of w^(-1) land in the staircase exactly when a is at most top[b]
     top = (0,) + h.values
     phi_x = tuple((a - 1, b - 1) for a, b in highest_form_roots(shape).sorted_roots())
-    free, pinned = _position_pairs(shape)
+    by_j = list(enumerate(_position_pairs(shape)))
+    free = [(i, j) for j, (outside, _) in by_j for i in outside]
+    pinned = [(i, j) for j, (_, inside) in by_j for i in inside]
     for winv in winvs:
         if any(winv[a] > top[winv[b]] for a, b in phi_x):
             yield -1

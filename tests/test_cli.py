@@ -338,6 +338,13 @@ def test_verify_unknown_check(capsys):
     assert "unknown check id" in err
 
 
+@pytest.mark.parametrize("checks", ["", ","])
+def test_verify_empty_check_list_fails_fast(capsys, checks):
+    status, out, err = run(capsys, "verify", "--n", "3", "--checks", checks)
+    assert (status, out) == (1, "")
+    assert err == "error: no check id given\n"
+
+
 def test_verify_bad_degree(capsys):
     status, _, err = run(capsys, "verify", "--n", "9")
     assert status == 1

@@ -89,9 +89,29 @@ def test_run_checks_validation():
         run_checks(2, checks=["bogus"])
 
 
+def test_run_checks_rejects_an_empty_selection():
+    # an empty selection would run nothing and pass silently
+    with pytest.raises(ValueError, match="no check id given"):
+        run_checks(3, checks=[])
+
+
 def test_poincare_corollary_at_degree_8():
     report = run_checks(8, checks=["poincare-corollary"])[-1]
     assert (report.n, report.cases_run) == (8, 2816)  # p(8) = 22 shapes, 128 subsets
+    assert report.passed
+
+
+def test_coset_checks_count_flags():
+    reports = run_checks(4, checks=["strings-coset", "schubert-coset"])
+    # strings-coset visits S_n, schubert-coset every Springer fiber flag
+    assert [r.cases_run for r in reports if r.check_id == "strings-coset"] == [1, 2, 6, 24]
+    fibers = [len(hessvar._fiber(shape)) for shape in nilpotent.partitions(4)]
+    assert reports[-1].cases_run == sum(fibers)
+
+
+def test_strings_coset_at_degree_8():
+    (*_, report) = run_checks(8, checks=["strings-coset"])
+    assert (report.n, report.cases_run) == (8, math.factorial(8))
     assert report.passed
 
 
@@ -160,11 +180,8 @@ WRONG_ROUTES = {
         "poincare_parabolic_formula",
         lambda formula: lambda shape, p: formula(shape, p) * Poly((1, 1)),
     ),
-    "strings-coset": (
-        harness,
-        "is_min_coset_rep_strings",
-        lambda test: lambda strings, p: not test(strings, p),
-    ),
+    # flip bit 1 of the string ascents, inside 1..n-1 from n = 2 on
+    "strings-coset": (harness, "_string_ascents", lambda ascents: lambda s: ascents(s) ^ 2),
     "schubert-coset": (harness, "schubert_point", _reversed_point),
     # the identity is the lowest point, so dropping it opens a hole in the ideal
     "schubert-ideal": (
@@ -194,6 +211,40 @@ def test_each_check_fails_when_one_route_is_wrong(check_id, clean_caches, monkey
     assert report.n == 4
     assert not report.passed
     assert report.failures_total >= len(report.failures) > 0
+
+
+def _descent_mismatches(n, flags_and_sets):
+    """Flags whose right descents differ from the given set, with the least
+    member of the difference."""
+    out = []
+    for images, other in flags_and_sets:
+        diff = [i for i in range(1, n) if (images[i - 1] > images[i]) != bool(other >> i & 1)]
+        if diff:
+            out.append((images, diff[0]))
+    return out
+
+
+@pytest.mark.parametrize("check_id", ["strings-coset", "schubert-coset"])
+def test_coset_checks_witness_a_one_element_j(check_id, clean_caches, monkeypatch):
+    module, name, wrong = WRONG_ROUTES[check_id]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    report = run_checks(4, checks=[check_id])[-1]
+    if check_id == "strings-coset":
+        sets = [
+            (w, harness._string_ascents(symgroup.string_decompose(Permutation(w))))
+            for w in symgroup._sn_images(4)
+        ]
+    else:
+        sets = [
+            (w.images, symgroup._descents(harness.schubert_point(w, shape).images))
+            for shape in nilpotent.partitions(4)
+            for w in hessvar._fiber(shape)
+        ]
+    expected = _descent_mismatches(4, sets)
+    assert report.failures_total == len(expected) > 0
+    assert [(f.witness, f.j) for f in report.failures] == [
+        (",".join(map(str, images)), (least,)) for images, least in expected
+    ]
 
 
 def _with_longest(kernel):

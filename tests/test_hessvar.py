@@ -269,9 +269,10 @@ def test_poincare_hessenberg_builds_no_sn_table():
     # the value planes, built up degree by degree, are the only table read
     assert sizes.pop("_sn_planes") == 8
     assert not any(sizes.values()), sizes
-    eq, gt = symgroup._sn_planes(8)
-    size = sum(sys.getsizeof(plane) for planes in (eq, gt) for row in planes for plane in row)
-    assert size <= 2 * 8**2 * math.factorial(8) // 8
+    # n (n + 1) planes, none larger than the plane of all of S_8
+    ge = symgroup._sn_planes(8)
+    size = sum(sys.getsizeof(plane) for row in ge for plane in row)
+    assert size <= 8 * 9 * sys.getsizeof((1 << math.factorial(8)) - 1)
 
 
 def _kernel_dims(shape, h):

@@ -29,6 +29,7 @@ from hesscomb.symgroup import (
     StringDecomposition,
     _bit_indices,
     _coset_table,
+    _descents,
     _digit_bits,
     _dominance_key,
     _quotient_indices,
@@ -36,6 +37,7 @@ from hesscomb.symgroup import (
     _sn_index,
     _sn_inverse_images,
     _sn_planes,
+    _string_ascents,
 )
 
 from conftest import (
@@ -379,22 +381,21 @@ def test_coset_table_is_the_coset_factor(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sn_planes_layout(n):
     images = _sn_images(n)
-    eq, gt = _sn_planes(n)
-    assert len(eq) == len(gt) == n
+    ge = _sn_planes(n)
+    assert len(ge) == n
+    full = (1 << math.factorial(n)) - 1
     for pos in range(n):
-        assert len(eq[pos]) == len(gt[pos]) == n
+        assert len(ge[pos]) == n + 1
+        assert ge[pos][0] == full and ge[pos][n] == 0
+        for k in range(n + 1):
+            assert list(_bit_indices(ge[pos][k])) == [
+                idx for idx, w in enumerate(images) if w.index(pos + 1) >= k
+            ]
         for val in range(n):
             # w^(-1)(pos + 1) = val + 1 exactly when w(val + 1) = pos + 1
-            assert list(_bit_indices(eq[pos][val])) == [
+            assert list(_bit_indices(ge[pos][val] ^ ge[pos][val + 1])) == [
                 idx for idx, w in enumerate(images) if w[val] == pos + 1
             ]
-            assert list(_bit_indices(gt[pos][val])) == [
-                idx for idx, w in enumerate(images) if w.index(pos + 1) > val
-            ]
-    # every permutation sits in exactly one value plane per position
-    full = (1 << math.factorial(n)) - 1
-    for row in eq:
-        assert sum(row) == full
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -465,6 +466,21 @@ def test_strings_criterion_matches_direct_test():
             for w in enumerate_sn(n):
                 strings = string_decompose(w)
                 assert is_min_coset_rep_strings(strings, p) == is_min_coset_rep(w, p), (w, p)
+
+
+def test_descent_sets_of_both_routes():
+    # D_R(3,1,4,2) = {1, 3}; its string lengths (1, 0, 2) rise at 1 and 3
+    w = Permutation((3, 1, 4, 2))
+    assert _descents(w.images) == 0b1010
+    assert string_decompose(w).lengths() == (1, 0, 2)
+    assert _string_ascents(string_decompose(w)) == 0b1010
+    for n in range(1, 6):
+        for w in enumerate_sn(n):
+            # i is a right descent of w exactly when w s_i is shorter than w
+            for i in range(1, n):
+                shorter = (w * perm_from_word([i], n)).length() < w.length()
+                assert bool(_descents(w.images) >> i & 1) == shorter
+            assert _string_ascents(string_decompose(w)) == _descents(w.images)
 
 
 def test_strings_criterion_degree_mismatch():
