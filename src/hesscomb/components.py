@@ -17,8 +17,8 @@ from typing import Any
 
 from .hessvar import springer_min_reps
 from .nilpotent import Partition, springer_cell_dim
-from .schubert import _maximal_keys, schubert_point
-from .symgroup import ParabolicData, Permutation, _dominance_key, longest_element
+from .schubert import _lower_ideal, schubert_point
+from .symgroup import ParabolicData, Permutation, longest_element
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,8 +75,7 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
     for v in springer_min_reps(shape, p):
         dim = springer_cell_dim(v, shape) + len_wj
         rows.append((v, v * w_j, schubert_point(v, shape) * w_j, dim))
-    # distinct permutations have distinct dominance keys
-    maximal = {key for _, key in _maximal_keys((row[2] for row in rows), shape.n)}
+    maximal = set(_lower_ideal((row[2] for row in rows), shape.n)[1])
     out = [
         ComponentCandidate(
             v=v,
@@ -84,7 +83,7 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
             schubert_top=s_top,
             cell_dim=dim,
             full_cell=dim == top.length(),
-            bruhat_maximal=_dominance_key(s_top.images) in maximal,
+            bruhat_maximal=s_top in maximal,
         )
         for v, top, s_top, dim in rows
     ]

@@ -6,7 +6,9 @@ routes to the same answer.  The staircase side is the coset free kernel
 hessvar._staircase_planes, a set of permutations as one int over S_n,
 compared as a set with the cached coset and fiber tables of symgroup and
 nilpotent.  The two minimal coset checks compare one descent set per
-flag, which decides them for every J at once.  A check counts every
+flag, which decides them for every J at once.  schubert-ideal compares
+the Bruhat lower ideal of the Schubert points, from the rank plane kernel
+schubert._lower_ideal, with the points as a set.  A check counts every
 failure and keeps the first 1000 witnesses.  The census functions dump
 the same ground truth as flat rows for offline diffing.
 """
@@ -19,7 +21,7 @@ import io
 import itertools
 import json
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 
 from .hessvar import (
     _fiber,
@@ -42,7 +44,7 @@ from .nilpotent import (
     springer_cell_dim,
 )
 from .schubert import (
-    _quotient_ideal,
+    _lower_ideal,
     compare_with_schubert_union,
     schubert_point,
     union_hypothesis,
@@ -52,10 +54,10 @@ from .symgroup import (
     ParabolicData,
     Permutation,
     _bit_indices,
+    _bitset,
     _coset_table,
     _descents,
     _gather,
-    _quotient_indices,
     _sn_images,
     _sn_index,
     _sn_lengths,
@@ -147,17 +149,6 @@ class _FailureLog:
         self.total += count - stored
 
 
-# _BIT_CHARS[k] maps a byte to b"1" when its bit k is set, else to b"0"
-_BIT_CHARS = tuple(bytes(48 + (value >> k & 1) for value in range(256)) for k in range(8))
-_NONZERO_CHARS = bytes(48 + (value > 0) for value in range(256))
-
-
-def _bitset(data: bytes, level: int = 0) -> int:
-    """The indices i with bit `level` of their byte set, as one int; data
-    holds one byte per S_n index, the highest index first."""
-    return int(data.translate(_BIT_CHARS[level]), 2)
-
-
 def _records(columns: list[bytes]) -> list[bytes]:
     """Per shape tables of one byte per S_n index, interleaved into one
     record per index, so that one gather serves every shape."""
@@ -176,25 +167,6 @@ def _by_coset(records: list[bytes], n: int, p: ParabolicData) -> list[bytes]:
     return [gathered[k::width] for k in range(width)]
 
 
-def _covers_down(images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """One line arrays covered by images in Bruhat order (length drops by 1).
-
-    Swapping positions i < j with images[i] > images[j] is a cover exactly
-    when no position between them holds a value between the two.
-    """
-    n = len(images)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            hi, lo = images[i], images[j]
-            if hi <= lo:
-                continue
-            if any(lo < images[k] < hi for k in range(i + 1, j)):
-                continue
-            swapped = list(images)
-            swapped[i], swapped[j] = lo, hi
-            yield tuple(swapped)
-
-
 def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
     """A flag lies in the parabolic Hessenberg variety iff the minimal
     representative of its coset lies in the Springer fiber."""
@@ -207,7 +179,7 @@ def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
         for shape, in_fiber in zip(shapes, _by_coset(fibers, n, p)):
             by_staircase = _staircase_members(shape, h_from_parabolic(p))
             cases += len(images)
-            failures.record_set(shape, p, _bitset(in_fiber) ^ by_staircase, images)
+            failures.record_set(shape, p, _bitset(in_fiber, range(1, 256)) ^ by_staircase, images)
     return cases, failures
 
 
@@ -219,6 +191,8 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     # one base 256 digit per S_n index, digit i holding l(w_i) + 1
     length_digits = int.from_bytes(bytes(length + 1 for length in lengths), "little")
     levels = max(lengths).bit_length()
+    # the byte values with bit `level` set, for each bit of a byte
+    with_bit = [frozenset(value for value in range(256) if value >> level & 1) for level in range(8)]
     shapes = list(partitions(n))
     excess = _records([_excess(shape, lengths) for shape in shapes])
     cases = 0
@@ -226,7 +200,7 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     for p in parabolics(n):
         for shape, gathered in zip(shapes, _by_coset(excess, n, p)):
             # only the flags whose minimal representative is in the fiber
-            cells = int(gathered.translate(_NONZERO_CHARS), 2)
+            cells = _bitset(gathered, range(1, 256))
             # there digit i becomes sdim(v) + l(y) = l(w) - (l(v) - sdim(v));
             # a digit never borrows, as l(w) + 1 >= l(v) + 1 >= the excess
             by_coset = length_digits - int.from_bytes(gathered, "big")
@@ -235,7 +209,7 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
             counter += [0] * (levels - len(counter))
             wrong = cells & ~members
             for level, plane in enumerate(counter):
-                wrong |= cells & (plane ^ _bitset(digits, level))
+                wrong |= cells & (plane ^ _bitset(digits, with_bit[level]))
             cases += cells.bit_count()
             failures.record_set(shape, p, wrong, images)
     return cases, failures
@@ -295,33 +269,43 @@ def _least_member(n: int, diff: int) -> ParabolicData:
 def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
     """For shapes with at most three rows or two columns: the Schubert point
     map is injective, its image is closed downward in Bruhat order, and the
-    image of the minimal representatives is closed downward within them."""
-    images_list = _sn_images(n)
+    image of the minimal representatives is closed downward within them.
+    A failure of either closure names the missing element."""
+    images = _sn_images(n)
     index = _sn_index(n)
+    full = (1 << len(images)) - 1
+    # ascents[i - 1]: the w with w(i) < w(i + 1); W^J is their AND over i in J
+    ascents = [
+        _bitset(bytes(w[i - 1] < w[i] for w in reversed(images)), range(1, 256)) for i in range(1, n)
+    ]
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
         if not union_hypothesis(shape):
             continue
-        image: set[int] = set()
+        points = []
+        seen = bytearray(len(images))
         for w in _fiber(shape):
-            pidx = index[schubert_point(w, shape).images]
-            cases += 1
-            if pidx in image:
+            point = schubert_point(w, shape)
+            pidx = index[point.images]
+            if seen[pidx]:
                 failures.record(shape, None, w.images)
-            image.add(pidx)
-        for pidx in image:
-            for lower in _covers_down(images_list[pidx]):
-                cases += 1
-                if index[lower] not in image:
-                    failures.record(shape, None, images_list[pidx])
+            seen[pidx] = 1
+            points.append(point)
+        ideal, _ = _lower_ideal(points, n)
+        cases += len(points) + ideal.bit_count()
+        failures.record_set(shape, None, ideal & ~_bitset(seen[::-1], range(1, 256)), images)
         for p in parabolics(n):
             points = [schubert_point(v, shape) for v in springer_min_reps(shape, p)]
-            in_image = {index[point.images] for point in points}
-            cases += len(_quotient_indices(n, p.sorted_j()))
-            for idx in _quotient_ideal(points, n, p):
-                if idx not in in_image:
-                    failures.record(shape, p, images_list[idx])
+            seen = bytearray(len(images))
+            for point in points:
+                seen[index[point.images]] = 1
+            quotient = full
+            for i in p.J:
+                quotient &= ascents[i - 1]
+            ideal, _ = _lower_ideal(points, n)
+            cases += quotient.bit_count()
+            failures.record_set(shape, p, ideal & quotient & ~_bitset(seen[::-1], range(1, 256)), images)
     return cases, failures
 
 

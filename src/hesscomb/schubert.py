@@ -9,16 +9,16 @@ Hessenberg variety has the same Poincare polynomial as the union of the
 Schubert varieties indexed by these points times the longest element of
 W_J; that comparison is packaged as a report here.
 
-Each top v w_J is the longest element of its coset, so the union is a
-union of whole cosets u W_J: its ideal is tested over the quotient W^J
-only, times the Poincare polynomial of W_J (poincare_schubert_union).
+A Bruhat lower ideal is one int over S_n (symgroup's bitsets): the OR of
+the intervals [e, w] of its maximal tops, each an AND of rank count planes.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .hessvar import poincare_hessenberg, h_from_parabolic, springer_min_reps
 from .nilpotent import Partition, _row_inversion_vector, springer_contains
@@ -26,17 +26,15 @@ from .poly import Poly
 from .symgroup import (
     ParabolicData,
     Permutation,
-    _dominance_key,
-    _guard_mask,
-    _key_leq,
-    _quotient_indices,
-    _sn_domkeys,
+    _bit_indices,
+    _rank_counts,
     _sn_images,
+    _sn_length_planes,
     _sn_lengths,
+    _sn_rank_planes,
     is_min_coset_rep,
     longest_element,
     perm_from_word,
-    poincare_subgroup,
 )
 
 
@@ -59,31 +57,35 @@ def schubert_point(w: Permutation, shape: Partition) -> Permutation:
     return perm_from_word(word, shape.n)
 
 
-def _maximal_keys(tops: Iterable[Permutation], n: int) -> list[tuple[int, int]]:
-    """(length, dominance key) of the Bruhat maximal elements among tops."""
-    guard = _guard_mask(n)
-    ranked = set()
+def _lower_ideal(tops: Iterable[Permutation], n: int) -> tuple[int, list[Permutation]]:
+    """The Bruhat lower ideal of tops as one int over S_n, and the maximal
+    tops, longest first.
+
+    A top whose bit is already set lies below a longer top, and distinct
+    tops of equal length are incomparable, so every other top is maximal.
+    """
+    images = _sn_images(n)
+    lengths = _sn_lengths(n)
+    by_index: dict[int, Permutation] = {}
     for top in tops:
         if top.n != n:
             raise ValueError("degree mismatch")
-        ranked.add((top.length(), _dominance_key(top.images)))
-    maximal: list[tuple[int, int]] = []
-    for length, key in sorted(ranked, reverse=True):
-        if not any(_key_leq(key, mk, guard) for _, mk in maximal):
-            maximal.append((length, key))
-    return maximal
-
-
-def _quotient_ideal(tops: Iterable[Permutation], n: int, p: ParabolicData) -> Iterator[int]:
-    """S_n indices of the elements of W^J below some element of tops."""
-    guard = _guard_mask(n)
-    keys = _sn_domkeys(n)
-    lengths = _sn_lengths(n)
-    maximal = _maximal_keys(tops, n)
-    for idx in _quotient_indices(n, p.sorted_j()):
-        key, length = keys[idx], lengths[idx]
-        if any(length <= ml and _key_leq(key, mk, guard) for ml, mk in maximal):
-            yield idx
+        by_index[bisect.bisect_left(images, top.images)] = top
+    planes = _sn_rank_planes(n)
+    full = (1 << len(images)) - 1
+    ideal = 0
+    maximal: list[Permutation] = []
+    for idx in sorted(by_index, key=lengths.__getitem__, reverse=True):
+        if ideal >> idx & 1:
+            continue
+        top = by_index[idx]
+        below = full
+        for row, count in zip(planes, _rank_counts(top.images)):
+            if count < len(row):
+                below &= row[count]
+        ideal |= below
+        maximal.append(top)
+    return ideal, maximal
 
 
 def bruhat_lower_ideal(tops: Iterable[Permutation], n: int) -> set[Permutation]:
@@ -93,30 +95,20 @@ def bruhat_lower_ideal(tops: Iterable[Permutation], n: int) -> set[Permutation]:
     [0, 1, 1, 2]
     """
     images = _sn_images(n)
-    below = _quotient_ideal(tops, n, ParabolicData(n, frozenset()))
-    return {Permutation(images[idx]) for idx in below}
+    ideal, _ = _lower_ideal(tops, n)
+    return {Permutation(images[idx]) for idx in _bit_indices(ideal)}
 
 
 def poincare_schubert_union(tops: Iterable[Permutation], n: int) -> Poly:
     """Poincare polynomial of a union of Schubert varieties, graded by length.
 
     Coefficient of t^k counts the Bruhat lower ideal elements of length k.
-    With J the right descents that every top shares, each top is longest
-    in its coset top W_J, so by the lifting property (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, Prop. 2.2.7) u y <= top iff u <= top
-    for u in W^J and y in W_J.  As l(u y) = l(u) + l(y), the polynomial
-    is the length count of the ideal within W^J times that of W_J.
 
     >>> str(poincare_schubert_union([perm_from_word([1, 2, 3, 1], 4)], 4))
     '1 + 3t + 4t^2 + 3t^3 + t^4'
     """
-    tops = tuple(tops)
-    if any(top.n != n for top in tops):
-        raise ValueError("degree mismatch")
-    shared = (i for i in range(1, n) if all(t.images[i - 1] > t.images[i] for t in tops))
-    p = ParabolicData(n, frozenset(shared))
-    lengths = _sn_lengths(n)
-    return Poly.from_exponents(lengths[idx] for idx in _quotient_ideal(tops, n, p)) * poincare_subgroup(p)
+    ideal, _ = _lower_ideal(tops, n)
+    return Poly(tuple((ideal & plane).bit_count() for plane in _sn_length_planes(n)))
 
 
 def schubert_union_tops(shape: Partition, p: ParabolicData) -> tuple[Permutation, ...]:

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 
 from .poly import Poly, t_factorial
 from .rootsys import Root, RootSet
@@ -137,48 +137,24 @@ def _length(images: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bruhat order via the dominance criterion.
-#
-# u <= w in Bruhat order iff for all i, k:
+# Bruhat order via the dominance criterion (Bjorner-Brenti, Combinatorics
+# of Coxeter Groups, Thm 2.1.5): u <= w exactly when for all i, k
 #     #{j <= i : u(j) >= k}  <=  #{j <= i : w(j) >= k}.
-# The n*n table of these counts is packed into one integer, so the
-# elementwise comparison becomes a single subtract and mask.  A digit holds
-# a count 0..n below a guard bit G, the least power of two above n, so that
-# G + b - a stays inside 0..2G-1 for all counts a, b and no digit borrows
-# from its neighbour.  The subword characterization of Bruhat order is kept
-# in the test suite as an independent oracle.
+# The counts for i = n or k = 1 are the same for every permutation, so only
+# i = 1..n-1 and k = 2..n are kept.  The subword characterization of Bruhat
+# order is kept in the test suite as an independent oracle.
 # ---------------------------------------------------------------------------
 
 
-def _digit_bits(n: int) -> int:
-    return n.bit_length() + 1
-
-
-@functools.lru_cache(maxsize=None)
-def _key_terms(n: int) -> tuple[tuple[int, ...], ...]:
-    """terms[i][v] adds 1 to the digits 1..v of rows i..n-1: the share of
-    the value v at position i in every prefix count that covers it."""
-    bits = _digit_bits(n)
-    # digit k of row r sits at bits * (r*n + k - 1); the two sums meet no digit twice
-    counts = [sum(1 << bits * k for k in range(v)) for v in range(n + 1)]
-    rows = [sum(1 << bits * n * r for r in range(i, n)) for i in range(n)]
-    return tuple(tuple(row * count for count in counts) for row in rows)
-
-
-def _dominance_key(images: tuple[int, ...]) -> int:
-    terms = _key_terms(len(images))
-    return sum(terms[i][v] for i, v in enumerate(images))
-
-
-@functools.lru_cache(maxsize=None)
-def _guard_mask(n: int) -> int:
-    bits = _digit_bits(n)
-    return sum(1 << (bits * d + bits - 1) for d in range(n * n))
-
-
-def _key_leq(key_u: int, key_w: int, guard: int) -> bool:
-    # every packed digit of key_w is >= the matching digit of key_u
-    return (key_w + guard - key_u) & guard == guard
+def _rank_counts(images: Sequence[int]) -> tuple[int, ...]:
+    """#{j <= i : w(j) >= k} for i = 1..n-1 (outer) and k = 2..n (inner)."""
+    ranks = [0] * (len(images) + 1)
+    counts: list[int] = []
+    for value in images[:-1]:
+        for k in range(2, value + 1):
+            ranks[k] += 1
+        counts.extend(ranks[2:])
+    return tuple(counts)
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -191,12 +167,7 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """
     if u.n != w.n:
         raise ValueError("degree mismatch")
-    lu, lw = u.length(), w.length()
-    if lu > lw:
-        return False
-    if lu == lw:
-        return u == w
-    return _key_leq(_dominance_key(u.images), _dominance_key(w.images), _guard_mask(u.n))
+    return all(a <= b for a, b in zip(_rank_counts(u.images), _rank_counts(w.images)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +395,13 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 
 # ---------------------------------------------------------------------------
 # Cached per degree tables, aligned with the lexicographic order of S_n:
-# one line arrays, their index, inverses, lengths, dominance keys, the
-# quotients W^J, the adjacent sorting swaps and coset representatives.
-# They serve the harness sweeps and per shape tables.  A set of
-# permutations can also be one int, bit i standing for the permutation of
-# index i; _sn_planes holds the value planes of w^(-1) in that form, and a
-# poincare_hessenberg query builds them and no other table.
+# one line arrays, their index, inverses, lengths, the quotients W^J, the
+# adjacent sorting swaps and coset representatives.  They serve the harness
+# sweeps and per shape tables.  A set of permutations can also be one int,
+# bit i standing for the permutation of index i.  In that form _sn_planes
+# holds the value planes of w^(-1), and a poincare_hessenberg query builds
+# them and no other table; _sn_rank_planes and _sn_length_planes hold the
+# rank count and length planes that Bruhat lower ideals are counted with.
 # ---------------------------------------------------------------------------
 
 
@@ -474,12 +446,13 @@ def _sn_inverse_images(n: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _sn_lengths(n: int) -> tuple[int, ...]:
-    return tuple(_length(images) for images in _sn_images(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _sn_domkeys(n: int) -> tuple[int, ...]:
-    return tuple(_dominance_key(images) for images in _sn_images(n))
+    """l(w) per S_n index.  Block b of S_n holds w(1) = b + 1, which is
+    inverted with the b smaller values, and a relabelled S_(n-1) in its
+    tail, so the block reads b + l for each l one degree lower."""
+    if n <= 1:
+        return (0,)
+    below = _sn_lengths(n - 1)
+    return tuple(b + length for b in range(n) for length in below)
 
 
 @functools.lru_cache(maxsize=None)
@@ -504,6 +477,51 @@ def _sn_planes(n: int) -> tuple[tuple[int, ...], ...]:
         tails = [(b * size, below[pos - (pos > b)]) for b in range(n) if b != pos]
         planes.append((full, *(sum(row[k] << shift for shift, row in tails) for k in range(n))))
     return tuple(planes)
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_map(values: Container[int], to: bytes = b"01") -> bytes:
+    """A bytes.translate table: each byte in values to to[1], any other to to[0]."""
+    return bytes(to[value in values] for value in range(256))
+
+
+def _bitset(data: bytes, values: Container[int]) -> int:
+    """The indices whose byte lies in values, as one int; data holds one
+    byte per S_n index, the highest index first."""
+    return int(data.translate(_byte_map(values)), 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _sn_length_planes(n: int) -> tuple[int, ...]:
+    """planes[l]: the set of w in S_n with l(w) = l, for l = 0..n(n-1)/2."""
+    data = bytes(reversed(_sn_lengths(n)))
+    return tuple(_bitset(data, range(length, length + 1)) for length in range(n * (n - 1) // 2 + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _sn_rank_planes(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rank count planes over S_n, one row per count of _rank_counts and in
+    its order: row[c] is the set of u whose count is at most c, for each c
+    below the count's largest value min(i, n - k + 1).  So the interval
+    [e, w] is the AND of row[count] over the counts of w below that value.
+
+    The counts are summed one position at a time, one byte per permutation;
+    a count is at most n - 1, so no byte carries into the next.  No count
+    is below i - k + 1, so the planes below that are empty."""
+    images = _sn_images(n)
+    # the one line arrays back to back, the highest index first
+    flat = bytes(itertools.chain.from_iterable(reversed(images)))
+    counts = [0] * (n + 1)
+    rows = []
+    for i in range(1, n):
+        column = flat[i - 1 :: n]
+        for k in range(2, n + 1):
+            counts[k] += int.from_bytes(column.translate(_byte_map(range(k, n + 1), b"\0\1")), "big")
+            data = counts[k].to_bytes(len(images), "big")
+            rows.append(
+                tuple(_bitset(data, range(c + 1)) if c > i - k else 0 for c in range(min(i, n - k + 1)))
+            )
+    return tuple(rows)
 
 
 def _bit_indices(bits: int) -> Iterator[int]:

@@ -240,6 +240,14 @@ def test_union_json_idempotent(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
+def test_union_at_degree_nine(capsys):
+    status, out, _ = run(
+        capsys, "union", "--partition", "3,3,3", "--parabolic", "1,4", "--format", "json"
+    )
+    assert status == 0
+    assert json.loads(out)["equal"] is True
+
+
 def test_union_rejects_nonparabolic_h(capsys):
     status, _, err = run(
         capsys, "union", "--partition", "1,1,1", "--hessenberg", "2,3,3"

@@ -275,20 +275,42 @@ def test_set_checks_fail_on_a_member_either_side(name, wrong, check_id, clean_ca
     assert not report.passed
 
 
+def _without_identity_in_length_planes(planes):
+    # index 0 is the identity, the only permutation of length 0
+    return lambda n: (planes(n)[0] & ~1, *planes(n)[1:])
+
+
+def _quotient_without_identity(quotient):
+    # index 0 is the identity, the bottom of every W^J
+    return lambda n, j: quotient(n, j)[1:]
+
+
 @pytest.mark.parametrize(
-    ("module", "check_id"),
-    [(schubert, "main-theorem"), (hessvar, "poincare-corollary")],
+    ("module", "name", "wrong", "check_id"),
+    [
+        (schubert, "_sn_length_planes", _without_identity_in_length_planes, "main-theorem"),
+        (hessvar, "_quotient_indices", _quotient_without_identity, "poincare-corollary"),
+    ],
     ids=["schubert-main-theorem", "hessvar-poincare-corollary"],
 )
 def test_each_check_fails_without_the_identity_in_the_quotient(
-    module, check_id, clean_caches, monkeypatch
+    module, name, wrong, check_id, clean_caches, monkeypatch
 ):
-    # index 0 is the identity, the bottom of every W^J
-    quotient = module._quotient_indices
-    monkeypatch.setattr(module, "_quotient_indices", lambda n, j: quotient(n, j)[1:])
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     report = run_checks(4, checks=[check_id])[-1]
     assert report.n == 4
     assert not report.passed
+
+
+def test_schubert_ideal_names_the_missing_element(clean_caches, monkeypatch):
+    # without the identity flag the image loses its bottom, the identity
+    fiber = harness._fiber
+    monkeypatch.setattr(harness, "_fiber", lambda shape: fiber(shape)[1:])
+    report = run_checks(4, checks=["schubert-ideal"])[-1]
+    # every shape of degree 4 is in the hypothesis; only (4) has a one flag fiber
+    assert [(f.shape, f.j, f.witness) for f in report.failures] == [
+        (shape.parts, None, "1,2,3,4") for shape in nilpotent.partitions(4) if shape.parts != (4,)
+    ]
 
 
 # --- Census ---------------------------------------------------------------------

@@ -34,6 +34,8 @@ from hesscomb import (
     union_hypothesis,
 )
 from hesscomb.nilpotent import _row_inversion_vector
+from hesscomb.schubert import _lower_ideal
+from hesscomb.symgroup import _bit_indices, _sn_images
 
 from conftest import bruhat_leq_subword, permutations_of, subword_ideal
 
@@ -194,6 +196,33 @@ def test_poincare_schubert_union_matches_subword_count(case):
     n, tops = case
     ideal = [u for u in enumerate_sn(n) if any(bruhat_leq_subword(u, top) for top in tops)]
     assert poincare_schubert_union(tops, n) == Poly.from_exponents(u.length() for u in ideal)
+
+
+@st.composite
+def top_sets(draw) -> tuple[int, list[Permutation]]:
+    """Degree and zero to four tops, with repeats, and with elements of a
+    drawn top's ideal added so that some tops are comparable."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    tops = draw(st.lists(permutations_of(n), max_size=4))
+    if tops and draw(st.booleans()):
+        tops.append(draw(st.sampled_from(tops)))
+    if tops and draw(st.booleans()):
+        below = sorted(subword_ideal(draw(st.sampled_from(tops)).images))
+        tops.append(Permutation(draw(st.sampled_from(below))))
+    return n, draw(st.permutations(tops))
+
+
+@given(top_sets())
+@settings(max_examples=150, deadline=None)
+def test_lower_ideal_matches_subword_ideal_and_pairwise_maximality(case):
+    n, tops = case
+    ideal, maximal = _lower_ideal(tops, n)
+    images = _sn_images(n)
+    expected = set().union(*(subword_ideal(top.images) for top in tops))
+    assert {images[idx] for idx in _bit_indices(ideal)} == expected
+    dominated = {u for u in tops for w in tops if u != w and bruhat_leq_subword(u, w)}
+    assert sorted(maximal) == sorted(set(tops) - dominated)
+    assert [top.length() for top in maximal] == sorted((top.length() for top in maximal), reverse=True)
 
 
 # --- Union of Schubert varieties ---------------------------------------------------

@@ -30,13 +30,15 @@ from hesscomb.symgroup import (
     _bit_indices,
     _coset_table,
     _descents,
-    _digit_bits,
-    _dominance_key,
+    _length,
     _quotient_indices,
+    _rank_counts,
     _sn_images,
     _sn_index,
     _sn_inverse_images,
+    _sn_lengths,
     _sn_planes,
+    _sn_rank_planes,
     _string_ascents,
 )
 
@@ -253,27 +255,6 @@ def test_bruhat_leq_matches_direct_dominance_to_degree_40(pair):
     assert bruhat_leq(w, u) == dominance_leq(w, u)
 
 
-def _digit_loop_key(images: tuple[int, ...]) -> int:
-    """The dominance key packed one prefix count at a time."""
-    n = len(images)
-    bits = _digit_bits(n)
-    counts = [0] * (n + 1)
-    key = shift = 0
-    for val in images:
-        for k in range(1, val + 1):
-            counts[k] += 1
-        for k in range(1, n + 1):
-            key |= counts[k] << shift
-            shift += bits
-    return key
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_dominance_key_matches_digit_loop(n):
-    for w in enumerate_sn(n):
-        assert _dominance_key(w.images) == _digit_loop_key(w.images)
-
-
 @given(small_permutations(5), small_permutations(5))
 def test_bruhat_leq_degree_mismatch_or_consistent(u, w):
     if u.n != w.n:
@@ -396,6 +377,28 @@ def test_sn_planes_layout(n):
             assert list(_bit_indices(ge[pos][val] ^ ge[pos][val + 1])) == [
                 idx for idx, w in enumerate(images) if w[val] == pos + 1
             ]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sn_rank_planes_are_the_brute_counts(n):
+    images = _sn_images(n)
+    # (i, k) in the order of _rank_counts: i = 1..n-1 outer, k = 2..n inner
+    pairs = [(i, k) for i in range(1, n) for k in range(2, n + 1)]
+    rows = _sn_rank_planes(n)
+    assert len(rows) == len(pairs)
+    for w in images:
+        assert _rank_counts(w) == tuple(sum(v >= k for v in w[:i]) for i, k in pairs)
+    for (i, k), row in zip(pairs, rows):
+        assert len(row) == min(i, n - k + 1)
+        for c, plane in enumerate(row):
+            assert list(_bit_indices(plane)) == [
+                idx for idx, w in enumerate(images) if sum(v >= k for v in w[:i]) <= c
+            ]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sn_lengths_by_blocks_are_the_inversion_counts(n):
+    assert _sn_lengths(n) == tuple(_length(w) for w in _sn_images(n))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
