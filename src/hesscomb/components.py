@@ -15,10 +15,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from .hessvar import springer_min_reps
 from .nilpotent import Partition, springer_cell_dim
-from .schubert import _lower_ideal, schubert_point
-from .symgroup import ParabolicData, Permutation, longest_element
+from .schubert import _lower_ideal, _union_tops
+from .symgroup import ParabolicData, Permutation, _sn_images, longest_element
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,16 +70,17 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
         raise ValueError("degree mismatch")
     w_j = longest_element(p)
     len_wj = w_j.length()
-    rows: list[tuple[Permutation, Permutation, Permutation, int]] = []
-    for v in springer_min_reps(shape, p):
-        dim = springer_cell_dim(v, shape) + len_wj
-        rows.append((v, v * w_j, schubert_point(v, shape) * w_j, dim))
+    images = _sn_images(shape.n)
+    rows: list[tuple[Permutation, Permutation, int, int]] = []
+    for v_idx, s_top in _union_tops(shape, p).items():
+        v = Permutation(images[v_idx])
+        rows.append((v, v * w_j, s_top, springer_cell_dim(v, shape) + len_wj))
     maximal = set(_lower_ideal((row[2] for row in rows), shape.n)[1])
     out = [
         ComponentCandidate(
             v=v,
             top_cell=top,
-            schubert_top=s_top,
+            schubert_top=Permutation(images[s_top]),
             cell_dim=dim,
             full_cell=dim == top.length(),
             bruhat_maximal=s_top in maximal,

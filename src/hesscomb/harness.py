@@ -6,9 +6,12 @@ routes to the same answer.  The staircase side is the coset free kernel
 hessvar._staircase_planes, a set of permutations as one int over S_n,
 compared as a set with the cached coset and fiber tables of symgroup and
 nilpotent.  The two minimal coset checks compare one descent set per
-flag, which decides them for every J at once.  schubert-ideal compares
-the Bruhat lower ideal of the Schubert points, from the rank plane kernel
-schubert._lower_ideal, with the points as a set.  A check counts every
+flag, which decides them for every J at once.  The Schubert checks read
+each flag's point, an S_n index with its descents, from the per shape
+memo schubert._point: schubert-ideal compares the Bruhat lower ideal of
+the points, from the rank plane kernel schubert._lower_ideal, with the
+points as a set, and main-theorem counts the ideal of the index tops
+schubert._union_tops.  A check counts every
 failure and keeps the first 1000 witnesses.  The census functions dump
 the same ground truth as flat rows for offline diffing.
 """
@@ -25,13 +28,13 @@ from collections.abc import Callable, Iterable
 
 from .hessvar import (
     _fiber,
+    _min_rep_indices,
     _staircase_members,
     _staircase_planes,
     h_from_parabolic,
     hess_cells,
     poincare_hessenberg,
     poincare_parabolic_formula,
-    springer_min_reps,
 )
 from .nilpotent import (
     Partition,
@@ -45,8 +48,10 @@ from .nilpotent import (
 )
 from .schubert import (
     _lower_ideal,
+    _point,
+    _union_poly,
+    _union_tops,
     compare_with_schubert_union,
-    schubert_point,
     union_hypothesis,
 )
 from .symgroup import (
@@ -252,10 +257,11 @@ def _check_strings_coset(n: int) -> tuple[int, _FailureLog]:
 def _check_schubert_coset(n: int) -> tuple[int, _FailureLog]:
     """A Springer fiber flag and its Schubert point agree about minimal
     coset membership for every J: they have the same right descents."""
+    index = _sn_index(n)
     failures = _FailureLog()
     for shape in partitions(n):
         for w in _fiber(shape):
-            diff = _descents(w.images) ^ _descents(schubert_point(w, shape).images)
+            diff = _descents(w.images) ^ _point(shape, index[w.images])[1]
             if diff:
                 failures.record(shape, _least_member(n, diff), w.images)
     return sum(len(_fiber(shape)) for shape in partitions(n)), failures
@@ -286,20 +292,19 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
         points = []
         seen = bytearray(len(images))
         for w in _fiber(shape):
-            point = schubert_point(w, shape)
-            pidx = index[point.images]
-            if seen[pidx]:
+            point = _point(shape, index[w.images])[0]
+            if seen[point]:
                 failures.record(shape, None, w.images)
-            seen[pidx] = 1
+            seen[point] = 1
             points.append(point)
         ideal, _ = _lower_ideal(points, n)
         cases += len(points) + ideal.bit_count()
         failures.record_set(shape, None, ideal & ~_bitset(seen[::-1], range(1, 256)), images)
         for p in parabolics(n):
-            points = [schubert_point(v, shape) for v in springer_min_reps(shape, p)]
+            points = [_point(shape, v)[0] for v in _min_rep_indices(shape, p)]
             seen = bytearray(len(images))
             for point in points:
-                seen[index[point.images]] = 1
+                seen[point] = 1
             quotient = full
             for i in p.J:
                 quotient &= ascents[i - 1]
@@ -315,10 +320,12 @@ def _check_main_theorem(n: int) -> tuple[int, _FailureLog]:
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
+        in_hypothesis = union_hypothesis(shape)
         for p in parabolics(n):
-            report = compare_with_schubert_union(shape, p)
+            swept = poincare_hessenberg(shape, h_from_parabolic(p))
+            union = _union_poly(_union_tops(shape, p).values(), n)
             cases += 1
-            if report.in_hypothesis and not report.equal:
+            if in_hypothesis and swept != union:
                 failures.record(shape, p, None)
     return cases, failures
 
@@ -424,6 +431,7 @@ def census(n: int, granularity: str) -> list[dict[str, object]]:
 
 
 def _census_cells(n: int) -> list[dict[str, object]]:
+    images = _sn_images(n)
     index = _sn_index(n)
     rows: list[dict[str, object]] = []
     for shape in partitions(n):
@@ -439,7 +447,7 @@ def _census_cells(n: int) -> list[dict[str, object]]:
                         "y": cell.y.one_line(),
                         "dim": cell.dim,
                         "springer": member[index[cell.w.images]],
-                        "schubert_point": schubert_point(cell.v, shape).one_line(),
+                        "schubert_point": ",".join(map(str, images[_point(shape, index[cell.v.images])[0]])),
                     }
                 )
     return rows

@@ -254,23 +254,38 @@ def _staircase_planes(shape: Partition, h: HessenbergFunction) -> tuple[int, lis
     counter[k], zero outside members.  The dimension counts the inverted
     pairs of w^(-1) outside the orbit ideal, and the inverted pairs inside
     it whose values land in the staircase, w^(-1)(j) < w^(-1)(i) <=
-    h(w^(-1)(j)); each pair adds its indicator plane to the counter.
+    h(w^(-1)(j)); each pair adds its indicator plane to the counter.  The
+    pairs outside the ideal do not depend on h, so _free_counter counts
+    them once per shape and the pairs inside are added to a copy.
     """
     n = shape.n
     ge = _sn_planes(n)
     tops = [(x, top) for x, top in enumerate(h.values) if top > x + 1]
-    counter: list[int] = []
-    for j, (free, pinned) in enumerate(_position_pairs(shape)):
+    counter = list(_free_counter(shape))
+    for j, (_, pinned) in enumerate(_position_pairs(shape)):
         # at[x] holds w^(-1)(j + 1) = x + 1, and ge[i][x + 1] ^ ge[i][top]
         # holds x + 1 < w^(-1)(i + 1) <= top = h(x + 1)
         at = [ge[j][x] ^ ge[j][x + 1] for x in range(n - 1)]
-        for i in free:
-            _add_plane(counter, _or(at[x] & ge[i][x + 1] for x in range(n - 1)))
         for i in pinned:
             landed = (at[x] & (ge[i][x + 1] ^ ge[i][top]) for x, top in tops)
             _add_plane(counter, _or(landed))
     members = _staircase_members(shape, h)
     return members, [plane & members for plane in counter]
+
+
+@functools.lru_cache(maxsize=None)
+def _free_counter(shape: Partition) -> tuple[int, ...]:
+    """The bit sliced count of the inverted pairs of w^(-1) outside the
+    orbit ideal, over all of S_n: the part of the cell dimension that does
+    not depend on h."""
+    n = shape.n
+    ge = _sn_planes(n)
+    counter: list[int] = []
+    for j, (free, _) in enumerate(_position_pairs(shape)):
+        at = [ge[j][x] ^ ge[j][x + 1] for x in range(n - 1)]
+        for i in free:
+            _add_plane(counter, _or(at[x] & ge[i][x + 1] for x in range(n - 1)))
+    return tuple(counter)
 
 
 def _or(planes: Iterable[int]) -> int:

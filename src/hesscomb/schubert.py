@@ -9,33 +9,65 @@ Hessenberg variety has the same Poincare polynomial as the union of the
 Schubert varieties indexed by these points times the longest element of
 W_J; that comparison is packaged as a report here.
 
-A Bruhat lower ideal is one int over S_n (symgroup's bitsets): the OR of
-the intervals [e, w] of its maximal tops, each an AND of rank count planes.
+Points and tops travel as S_n indices (symgroup's lexicographic tables).
+One memo per shape, filled only for the flags asked for, holds each
+point's index and right descents; a top point * w_J is the point with each
+J-block of positions reversed.  A Bruhat lower ideal is one int over S_n
+(symgroup's bitsets): the OR of the intervals [e, w] of its maximal tops,
+each an AND of rank count planes.  The functions that take or return
+Permutations convert at the edge; schubert_point computes a single point
+and builds no S_n table.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
+import operator
 from collections.abc import Iterable
 
-from .hessvar import poincare_hessenberg, h_from_parabolic, springer_min_reps
+from .hessvar import _min_rep_indices, h_from_parabolic, poincare_hessenberg
 from .nilpotent import Partition, _row_inversion_vector, springer_contains
 from .poly import Poly
 from .symgroup import (
     ParabolicData,
     Permutation,
     _bit_indices,
+    _descents,
     _rank_counts,
     _sn_images,
     _sn_length_planes,
     _sn_lengths,
     _sn_rank_planes,
-    is_min_coset_rep,
-    longest_element,
+    _split_index,
+    _word_images,
     perm_from_word,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def _point_memo(shape: Partition) -> dict[int, tuple[int, int]]:
+    """Fiber flag index -> (Schubert point index, the point's right descents
+    as a bitmask); _point fills it one flag at a time."""
+    return {}
+
+
+def _point(shape: Partition, idx: int) -> tuple[int, int]:
+    """The memo entry of the Springer fiber flag of S_n index idx."""
+    memo = _point_memo(shape)
+    if idx not in memo:
+        images = _point_images(Permutation(_sn_images(shape.n)[idx]), shape)
+        memo[idx] = (_split_index(shape.n)(images), _descents(images))
+    return memo[idx]
+
+
+def _point_images(w: Permutation, shape: Partition) -> tuple[int, ...]:
+    """The one line array of the Schubert point of a Springer fiber flag:
+    the string lengths are the row inversion numbers of the flag's tableau,
+    and the point is the product of the strings, the highest first."""
+    n = shape.n
+    lengths = _row_inversion_vector(w, shape)
+    return _word_images((k for q in range(n, 1, -1) for k in range(q - lengths[q - 2], q)), n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,49 +75,49 @@ def schubert_point(w: Permutation, shape: Partition) -> Permutation:
     """The Schubert point of a flag in the Springer fiber: the permutation
     whose string_decompose lengths are the row inversion numbers of the
     flag's tableau, so its length is the Springer cell dimension at w.
+    It builds no table over S_n, so it serves flags of any degree.
 
     >>> schubert_point(Permutation((3, 4, 1, 2)), Partition((2, 1, 1))).images
     (1, 4, 2, 3)
     """
     if not springer_contains(w, shape):
         raise ValueError("flag is not in the Springer fiber")
-    lengths = _row_inversion_vector(w, shape)
-    word: list[int] = []
-    for q in range(shape.n, 1, -1):
-        length = lengths[q - 2]
-        word.extend(range(q - length, q))
-    return perm_from_word(word, shape.n)
+    return Permutation(_point_images(w, shape))
 
 
-def _lower_ideal(tops: Iterable[Permutation], n: int) -> tuple[int, list[Permutation]]:
-    """The Bruhat lower ideal of tops as one int over S_n, and the maximal
-    tops, longest first.
+def _lower_ideal(tops: Iterable[int], n: int) -> tuple[int, list[int]]:
+    """The Bruhat lower ideal of tops, given as S_n indices, as one int over
+    S_n, and the maximal tops, longest first.
 
     A top whose bit is already set lies below a longer top, and distinct
     tops of equal length are incomparable, so every other top is maximal.
     """
     images = _sn_images(n)
-    lengths = _sn_lengths(n)
-    by_index: dict[int, Permutation] = {}
-    for top in tops:
-        if top.n != n:
-            raise ValueError("degree mismatch")
-        by_index[bisect.bisect_left(images, top.images)] = top
     planes = _sn_rank_planes(n)
     full = (1 << len(images)) - 1
     ideal = 0
-    maximal: list[Permutation] = []
-    for idx in sorted(by_index, key=lengths.__getitem__, reverse=True):
+    maximal: list[int] = []
+    for idx in sorted(set(tops), key=_sn_lengths(n).__getitem__, reverse=True):
         if ideal >> idx & 1:
             continue
-        top = by_index[idx]
         below = full
-        for row, count in zip(planes, _rank_counts(top.images)):
+        for row, count in zip(planes, _rank_counts(images[idx])):
             if count < len(row):
                 below &= row[count]
         ideal |= below
-        maximal.append(top)
+        maximal.append(idx)
     return ideal, maximal
+
+
+def _indices(perms: Iterable[Permutation], n: int) -> list[int]:
+    """The S_n indices of permutations of degree n."""
+    index = _split_index(n)
+    out = []
+    for w in perms:
+        if w.n != n:
+            raise ValueError("degree mismatch")
+        out.append(index(w.images))
+    return out
 
 
 def bruhat_lower_ideal(tops: Iterable[Permutation], n: int) -> set[Permutation]:
@@ -95,7 +127,7 @@ def bruhat_lower_ideal(tops: Iterable[Permutation], n: int) -> set[Permutation]:
     [0, 1, 1, 2]
     """
     images = _sn_images(n)
-    ideal, _ = _lower_ideal(tops, n)
+    ideal, _ = _lower_ideal(_indices(tops, n), n)
     return {Permutation(images[idx]) for idx in _bit_indices(ideal)}
 
 
@@ -107,30 +139,51 @@ def poincare_schubert_union(tops: Iterable[Permutation], n: int) -> Poly:
     >>> str(poincare_schubert_union([perm_from_word([1, 2, 3, 1], 4)], 4))
     '1 + 3t + 4t^2 + 3t^3 + t^4'
     """
+    return _union_poly(_indices(tops, n), n)
+
+
+def _union_poly(tops: Iterable[int], n: int) -> Poly:
+    """poincare_schubert_union of tops given as S_n indices."""
     ideal, _ = _lower_ideal(tops, n)
     return Poly(tuple((ideal & plane).bit_count() for plane in _sn_length_planes(n)))
+
+
+def _union_tops(shape: Partition, p: ParabolicData) -> dict[int, int]:
+    """Per v in springer_min_reps, by S_n index, the S_n index of v_T w_J.
+
+    Each product is length additive because the Schubert point of a
+    minimal coset representative is again one; a point with a descent in J
+    is an internal error.
+    """
+    if p.n != shape.n:
+        raise ValueError("degree mismatch")
+    images = _sn_images(shape.n)
+    j_mask = sum(1 << i for i in p.J)
+    points = {}
+    for v in _min_rep_indices(shape, p):
+        point, descents = _point(shape, v)
+        # l(point w_J) = l(point) + l(w_J) exactly when point lies in W^J
+        if descents & j_mask:
+            raise RuntimeError(
+                f"product not reduced for v={Permutation(images[v])}: point {Permutation(images[point])}"
+            )
+        points[v] = point
+    if not p.J:
+        return points
+    # (point w_J)(x) = point(w_J(x)): the point with each block of positions reversed
+    reverse = operator.itemgetter(*(pos - 1 for block in p.blocks for pos in reversed(block)))
+    index = _split_index(shape.n)
+    return {v: index(reverse(images[point])) for v, point in points.items()}
 
 
 def schubert_union_tops(shape: Partition, p: ParabolicData) -> tuple[Permutation, ...]:
     """The permutations v_T w_J over v in springer_min_reps, deduplicated, sorted.
 
-    Each product is length additive because the Schubert point of a
-    minimal coset representative is again one.
-
     >>> [t.one_line() for t in schubert_union_tops(Partition((2, 2)), ParabolicData(4, frozenset({1, 3})))]
     ['2,1,4,3', '3,1,4,2', '4,1,3,2']
     """
-    w_j = longest_element(p)
-    tops = set()
-    for v in springer_min_reps(shape, p):
-        point = schubert_point(v, shape)
-        # l(point w_J) = l(point) + l(w_J) exactly when point lies in W^J
-        if not is_min_coset_rep(point, p):
-            raise RuntimeError(
-                f"product not reduced for v={v.one_line()}: point {point.one_line()}"
-            )
-        tops.add(point * w_j)
-    return tuple(sorted(tops))
+    images = _sn_images(shape.n)
+    return tuple(Permutation(images[idx]) for idx in sorted(set(_union_tops(shape, p).values())))
 
 
 def union_hypothesis(shape: Partition) -> bool:

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Container, Iterable, Iterator, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 
 from .poly import Poly, t_factorial
 from .rootsys import Root, RootSet
@@ -98,6 +98,11 @@ def perm_from_word(word: Sequence[int], n: int) -> Permutation:
     >>> perm_from_word([2, 1, 3, 2], 4).images
     (3, 4, 1, 2)
     """
+    return Permutation(_word_images(word, n))
+
+
+def _word_images(word: Iterable[int], n: int) -> tuple[int, ...]:
+    """The one line array of the product of the word, as perm_from_word."""
     images = list(range(1, n + 1))
     for k in word:
         if not 1 <= k <= n - 1:
@@ -105,7 +110,7 @@ def perm_from_word(word: Sequence[int], n: int) -> Permutation:
         # right multiplication by s_k swaps the entries at positions k, k+1,
         # so reading the word left to right applies the rightmost letter first
         images[k - 1], images[k] = images[k], images[k - 1]
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def enumerate_sn(n: int) -> Iterator[Permutation]:
@@ -413,6 +418,25 @@ def _sn_images(n: int) -> tuple[tuple[int, ...], ...]:
 @functools.lru_cache(maxsize=None)
 def _sn_index(n: int) -> dict[tuple[int, ...], int]:
     return {images: idx for idx, images in enumerate(_sn_images(n))}
+
+
+@functools.lru_cache(maxsize=None)
+def _split_index(n: int) -> Callable[[tuple[int, ...]], int]:
+    """The S_n index of a one line array as head[w[:h]] + tail[w[h:]], h =
+    n // 2, without building _sn_index (18,144 entries against 362,880 at
+    n = 9).  The arrays with one head are a run of (n - h)! indices, the
+    heads in lexicographic order, and within the run the tail is ranked
+    among the orderings of its values."""
+    h = n // 2
+    values = range(1, n + 1)
+    size = math.factorial(n - h)
+    head = {part: rank * size for rank, part in enumerate(itertools.permutations(values, h))}
+    tail = {
+        part: rank
+        for rest in itertools.combinations(values, n - h)
+        for rank, part in enumerate(itertools.permutations(rest))
+    }
+    return lambda images: head[images[:h]] + tail[images[h:]]
 
 
 def _inverse_ranks(n: int) -> list[int]:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from hesscomb import Permutation, census, cli, rows_to_csv, schubert
+from hesscomb import Partition, census, cli, rows_to_csv, schubert, symgroup
 from hesscomb.cli import main
 
 
@@ -248,6 +248,17 @@ def test_union_at_degree_nine(capsys):
     assert json.loads(out)["equal"] is True
 
 
+def test_union_computes_only_the_points_it_needs(capsys):
+    # W^J = {e} for J = {1..8}, so one Schubert point of the 9! flags
+    schubert._point_memo.cache_clear()
+    status, out, _ = run(
+        capsys, "union", "--partition", "1,1,1,1,1,1,1,1,1", "--parabolic", "1,2,3,4,5,6,7,8", "--format", "json"
+    )
+    assert status == 0
+    assert json.loads(out)["tops"] == [[9, 8, 7, 6, 5, 4, 3, 2, 1]]
+    assert len(schubert._point_memo(Partition((1,) * 9))) == 1
+
+
 def test_union_rejects_nonparabolic_h(capsys):
     status, _, err = run(
         capsys, "union", "--partition", "1,1,1", "--hessenberg", "2,3,3"
@@ -409,12 +420,13 @@ def test_internal_error_is_status_4(monkeypatch, capsys):
 
 
 def test_union_point_outside_quotient_is_status_4(monkeypatch, capsys):
-    point = schubert.schubert_point
+    point = schubert._point
 
-    def reversed_point(w, shape):
-        return Permutation(tuple(reversed(point(w, shape).images)))
+    def reversed_point(shape, idx):
+        images = symgroup._sn_images(shape.n)[point(shape, idx)[0]][::-1]
+        return symgroup._sn_index(shape.n)[images], symgroup._descents(images)
 
-    monkeypatch.setattr(schubert, "schubert_point", reversed_point)
+    monkeypatch.setattr(schubert, "_point", reversed_point)
     status, out, err = run(capsys, "union", "--partition", "2,1,1", "--parabolic", "1,3")
     assert status == 4
     assert out == ""

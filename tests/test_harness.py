@@ -167,8 +167,14 @@ def _without_identity(kernel):
     return lambda shape, h: kernel(shape, h) & ~1
 
 
-def _reversed_point(schubert_point):
-    return lambda w, shape: Permutation(tuple(reversed(schubert_point(w, shape).images)))
+def _reversed_point(point):
+    """The memo route with each point's one line array reversed."""
+
+    def wrong(shape, idx):
+        images = symgroup._sn_images(shape.n)[point(shape, idx)[0]][::-1]
+        return symgroup._sn_index(shape.n)[images], symgroup._descents(images)
+
+    return wrong
 
 
 # check id -> (module, name, wrong version of the named route)
@@ -182,11 +188,11 @@ WRONG_ROUTES = {
     ),
     # flip bit 1 of the string ascents, inside 1..n-1 from n = 2 on
     "strings-coset": (harness, "_string_ascents", lambda ascents: lambda s: ascents(s) ^ 2),
-    "schubert-coset": (harness, "schubert_point", _reversed_point),
+    "schubert-coset": (harness, "_point", _reversed_point),
     # the identity is the lowest point, so dropping it opens a hole in the ideal
     "schubert-ideal": (
         harness,
-        "springer_min_reps",
+        "_min_rep_indices",
         lambda reps: lambda shape, p: reps(shape, p)[1:],
     ),
     "main-theorem": (hessvar, "_staircase_planes", _off_by_one),
@@ -236,7 +242,7 @@ def test_coset_checks_witness_a_one_element_j(check_id, clean_caches, monkeypatc
         ]
     else:
         sets = [
-            (w.images, symgroup._descents(harness.schubert_point(w, shape).images))
+            (w.images, harness._point(shape, symgroup._sn_index(4)[w.images])[1])
             for shape in nilpotent.partitions(4)
             for w in hessvar._fiber(shape)
         ]

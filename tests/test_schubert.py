@@ -29,13 +29,14 @@ from hesscomb import (
     schubert_union_tops,
     springer_cell_dim,
     springer_contains,
+    springer_min_reps,
     springer_tableau,
     string_decompose,
     union_hypothesis,
 )
 from hesscomb.nilpotent import _row_inversion_vector
-from hesscomb.schubert import _lower_ideal
-from hesscomb.symgroup import _bit_indices, _sn_images
+from hesscomb.schubert import _lower_ideal, _union_tops
+from hesscomb.symgroup import _bit_indices, _sn_images, _sn_index
 
 from conftest import bruhat_leq_subword, permutations_of, subword_ideal
 
@@ -216,10 +217,11 @@ def top_sets(draw) -> tuple[int, list[Permutation]]:
 @settings(max_examples=150, deadline=None)
 def test_lower_ideal_matches_subword_ideal_and_pairwise_maximality(case):
     n, tops = case
-    ideal, maximal = _lower_ideal(tops, n)
     images = _sn_images(n)
+    ideal, maximal = _lower_ideal([_sn_index(n)[top.images] for top in tops], n)
     expected = set().union(*(subword_ideal(top.images) for top in tops))
     assert {images[idx] for idx in _bit_indices(ideal)} == expected
+    maximal = [Permutation(images[idx]) for idx in maximal]
     dominated = {u for u in tops for w in tops if u != w and bruhat_leq_subword(u, w)}
     assert sorted(maximal) == sorted(set(tops) - dominated)
     assert [top.length() for top in maximal] == sorted((top.length() for top in maximal), reverse=True)
@@ -258,6 +260,19 @@ def test_schubert_union_tops_products_are_reduced():
                     assert v_part.length() + w_j.length() == top.length()
 
 
+def test_index_tops_are_the_point_products_n_le_6():
+    # the tops as they were defined, Permutation products point * w_J
+    for total in range(1, 7):
+        index = _sn_index(total)
+        for shape in partitions(total):
+            for p in parabolics(total):
+                w_j = longest_element(p)
+                products = {v: schubert_point(v, shape) * w_j for v in springer_min_reps(shape, p)}
+                assert schubert_union_tops(shape, p) == tuple(sorted(set(products.values())))
+                by_index = {index[v.images]: index[top.images] for v, top in products.items()}
+                assert _union_tops(shape, p) == by_index, (shape, p)
+
+
 def test_union_hypothesis():
     assert union_hypothesis(Partition((2, 2)))
     assert union_hypothesis(Partition((2, 2, 2)))  # two columns
@@ -276,6 +291,21 @@ def test_compare_with_schubert_union_2_2():
     assert report.hessenberg_poly.coeffs == (1, 3, 4, 3, 1)
     assert report.schubert_union_poly.coeffs == (1, 3, 4, 3, 1)
     assert len(report.tops) == 3
+
+
+@pytest.mark.parametrize(
+    "parts, j, tops",
+    [
+        ((2, 2), (1, 3), ["2,1,4,3", "3,1,4,2", "4,1,3,2"]),
+        ((2, 1, 1), (1, 3), ["2,1,4,3", "3,1,4,2", "3,2,4,1", "4,1,3,2"]),
+        ((3, 1), (2,), ["1,3,2,4", "1,4,2,3", "2,3,1,4"]),
+        ((2, 2), (), ["1,2,3,4", "1,2,4,3", "1,3,2,4", "1,4,2,3", "2,1,3,4", "2,1,4,3"]),
+        ((2, 1, 1), (2, 3), ["1,4,3,2", "2,4,3,1", "3,4,2,1"]),
+    ],
+)
+def test_compare_with_schubert_union_pinned_tops(parts, j, tops):
+    report = compare_with_schubert_union(Partition(parts), ParabolicData.from_iterable(4, j))
+    assert [t.one_line() for t in report.tops] == tops
 
 
 def test_compare_to_json_dict():

@@ -39,6 +39,7 @@ from hesscomb.symgroup import (
     _sn_lengths,
     _sn_planes,
     _sn_rank_planes,
+    _split_index,
     _string_ascents,
 )
 
@@ -399,6 +400,12 @@ def test_sn_rank_planes_are_the_brute_counts(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sn_lengths_by_blocks_are_the_inversion_counts(n):
     assert _sn_lengths(n) == tuple(_length(w) for w in _sn_images(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_split_index_is_the_lexicographic_index(n):
+    index = _split_index(n)
+    assert [index(w) for w in _sn_images(n)] == list(range(math.factorial(n)))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
