@@ -6,14 +6,14 @@ routes to the same answer.  The staircase side is the coset free kernel
 hessvar._staircase_planes, a set of permutations as one int over S_n,
 compared as a set with the cached coset and fiber tables of symgroup and
 nilpotent.  The two minimal coset checks compare one descent set per
-flag, which decides them for every J at once.  The Schubert checks read
-each flag's point, an S_n index with its descents, from the per shape
-memo schubert._point: schubert-ideal compares the Bruhat lower ideal of
-the points, from the rank plane kernel schubert._lower_ideal, with the
-points as a set, and main-theorem counts the ideal of the index tops
-schubert._union_tops.  A check counts every
-failure and keeps the first 1000 witnesses.  The census functions dump
-the same ground truth as flat rows for offline diffing.
+flag, which decides them for every J at once.  The Schubert checks walk
+the fiber by S_n index and read each flag's point, an S_n index with its
+descents, from the memo schubert._point: schubert-ideal compares the
+Bruhat lower ideal of the points, from the rank plane kernel
+schubert._lower_ideal, with the points as a set, and main-theorem counts
+the ideal of the index tops of schubert._poincare_pair.  A check counts
+every failure and keeps the first 1000 witnesses.  The census functions
+dump the same ground truth as flat rows for offline diffing.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from .nilpotent import (
 )
 from .schubert import (
     _lower_ideal,
+    _poincare_pair,
     _point,
-    _union_poly,
-    _union_tops,
     compare_with_schubert_union,
+    schubert_point,
     union_hypothesis,
 )
 from .symgroup import (
@@ -64,8 +64,8 @@ from .symgroup import (
     _descents,
     _gather,
     _sn_images,
-    _sn_index,
     _sn_lengths,
+    _split_index,
     _string_ascents,
     parabolics,
     string_decompose,
@@ -257,14 +257,17 @@ def _check_strings_coset(n: int) -> tuple[int, _FailureLog]:
 def _check_schubert_coset(n: int) -> tuple[int, _FailureLog]:
     """A Springer fiber flag and its Schubert point agree about minimal
     coset membership for every J: they have the same right descents."""
-    index = _sn_index(n)
+    images = _sn_images(n)
+    flags = ParabolicData(n, frozenset())
+    cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
-        for w in _fiber(shape):
-            diff = _descents(w.images) ^ _point(shape, index[w.images])[1]
+        for idx in _min_rep_indices(shape, flags):
+            cases += 1
+            diff = _descents(images[idx]) ^ _point(shape, idx)[1]
             if diff:
-                failures.record(shape, _least_member(n, diff), w.images)
-    return sum(len(_fiber(shape)) for shape in partitions(n)), failures
+                failures.record(shape, _least_member(n, diff), images[idx])
+    return cases, failures
 
 
 def _least_member(n: int, diff: int) -> ParabolicData:
@@ -278,7 +281,7 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
     image of the minimal representatives is closed downward within them.
     A failure of either closure names the missing element."""
     images = _sn_images(n)
-    index = _sn_index(n)
+    flags = ParabolicData(n, frozenset())
     full = (1 << len(images)) - 1
     # ascents[i - 1]: the w with w(i) < w(i + 1); W^J is their AND over i in J
     ascents = [
@@ -291,10 +294,10 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
             continue
         points = []
         seen = bytearray(len(images))
-        for w in _fiber(shape):
-            point = _point(shape, index[w.images])[0]
+        for idx in _min_rep_indices(shape, flags):
+            point = _point(shape, idx)[0]
             if seen[point]:
-                failures.record(shape, None, w.images)
+                failures.record(shape, None, images[idx])
             seen[point] = 1
             points.append(point)
         ideal, _ = _lower_ideal(points, n)
@@ -322,8 +325,7 @@ def _check_main_theorem(n: int) -> tuple[int, _FailureLog]:
     for shape in partitions(n):
         in_hypothesis = union_hypothesis(shape)
         for p in parabolics(n):
-            swept = poincare_hessenberg(shape, h_from_parabolic(p))
-            union = _union_poly(_union_tops(shape, p).values(), n)
+            swept, union, _ = _poincare_pair(shape, p)
             cases += 1
             if in_hypothesis and swept != union:
                 failures.record(shape, p, None)
@@ -345,15 +347,18 @@ def _check_phi_v_equivalence(n: int) -> tuple[int, _FailureLog]:
 
 def _check_dim_formulas(n: int) -> tuple[int, _FailureLog]:
     """The row inversion and root counting Springer dimension formulas agree
-    on every fiber flag (the callee raises when they diverge)."""
+    on every fiber flag (the callee raises when they diverge), and so does
+    the length of the flag's Schubert point."""
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
         for w in _fiber(shape):
             cases += 1
             try:
-                springer_cell_dim(w, shape)
+                agree = springer_cell_dim(w, shape) == schubert_point(w, shape).length()
             except RuntimeError:
+                agree = False
+            if not agree:
                 failures.record(shape, None, w.images)
     return cases, failures
 
@@ -431,8 +436,7 @@ def census(n: int, granularity: str) -> list[dict[str, object]]:
 
 
 def _census_cells(n: int) -> list[dict[str, object]]:
-    images = _sn_images(n)
-    index = _sn_index(n)
+    index = _split_index(n)
     rows: list[dict[str, object]] = []
     for shape in partitions(n):
         member = _fiber_bitmap(shape)
@@ -446,8 +450,8 @@ def _census_cells(n: int) -> list[dict[str, object]]:
                         "v": cell.v.one_line(),
                         "y": cell.y.one_line(),
                         "dim": cell.dim,
-                        "springer": member[index[cell.w.images]],
-                        "schubert_point": ",".join(map(str, images[_point(shape, index[cell.v.images])[0]])),
+                        "springer": member[index(cell.w.images)],
+                        "schubert_point": schubert_point(cell.v, shape).one_line(),
                     }
                 )
     return rows

@@ -10,13 +10,13 @@ Schubert varieties indexed by these points times the longest element of
 W_J; that comparison is packaged as a report here.
 
 Points and tops travel as S_n indices (symgroup's lexicographic tables).
-One memo per shape, filled only for the flags asked for, holds each
-point's index and right descents; a top point * w_J is the point with each
-J-block of positions reversed.  A Bruhat lower ideal is one int over S_n
-(symgroup's bitsets): the OR of the intervals [e, w] of its maximal tops,
-each an AND of rank count planes.  The functions that take or return
-Permutations convert at the edge; schubert_point computes a single point
-and builds no S_n table.
+schubert_point computes one point, builds no S_n table and serves flags
+of any degree; _point keeps, per flag asked for, the point's index and
+right descents, so a query computes only the points it needs.  A top
+point * w_J is the point with each J-block of positions reversed.  A
+Bruhat lower ideal is one int over S_n (symgroup's bitsets): the OR of the
+intervals [e, w] of its maximal tops, each an AND of rank count planes.
+The functions that take or return Permutations convert at the edge.
 """
 
 from __future__ import annotations
@@ -40,34 +40,8 @@ from .symgroup import (
     _sn_lengths,
     _sn_rank_planes,
     _split_index,
-    _word_images,
     perm_from_word,
 )
-
-
-@functools.lru_cache(maxsize=None)
-def _point_memo(shape: Partition) -> dict[int, tuple[int, int]]:
-    """Fiber flag index -> (Schubert point index, the point's right descents
-    as a bitmask); _point fills it one flag at a time."""
-    return {}
-
-
-def _point(shape: Partition, idx: int) -> tuple[int, int]:
-    """The memo entry of the Springer fiber flag of S_n index idx."""
-    memo = _point_memo(shape)
-    if idx not in memo:
-        images = _point_images(Permutation(_sn_images(shape.n)[idx]), shape)
-        memo[idx] = (_split_index(shape.n)(images), _descents(images))
-    return memo[idx]
-
-
-def _point_images(w: Permutation, shape: Partition) -> tuple[int, ...]:
-    """The one line array of the Schubert point of a Springer fiber flag:
-    the string lengths are the row inversion numbers of the flag's tableau,
-    and the point is the product of the strings, the highest first."""
-    n = shape.n
-    lengths = _row_inversion_vector(w, shape)
-    return _word_images((k for q in range(n, 1, -1) for k in range(q - lengths[q - 2], q)), n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,14 +49,24 @@ def schubert_point(w: Permutation, shape: Partition) -> Permutation:
     """The Schubert point of a flag in the Springer fiber: the permutation
     whose string_decompose lengths are the row inversion numbers of the
     flag's tableau, so its length is the Springer cell dimension at w.
-    It builds no table over S_n, so it serves flags of any degree.
+    The point is the product of the strings, the highest first.
 
     >>> schubert_point(Permutation((3, 4, 1, 2)), Partition((2, 1, 1))).images
     (1, 4, 2, 3)
     """
     if not springer_contains(w, shape):
         raise ValueError("flag is not in the Springer fiber")
-    return Permutation(_point_images(w, shape))
+    n = shape.n
+    lengths = _row_inversion_vector(w, shape)
+    return perm_from_word([k for q in range(n, 1, -1) for k in range(q - lengths[q - 2], q)], n)
+
+
+@functools.lru_cache(maxsize=None)
+def _point(shape: Partition, idx: int) -> tuple[int, int]:
+    """The Schubert point of the Springer fiber flag of S_n index idx, as
+    an S_n index, and the point's right descents as a bitmask."""
+    images = schubert_point(Permutation(_sn_images(shape.n)[idx]), shape).images
+    return _split_index(shape.n)(images), _descents(images)
 
 
 def _lower_ideal(tops: Iterable[int], n: int) -> tuple[int, list[int]]:
@@ -216,6 +200,13 @@ class UnionComparison:
         }
 
 
+def _poincare_pair(shape: Partition, p: ParabolicData) -> tuple[Poly, Poly, list[int]]:
+    """The Hessenberg Poincare polynomial of (shape, J), that of its
+    Schubert union, and the union's distinct tops as sorted S_n indices."""
+    tops = sorted(set(_union_tops(shape, p).values()))
+    return poincare_hessenberg(shape, h_from_parabolic(p)), _union_poly(tops, shape.n), tops
+
+
 def compare_with_schubert_union(shape: Partition, p: ParabolicData) -> UnionComparison:
     """Compare both Poincare polynomials for one (shape, J) pair.
 
@@ -224,9 +215,8 @@ def compare_with_schubert_union(shape: Partition, p: ParabolicData) -> UnionComp
     """
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    tops = schubert_union_tops(shape, p)
-    hess = poincare_hessenberg(shape, h_from_parabolic(p))
-    union = poincare_schubert_union(tops, shape.n)
+    hess, union, tops = _poincare_pair(shape, p)
+    images = _sn_images(shape.n)
     return UnionComparison(
         shape=shape,
         parabolic=p,
@@ -234,5 +224,5 @@ def compare_with_schubert_union(shape: Partition, p: ParabolicData) -> UnionComp
         schubert_union_poly=union,
         equal=hess == union,
         in_hypothesis=union_hypothesis(shape),
-        tops=tops,
+        tops=tuple(Permutation(images[idx]) for idx in tops),
     )

@@ -98,11 +98,6 @@ def perm_from_word(word: Sequence[int], n: int) -> Permutation:
     >>> perm_from_word([2, 1, 3, 2], 4).images
     (3, 4, 1, 2)
     """
-    return Permutation(_word_images(word, n))
-
-
-def _word_images(word: Iterable[int], n: int) -> tuple[int, ...]:
-    """The one line array of the product of the word, as perm_from_word."""
     images = list(range(1, n + 1))
     for k in word:
         if not 1 <= k <= n - 1:
@@ -110,7 +105,7 @@ def _word_images(word: Iterable[int], n: int) -> tuple[int, ...]:
         # right multiplication by s_k swaps the entries at positions k, k+1,
         # so reading the word left to right applies the rightmost letter first
         images[k - 1], images[k] = images[k], images[k - 1]
-    return tuple(images)
+    return Permutation(tuple(images))
 
 
 def enumerate_sn(n: int) -> Iterator[Permutation]:
@@ -416,17 +411,12 @@ def _sn_images(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _sn_index(n: int) -> dict[tuple[int, ...], int]:
-    return {images: idx for idx, images in enumerate(_sn_images(n))}
-
-
-@functools.lru_cache(maxsize=None)
 def _split_index(n: int) -> Callable[[tuple[int, ...]], int]:
     """The S_n index of a one line array as head[w[:h]] + tail[w[h:]], h =
-    n // 2, without building _sn_index (18,144 entries against 362,880 at
-    n = 9).  The arrays with one head are a run of (n - h)! indices, the
-    heads in lexicographic order, and within the run the tail is ranked
-    among the orderings of its values."""
+    n // 2: two tables of 18,144 entries in all at n = 9, not one of 9!
+    entries over S_n.  The arrays with one head are a run of (n - h)!
+    indices, the heads in lexicographic order, and within the run the tail
+    is ranked among the orderings of its values."""
     h = n // 2
     values = range(1, n + 1)
     size = math.factorial(n - h)
@@ -573,12 +563,12 @@ def _sn_sorting_swaps(n: int) -> tuple[array.array, ...]:
     """swaps[i - 1][idx]: the index of w with the values at positions i and
     i + 1 put in increasing order, w itself or w s_i."""
     images = _sn_images(n)
-    index = _sn_index(n)
+    index = _split_index(n)
     return tuple(
         array.array(
             "I",
             (
-                idx if w[i] < w[i + 1] else index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]]
+                idx if w[i] < w[i + 1] else index(w[:i] + (w[i + 1], w[i]) + w[i + 2 :])
                 for idx, w in enumerate(images)
             ),
         )

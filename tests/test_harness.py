@@ -172,7 +172,7 @@ def _reversed_point(point):
 
     def wrong(shape, idx):
         images = symgroup._sn_images(shape.n)[point(shape, idx)[0]][::-1]
-        return symgroup._sn_index(shape.n)[images], symgroup._descents(images)
+        return symgroup._split_index(shape.n)(images), symgroup._descents(images)
 
     return wrong
 
@@ -219,6 +219,15 @@ def test_each_check_fails_when_one_route_is_wrong(check_id, clean_caches, monkey
     assert report.failures_total >= len(report.failures) > 0
 
 
+def test_dim_formulas_fail_when_the_schubert_point_is_one_too_long(clean_caches, monkeypatch):
+    point = harness.schubert_point
+    s_1 = Permutation((2, 1, 3, 4))
+    # every n = 4 point has a right ascent or descent at 1, so its length moves by one
+    monkeypatch.setattr(harness, "schubert_point", lambda w, shape: point(w, shape) * s_1)
+    cases, failures = harness.CHECKS["dim-formulas-agree"](4)
+    assert failures.total == cases > 0
+
+
 def _descent_mismatches(n, flags_and_sets):
     """Flags whose right descents differ from the given set, with the least
     member of the difference."""
@@ -242,9 +251,9 @@ def test_coset_checks_witness_a_one_element_j(check_id, clean_caches, monkeypatc
         ]
     else:
         sets = [
-            (w.images, harness._point(shape, symgroup._sn_index(4)[w.images])[1])
+            (symgroup._sn_images(4)[idx], harness._point(shape, idx)[1])
             for shape in nilpotent.partitions(4)
-            for w in hessvar._fiber(shape)
+            for idx in hessvar._min_rep_indices(shape, ParabolicData(4, frozenset()))
         ]
     expected = _descent_mismatches(4, sets)
     assert report.failures_total == len(expected) > 0
@@ -309,13 +318,17 @@ def test_each_check_fails_without_the_identity_in_the_quotient(
 
 
 def test_schubert_ideal_names_the_missing_element(clean_caches, monkeypatch):
-    # without the identity flag the image loses its bottom, the identity
-    fiber = harness._fiber
-    monkeypatch.setattr(harness, "_fiber", lambda shape: fiber(shape)[1:])
+    # without the identity flag the image loses its bottom, the identity, in
+    # the closure of the whole fiber and in that of W^J for J empty
+    reps = harness._min_rep_indices
+    monkeypatch.setattr(harness, "_min_rep_indices", lambda shape, p: reps(shape, p)[bool(not p.J) :])
     report = run_checks(4, checks=["schubert-ideal"])[-1]
     # every shape of degree 4 is in the hypothesis; only (4) has a one flag fiber
     assert [(f.shape, f.j, f.witness) for f in report.failures] == [
-        (shape.parts, None, "1,2,3,4") for shape in nilpotent.partitions(4) if shape.parts != (4,)
+        (shape.parts, j, "1,2,3,4")
+        for shape in nilpotent.partitions(4)
+        if shape.parts != (4,)
+        for j in (None, ())
     ]
 
 

@@ -36,7 +36,7 @@ from hesscomb import (
 )
 from hesscomb.nilpotent import _row_inversion_vector
 from hesscomb.schubert import _lower_ideal, _union_tops
-from hesscomb.symgroup import _bit_indices, _sn_images, _sn_index
+from hesscomb.symgroup import _bit_indices, _sn_images, _split_index
 
 from conftest import bruhat_leq_subword, permutations_of, subword_ideal
 
@@ -218,7 +218,7 @@ def top_sets(draw) -> tuple[int, list[Permutation]]:
 def test_lower_ideal_matches_subword_ideal_and_pairwise_maximality(case):
     n, tops = case
     images = _sn_images(n)
-    ideal, maximal = _lower_ideal([_sn_index(n)[top.images] for top in tops], n)
+    ideal, maximal = _lower_ideal([_split_index(n)(top.images) for top in tops], n)
     expected = set().union(*(subword_ideal(top.images) for top in tops))
     assert {images[idx] for idx in _bit_indices(ideal)} == expected
     maximal = [Permutation(images[idx]) for idx in maximal]
@@ -263,13 +263,13 @@ def test_schubert_union_tops_products_are_reduced():
 def test_index_tops_are_the_point_products_n_le_6():
     # the tops as they were defined, Permutation products point * w_J
     for total in range(1, 7):
-        index = _sn_index(total)
+        index = _split_index(total)
         for shape in partitions(total):
             for p in parabolics(total):
                 w_j = longest_element(p)
                 products = {v: schubert_point(v, shape) * w_j for v in springer_min_reps(shape, p)}
                 assert schubert_union_tops(shape, p) == tuple(sorted(set(products.values())))
-                by_index = {index[v.images]: index[top.images] for v, top in products.items()}
+                by_index = {index(v.images): index(top.images) for v, top in products.items()}
                 assert _union_tops(shape, p) == by_index, (shape, p)
 
 

@@ -34,7 +34,6 @@ from hesscomb.symgroup import (
     _quotient_indices,
     _rank_counts,
     _sn_images,
-    _sn_index,
     _sn_inverse_images,
     _sn_lengths,
     _sn_planes,
@@ -350,10 +349,10 @@ def test_quotient_indices_are_the_min_coset_reps(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_coset_table_is_the_coset_factor(n):
-    index = _sn_index(n)
+    index = _split_index(n)
     perms = list(enumerate_sn(n))
     for p in parabolics(n):
-        expected = [index[coset_factor(w, p)[0].images] for w in perms]
+        expected = [index(coset_factor(w, p)[0].images) for w in perms]
         assert list(_coset_table(n, p.sorted_j())) == expected
 
 
@@ -411,10 +410,10 @@ def test_split_index_is_the_lexicographic_index(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sn_inverse_images_share_the_image_tuples(n):
     images = _sn_images(n)
-    index = _sn_index(n)
+    index = _split_index(n)
     for w, inv in zip(images, _sn_inverse_images(n)):
         assert Permutation(inv) == Permutation(w).inverse()
-        assert inv is images[index[inv]]
+        assert inv is images[index(inv)]
 
 
 def test_bit_indices():
