@@ -19,6 +19,7 @@ import sys
 import time
 
 from hesscomb import compare_with_schubert_union, parabolics, partitions
+from hesscomb.symgroup import MAX_SWEEP_DEGREE
 
 
 def sweep(n: int, show_out_of_regime: bool) -> tuple[int, int, int, int]:
@@ -54,15 +55,17 @@ def sweep(n: int, show_out_of_regime: bool) -> tuple[int, int, int, int]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-max", type=int, default=6, help="largest degree (<= 8)")
+    parser.add_argument(
+        "--n-max", type=int, default=6, help=f"largest degree (<= {MAX_SWEEP_DEGREE})"
+    )
     parser.add_argument(
         "--show-out-of-regime",
         action="store_true",
         help="print each out of regime pair with its verdict",
     )
     args = parser.parse_args(argv)
-    if not 1 <= args.n_max <= 8:
-        parser.error("--n-max must be between 1 and 8")
+    if not 1 <= args.n_max <= MAX_SWEEP_DEGREE:
+        parser.error(f"--n-max must be between 1 and {MAX_SWEEP_DEGREE}")
 
     failures = 0
     for n in range(1, args.n_max + 1):

@@ -28,11 +28,11 @@ from .components import component_candidates
 from .harness import census, rows_to_csv, rows_to_json, run_checks
 from .hessvar import (
     HessenbergFunction,
-    _fiber,
     h_from_parabolic,
     is_parabolic_function,
     parabolic_from_h,
     poincare_hessenberg,
+    springer_min_reps,
 )
 from .nilpotent import Partition, springer_cell_dim, springer_tableau
 from .schubert import compare_with_schubert_union, schubert_point
@@ -105,7 +105,7 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
             "dim": springer_cell_dim(w, shape),
             "schubert_point": schubert_point(w, shape).one_line(),
         }
-        for w in _fiber(shape)
+        for w in springer_min_reps(shape, ParabolicData(shape.n, frozenset()))
     ]
     poly = poincare_hessenberg(shape, HessenbergFunction.identity(shape.n))
     if args.format == "json":

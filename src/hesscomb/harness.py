@@ -11,7 +11,9 @@ the fiber by S_n index and read each flag's point, an S_n index with its
 descents, from the memo schubert._point: schubert-ideal compares the
 Bruhat lower ideal of the points, from the rank plane kernel
 schubert._lower_ideal, with the points as a set, and main-theorem counts
-the ideal of the index tops of schubert._poincare_pair.  A check counts
+the ideal of the index tops of schubert._poincare_pair.
+dim-formulas-agree walks the fiber the same way and compares the tableau
+scan, the root count table and the point's length.  A check counts
 every failure and keeps the first 1000 witnesses.  The census functions
 dump the same ground truth as flat rows for offline diffing.
 """
@@ -27,7 +29,6 @@ import time
 from collections.abc import Callable, Iterable
 
 from .hessvar import (
-    _fiber,
     _min_rep_indices,
     _staircase_members,
     _staircase_planes,
@@ -39,12 +40,12 @@ from .hessvar import (
 from .nilpotent import (
     Partition,
     _fiber_bitmap,
+    _row_inversion_vector,
     _springer_dim_table,
     dominance_ideal,
     dominance_ideal_from_filling,
     highest_form_roots,
     partitions,
-    springer_cell_dim,
 )
 from .schubert import (
     _lower_ideal,
@@ -347,19 +348,21 @@ def _check_phi_v_equivalence(n: int) -> tuple[int, _FailureLog]:
 
 def _check_dim_formulas(n: int) -> tuple[int, _FailureLog]:
     """The row inversion and root counting Springer dimension formulas agree
-    on every fiber flag (the callee raises when they diverge), and so does
-    the length of the flag's Schubert point."""
+    on every fiber flag, and so does the length of the flag's Schubert
+    point: the tableau scan, the per shape root count table that the
+    parabolic formula reads, and the point."""
+    images = _sn_images(n)
+    flags = ParabolicData(n, frozenset())
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
-        for w in _fiber(shape):
+        dims = _springer_dim_table(shape)
+        for idx in _min_rep_indices(shape, flags):
+            w = Permutation(images[idx])
+            vector = _row_inversion_vector(w, shape)
             cases += 1
-            try:
-                agree = springer_cell_dim(w, shape) == schubert_point(w, shape).length()
-            except RuntimeError:
-                agree = False
-            if not agree:
-                failures.record(shape, None, w.images)
+            if vector is None or not sum(vector) == dims[idx] == schubert_point(w, shape).length():
+                failures.record(shape, None, images[idx])
     return cases, failures
 
 

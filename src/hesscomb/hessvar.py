@@ -177,7 +177,6 @@ def parabolic_cell_dim(w: Permutation, shape: Partition, p: ParabolicData) -> in
     return springer_cell_dim(v, shape) + y.length()
 
 
-@functools.lru_cache(maxsize=None)
 def springer_min_reps(shape: Partition, p: ParabolicData) -> tuple[Permutation, ...]:
     """Minimal coset representatives whose flags lie in the Springer fiber.
 
@@ -198,11 +197,6 @@ def _min_rep_indices(shape: Partition, p: ParabolicData) -> list[int]:
     """S_n indices of the Springer fiber flags in W^J."""
     member = _fiber_bitmap(shape)
     return [idx for idx in _quotient_indices(shape.n, p.sorted_j()) if member[idx]]
-
-
-def _fiber(shape: Partition) -> tuple[Permutation, ...]:
-    """The Springer fiber flags: for J empty every flag is its own minimal representative."""
-    return springer_min_reps(shape, ParabolicData(shape.n, frozenset()))
 
 
 def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:

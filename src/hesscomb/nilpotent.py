@@ -12,6 +12,9 @@ permutation flags wB lying in the Springer fiber of X are detected by a
 row strict tableau, and the dimension of the Schubert cell section through
 wB is computed two independent ways, by tableau row inversions and by
 counting inversions of the inverse permutation outside that root support.
+_row_inversion_vector reads a flag's tableau in one scan of w's one line
+array; the per shape tables _fiber_bitmap and _springer_dim_table read
+the inverse arrays instead, so the harness can compare the two.
 """
 
 from __future__ import annotations
@@ -100,13 +103,16 @@ class BaseFilling:
     shape: Partition
     rows: tuple[tuple[int, ...], ...]
 
+    @functools.cached_property
+    def boxes(self) -> dict[int, tuple[int, int]]:
+        """label -> (row, column), both 1-based, row 1 on top."""
+        return {label: (r, c) for r, row in enumerate(self.rows, 1) for c, label in enumerate(row, 1)}
+
     def box_of(self, label: int) -> tuple[int, int]:
         """(row, column) of a label, both 1-based, row 1 on top."""
-        for r, row in enumerate(self.rows, start=1):
-            for c, entry in enumerate(row, start=1):
-                if entry == label:
-                    return (r, c)
-        raise ValueError(f"label {label} not in filling")
+        if label not in self.boxes:
+            raise ValueError(f"label {label} not in filling")
+        return self.boxes[label]
 
     def right_of(self, label: int) -> int:
         """Label directly to the right, or 0 at the end of a row."""
@@ -137,13 +143,8 @@ def highest_form_roots(shape: Partition) -> RootSet:
     >>> highest_form_roots(Partition((1, 1, 1, 1))).sorted_roots()
     ()
     """
-    filling = base_filling(shape)
-    roots = set()
-    for label in range(1, shape.n + 1):
-        right = filling.right_of(label)
-        if right:
-            roots.add((label, right))
-    return RootSet(shape.n, frozenset(roots))
+    rows = base_filling(shape).rows
+    return RootSet(shape.n, frozenset((a, b) for row in rows for a, b in zip(row, row[1:])))
 
 
 def is_highest_form(phi_x: RootSet) -> bool:
@@ -208,12 +209,12 @@ def dominance_ideal_from_filling(shape: Partition) -> RootSet:
     """
     filling = base_filling(shape)
     n = shape.n
-    col_of = {label: filling.box_of(label)[1] for label in range(1, n + 1)}
+    boxes = filling.boxes
     roots = set()
     for i in range(1, n + 1):
         bound = filling.right_of(i)
         for j in range(i + 1, n + 1):
-            if col_of[j] > col_of[i] and j > bound:
+            if boxes[j][1] > boxes[i][1] and j > bound:
                 roots.add((i, j))
     return RootSet(n, frozenset(roots))
 
@@ -274,14 +275,7 @@ def springer_contains(w: Permutation, shape: Partition) -> bool:
     also to w^(-1) keeping every root of the nilpotent positive; the test
     suite checks the two readings against each other.
     """
-    if w.n != shape.n:
-        raise ValueError("degree mismatch")
-    winv = w.inverse()
-    for row in base_filling(shape).rows:
-        for a, b in zip(row, row[1:]):
-            if winv(a) >= winv(b):
-                return False
-    return True
+    return _row_inversion_vector(w, shape) is not None
 
 
 def row_inversions(tableau: Tableau, q: int) -> int:
@@ -308,23 +302,30 @@ def row_inversions(tableau: Tableau, q: int) -> int:
     return same_above + longer
 
 
-def _row_inversion_vector(w: Permutation, shape: Partition) -> tuple[int, ...]:
-    """(l_1, ..., l_(n-1)) where l_(q-1) = row_inversions(T, q), T the Springer tableau."""
-    winv = w.inverse()
-    filling = base_filling(shape)
-    row_of_value = {winv(label): r for r, row in enumerate(filling.rows, start=1) for label in row}
-    nrows = shape.num_rows
-    lens = [0] * (nrows + 1)
+def _row_inversion_vector(w: Permutation, shape: Partition) -> tuple[int, ...] | None:
+    """(l_1, ..., l_(n-1)) where l_(q-1) = row_inversions(T, q), T the
+    Springer tableau of w, or None when T is not row strict.
+
+    Value q sits in the box of label w(q), so T is row strict exactly when
+    each row fills left to right as q goes up: one scan of w's one line
+    array reads membership and the vector together.
+    """
+    if w.n != shape.n:
+        raise ValueError("degree mismatch")
+    boxes = base_filling(shape).boxes
+    lens = [0] * (shape.num_rows + 1)
+    # at_least[k]: the rows of length k or more so far
+    at_least = [0] * (shape.num_cols + 2)
     out = []
-    lens[row_of_value[1]] += 1
-    for q in range(2, shape.n + 1):
-        home = row_of_value[q]
-        lens[home] += 1
-        mine = lens[home]
-        same_above = sum(1 for r in range(1, home) if lens[r] == mine)
-        longer = sum(1 for r in range(1, nrows + 1) if lens[r] > mine)
-        out.append(same_above + longer)
-    return tuple(out)
+    for label in w.images:
+        home, mine = boxes[label]
+        if mine != lens[home] + 1:
+            return None
+        lens[home] = mine
+        at_least[mine] += 1
+        # rows above of equal length, and rows anywhere that are longer
+        out.append(lens[1:home].count(mine) + at_least[mine + 1])
+    return tuple(out[1:])
 
 
 def springer_cell_dim(w: Permutation, shape: Partition) -> int:
@@ -337,12 +338,12 @@ def springer_cell_dim(w: Permutation, shape: Partition) -> int:
     >>> springer_cell_dim(Permutation((2, 4, 1, 3)), Partition((2, 2)))
     2
     """
-    if not springer_contains(w, shape):
+    vector = _row_inversion_vector(w, shape)
+    if vector is None:
         raise ValueError("flag is not in the Springer fiber")
-    by_rows = sum(_row_inversion_vector(w, shape))
+    by_rows = sum(vector)
     ideal = dominance_ideal_from_filling(shape).roots
-    winv = w.inverse()
-    by_roots = sum(1 for root in _inversions(winv.images) if root not in ideal)
+    by_roots = sum(1 for root in _inversions(w.inverse().images) if root not in ideal)
     if by_rows != by_roots:
         raise RuntimeError(
             f"dimension formulas disagree for w={w.one_line()}, shape={shape}: "

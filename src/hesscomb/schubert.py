@@ -27,7 +27,7 @@ import operator
 from collections.abc import Iterable
 
 from .hessvar import _min_rep_indices, h_from_parabolic, poincare_hessenberg
-from .nilpotent import Partition, _row_inversion_vector, springer_contains
+from .nilpotent import Partition, _row_inversion_vector
 from .poly import Poly
 from .symgroup import (
     ParabolicData,
@@ -54,10 +54,10 @@ def schubert_point(w: Permutation, shape: Partition) -> Permutation:
     >>> schubert_point(Permutation((3, 4, 1, 2)), Partition((2, 1, 1))).images
     (1, 4, 2, 3)
     """
-    if not springer_contains(w, shape):
+    lengths = _row_inversion_vector(w, shape)
+    if lengths is None:
         raise ValueError("flag is not in the Springer fiber")
     n = shape.n
-    lengths = _row_inversion_vector(w, shape)
     return perm_from_word([k for q in range(n, 1, -1) for k in range(q - lengths[q - 2], q)], n)
 
 

@@ -34,7 +34,7 @@ MAX_DEGREE = 9
 MAX_SWEEP_DEGREE = 8
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class Permutation:
     """A permutation of {1, ..., n} in one line notation.
 

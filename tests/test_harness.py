@@ -105,7 +105,8 @@ def test_coset_checks_count_flags():
     reports = run_checks(4, checks=["strings-coset", "schubert-coset"])
     # strings-coset visits S_n, schubert-coset every Springer fiber flag
     assert [r.cases_run for r in reports if r.check_id == "strings-coset"] == [1, 2, 6, 24]
-    fibers = [len(hessvar._fiber(shape)) for shape in nilpotent.partitions(4)]
+    flags = ParabolicData(4, frozenset())
+    fibers = [len(hessvar.springer_min_reps(shape, flags)) for shape in nilpotent.partitions(4)]
     assert reports[-1].cases_run == sum(fibers)
 
 
@@ -202,7 +203,7 @@ WRONG_ROUTES = {
         lambda ideal: lambda phi_x, n: RootSet(n, frozenset()),
     ),
     "dim-formulas-agree": (
-        nilpotent,
+        harness,
         "_row_inversion_vector",
         lambda vector: lambda w, shape: vector(w, shape) + (1,),
     ),
@@ -226,6 +227,37 @@ def test_dim_formulas_fail_when_the_schubert_point_is_one_too_long(clean_caches,
     monkeypatch.setattr(harness, "schubert_point", lambda w, shape: point(w, shape) * s_1)
     cases, failures = harness.CHECKS["dim-formulas-agree"](4)
     assert failures.total == cases > 0
+
+
+def test_dim_formulas_fail_when_the_root_count_table_is_one_too_high(clean_caches, monkeypatch):
+    table = harness._springer_dim_table
+    shape = Partition((2, 1, 1))
+    # the last fiber index of one shape: a single wrong entry is found
+    last = max(i for i, dim in enumerate(table(shape)) if dim >= 0)
+
+    def wrong(other):
+        dims = table(other)
+        return dims[:last] + (dims[last] + 1,) + dims[last + 1 :] if other == shape else dims
+
+    monkeypatch.setattr(harness, "_springer_dim_table", wrong)
+    (report,) = [r for r in run_checks(4, checks=["dim-formulas-agree"]) if r.n == 4]
+    assert report.failures_total == 1
+    assert report.failures[0].shape == shape.parts
+    assert report.failures[0].witness == ",".join(map(str, symgroup._sn_images(4)[last]))
+
+
+def test_schubert_checks_build_no_inverse(clean_caches, monkeypatch):
+    calls = []
+    inverse = Permutation.inverse
+
+    def counted(w):
+        calls.append(w)
+        return inverse(w)
+
+    monkeypatch.setattr(Permutation, "inverse", counted)
+    reports = run_checks(5, ["schubert-coset", "dim-formulas-agree"])
+    assert all(r.passed for r in reports)
+    assert calls == []
 
 
 def _descent_mismatches(n, flags_and_sets):

@@ -319,7 +319,7 @@ def test_coset_route_builds_no_plane():
         harness._by_coset(fibers, 6, p)
         for shape in shapes:
             poincare_parabolic_formula.__wrapped__(shape, p)
-            springer_min_reps.__wrapped__(shape, p)
+            springer_min_reps(shape, p)
     assert symgroup._sn_planes.cache_info().currsize == 0
 
 

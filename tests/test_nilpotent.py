@@ -24,7 +24,7 @@ from hesscomb import (
     springer_contains,
     springer_tableau,
 )
-from hesscomb.nilpotent import _row_inversion_vector
+from hesscomb.nilpotent import _fiber_bitmap, _row_inversion_vector
 
 from conftest import root_set, small_partitions
 
@@ -79,6 +79,7 @@ def test_base_filling_lookups():
     f = base_filling(Partition((3, 2)))
     assert f.box_of(4) == (1, 2)
     assert f.box_of(1) == (2, 1)
+    assert f.boxes == {2: (1, 1), 4: (1, 2), 5: (1, 3), 1: (2, 1), 3: (2, 2)}
     assert f.rows[0][0] == 2
     assert f.right_of(2) == 4
     assert f.right_of(5) == 0
@@ -245,14 +246,21 @@ def test_row_inversions_errors():
 
 
 def test_row_inversion_vector_matches_public_reading():
-    for total in (2, 3, 4, 5):
+    # every flag of S_n: the scan gives None exactly off the fiber
+    for total in (1, 2, 3, 4, 5):
         for shape in partitions(total):
-            for w in enumerate_sn(total):
-                if not springer_contains(w, shape):
-                    continue
+            member = _fiber_bitmap(shape)
+            for idx, w in enumerate(enumerate_sn(total)):
                 t = springer_tableau(w, shape)
-                expected = tuple(row_inversions(t, q) for q in range(2, total + 1))
-                assert _row_inversion_vector(w, shape) == expected
+                vector = _row_inversion_vector(w, shape)
+                assert (vector is not None) == t.is_row_strict() == member[idx], (w, shape)
+                if vector is not None:
+                    assert vector == tuple(row_inversions(t, q) for q in range(2, total + 1))
+
+
+def test_row_inversion_vector_degree_mismatch():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        _row_inversion_vector(Permutation((2, 1)), Partition((2, 1)))
 
 
 def test_springer_cell_dim_examples():

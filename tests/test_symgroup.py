@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Iterable
 
@@ -82,6 +83,14 @@ def test_composition_order():
 def test_composition_degree_mismatch():
     with pytest.raises(ValueError):
         Permutation((2, 1)) * Permutation((1, 2, 3))
+
+
+def test_permutation_has_slots_not_a_dict():
+    # the Schubert point memo holds two Permutations per fiber flag
+    w = Permutation((2, 1))
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.images = (1, 2)
 
 
 def test_one_line_round_trip():
