@@ -99,6 +99,9 @@ def _cmd_poincare(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
     shape = _bounded_partition(args)
+    poly = poincare_hessenberg(shape, HessenbergFunction.identity(shape.n))
+    if args.format == "text":
+        return str(poly) + "\n", 0
     cells = [
         {
             "w": w.one_line(),
@@ -107,7 +110,6 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
         }
         for w in springer_min_reps(shape, ParabolicData(shape.n, frozenset()))
     ]
-    poly = poincare_hessenberg(shape, HessenbergFunction.identity(shape.n))
     if args.format == "json":
         payload = {
             "lambda": list(shape.parts),
@@ -115,11 +117,9 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
             "cells": cells,
         }
         return json.dumps(payload, indent=2) + "\n", 0
-    if args.format == "csv":
-        lines = ["w,dim,schubert_point"]
-        lines += [f"\"{c['w']}\",{c['dim']},\"{c['schubert_point']}\"" for c in cells]
-        return "\n".join(lines) + "\n", 0
-    return str(poly) + "\n", 0
+    lines = ["w,dim,schubert_point"]
+    lines += [f"\"{c['w']}\",{c['dim']},\"{c['schubert_point']}\"" for c in cells]
+    return "\n".join(lines) + "\n", 0
 
 
 def _cmd_schubert_point(args: argparse.Namespace) -> tuple[str, int]:

@@ -178,7 +178,7 @@ def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
     representative of its coset lies in the Springer fiber."""
     images = _sn_images(n)
     shapes = list(partitions(n))
-    fibers = _records([bytes(_fiber_bitmap(shape)) for shape in shapes])
+    fibers = _records([_fiber_bitmap(shape) for shape in shapes])
     cases = 0
     failures = _FailureLog()
     for p in parabolics(n):
@@ -453,7 +453,7 @@ def _census_cells(n: int) -> list[dict[str, object]]:
                         "v": cell.v.one_line(),
                         "y": cell.y.one_line(),
                         "dim": cell.dim,
-                        "springer": member[index(cell.w.images)],
+                        "springer": bool(member[index(cell.w.images)]),
                         "schubert_point": schubert_point(cell.v, shape).one_line(),
                     }
                 )

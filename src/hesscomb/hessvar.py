@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from collections.abc import Iterable
 
 from .nilpotent import (
     Partition,
-    _fiber_bitmap,
+    _fiber_by_descents,
     _springer_dim_table,
     dominance_ideal_from_filling,
     highest_form_roots,
@@ -34,7 +35,6 @@ from .symgroup import (
     ParabolicData,
     Permutation,
     _bit_indices,
-    _quotient_indices,
     _sn_images,
     _sn_planes,
     coset_factor,
@@ -194,9 +194,11 @@ def springer_min_reps(shape: Partition, p: ParabolicData) -> tuple[Permutation, 
 
 
 def _min_rep_indices(shape: Partition, p: ParabolicData) -> list[int]:
-    """S_n indices of the Springer fiber flags in W^J."""
-    member = _fiber_bitmap(shape)
-    return [idx for idx in _quotient_indices(shape.n, p.sorted_j()) if member[idx]]
+    """S_n indices of the Springer fiber flags in W^J, ascending: the
+    merged descent groups of the fiber that miss J."""
+    j_mask = sum(1 << i for i in p.J)
+    groups = _fiber_by_descents(shape).items()
+    return sorted(itertools.chain.from_iterable(group for descents, group in groups if not descents & j_mask))
 
 
 def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:

@@ -13,21 +13,26 @@ row strict tableau, and the dimension of the Schubert cell section through
 wB is computed two independent ways, by tableau row inversions and by
 counting inversions of the inverse permutation outside that root support.
 _row_inversion_vector reads a flag's tableau in one scan of w's one line
-array; the per shape tables _fiber_bitmap and _springer_dim_table read
-the inverse arrays instead, so the harness can compare the two.
+array; the per shape tables _fiber_bitmap and _springer_dim_table rest on
+_fiber_by_descents, a walk over the row strict fillings, and never read
+the scan, so the harness can compare the two.
 """
 
 from __future__ import annotations
 
+import array
+import collections
 import dataclasses
 import functools
+import itertools
+import math
 from collections.abc import Iterator
 
 from .rootsys import RootSet, is_positive, positive_roots, root_dominates
 from .symgroup import (
     Permutation,
     _inversions,
-    _sn_inverse_images,
+    _sn_images,
     _sn_lengths,
 )
 
@@ -358,15 +363,47 @@ def springer_cell_dim(w: Permutation, shape: Partition) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _fiber_bitmap(shape: Partition) -> tuple[bool, ...]:
-    """springer_contains per S_n index."""
+def _fiber_by_descents(shape: Partition) -> dict[int, array.array]:
+    """The Springer fiber flags as ascending S_n indices, grouped by their
+    right descents as a bitmask (bit i when w(i) > w(i + 1)).
+
+    The flags are the row strict fillings: value q goes into the leftmost
+    empty box of some row, and w(q) is that box's label.  Trying the free
+    labels in increasing order walks the fiber in lexicographic order of
+    w, and the index adds up the Lehmer code, (unused labels below w(q))
+    times (n - q)!.  Labels travel as one bit each, bit label of an int.
+    """
     n = shape.n
-    rows = base_filling(shape).rows
-    pairs = tuple((a - 1, b - 1) for row in rows for a, b in zip(row, row[1:]))
-    out = []
-    for winv in _sn_inverse_images(n):
-        out.append(all(winv[a] < winv[b] for a, b in pairs))
-    return tuple(out)
+    # a label is free once the label to its left is placed
+    left = {1 << b: 1 << a for row in base_filling(shape).rows for a, b in zip(row, row[1:])}
+    weights = [math.factorial(n - 1 - q) for q in range(n)]
+    groups: dict[int, array.array] = collections.defaultdict(functools.partial(array.array, "I"))
+
+    def walk(q: int, unused: int, prev: int, idx: int, descents: int) -> None:
+        if q == n - 1:
+            # one label is left, and the label to its left is placed
+            groups[descents | (prev > unused) << q].append(idx)
+            return
+        rank = 0
+        bits = unused
+        while bits:
+            low = bits & -bits
+            if not unused & left.get(low, 0):
+                walk(q + 1, unused ^ low, low, idx + rank * weights[q], descents | (prev > low) << q)
+            rank += 1
+            bits ^= low
+
+    walk(0, (1 << n + 1) - 2, 0, 0, 0)
+    return groups
+
+
+@functools.lru_cache(maxsize=None)
+def _fiber_bitmap(shape: Partition) -> bytes:
+    """springer_contains per S_n index, one byte 1 or 0."""
+    out = bytearray(math.factorial(shape.n))
+    for idx in itertools.chain.from_iterable(_fiber_by_descents(shape).values()):
+        out[idx] = 1
+    return bytes(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,14 +411,13 @@ def _springer_dim_table(shape: Partition) -> tuple[int, ...]:
     """springer_cell_dim per S_n index, -1 outside the fiber (root formula)."""
     n = shape.n
     ideal = tuple((i - 1, j - 1) for i, j in dominance_ideal_from_filling(shape).sorted_roots())
-    member = _fiber_bitmap(shape)
+    images = _sn_images(n)
     lengths = _sn_lengths(n)
-    out = []
-    for idx, winv in enumerate(_sn_inverse_images(n)):
-        if not member[idx]:
-            out.append(-1)
-            continue
+    out = [-1] * len(images)
+    winv = [0] * n
+    for idx in itertools.chain.from_iterable(_fiber_by_descents(shape).values()):
+        for pos, value in enumerate(images[idx]):
+            winv[value - 1] = pos
         # the ideal roots that w^(-1) inverts are the ones the count skips
-        in_ideal = sum(1 for i, j in ideal if winv[i] > winv[j])
-        out.append(lengths[idx] - in_ideal)
+        out[idx] = lengths[idx] - sum(1 for i, j in ideal if winv[i] > winv[j])
     return tuple(out)

@@ -395,9 +395,9 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 
 # ---------------------------------------------------------------------------
 # Cached per degree tables, aligned with the lexicographic order of S_n:
-# one line arrays, their index, inverses, lengths, the quotients W^J, the
-# adjacent sorting swaps and coset representatives.  They serve the harness
-# sweeps and per shape tables.  A set of permutations can also be one int,
+# one line arrays, their index, lengths, the adjacent sorting swaps and
+# coset representatives.  They serve the harness sweeps and per shape
+# tables.  A set of permutations can also be one int,
 # bit i standing for the permutation of index i.  In that form _sn_planes
 # holds the value planes of w^(-1), and a poincare_hessenberg query builds
 # them and no other table; _sn_rank_planes and _sn_length_planes hold the
@@ -427,35 +427,6 @@ def _split_index(n: int) -> Callable[[tuple[int, ...]], int]:
         for rank, part in enumerate(itertools.permutations(rest))
     }
     return lambda images: head[images[:h]] + tail[images[h:]]
-
-
-def _inverse_ranks(n: int) -> list[int]:
-    """Index of the inverse of each permutation of S_n, by index.
-
-    Built up degree by degree.  The inverse of the permutation u with u(1) = p
-    is the inverse of u's standardized tail with a new least value put at
-    position p, and insert[p - 1][i] is the index of that insertion into the
-    permutation of index i one degree lower.
-    """
-    ranks = [0]
-    insert = [[0]]
-    for k in range(2, n + 1):
-        block = math.factorial(k - 1)
-        # a new least value at position 1 leaves the index alone; further
-        # right, the first value goes up by one and the insertion moves on
-        insert = [list(range(block))] + [
-            [first * block + idx for first in range(1, k) for idx in row] for row in insert
-        ]
-        ranks = [row[rank] for row in insert for rank in ranks]
-    return ranks
-
-
-@functools.lru_cache(maxsize=None)
-def _sn_inverse_images(n: int) -> tuple[tuple[int, ...], ...]:
-    """The one line arrays of the inverses; each is the very tuple object
-    of _sn_images at the inverse's index, so the table adds no tuples."""
-    images = _sn_images(n)
-    return tuple(images[rank] for rank in _inverse_ranks(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -545,17 +516,6 @@ def _bit_indices(bits: int) -> Iterator[int]:
     while idx >= 0:
         yield idx
         idx = text.find("1", idx + 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _quotient_indices(n: int, j: tuple[int, ...]) -> array.array:
-    """S_n indices of W^J, the minimal coset representatives: the one line
-    arrays increasing across every i in J, in lexicographic order."""
-    images = _sn_images(n)
-    kept: Iterable[int] = range(len(images))
-    for i in j:
-        kept = [idx for idx in kept if images[idx][i - 1] < images[idx][i]]
-    return array.array("I", kept)
 
 
 @functools.lru_cache(maxsize=None)

@@ -125,6 +125,20 @@ def test_springer_text(capsys):
     assert out == "1 + 3t + 2t^2\n"
 
 
+def test_springer_text_builds_no_cell_row(capsys, monkeypatch):
+    calls = []
+
+    def counted(name):
+        return lambda w, shape: calls.append(name)
+
+    monkeypatch.setattr(cli, "springer_cell_dim", counted("springer_cell_dim"))
+    monkeypatch.setattr(cli, "schubert_point", counted("schubert_point"))
+    status, out, _ = run(capsys, "springer", "--partition", "2,1,1", "--format", "text")
+    assert status == 0
+    assert out == "1 + 3t + 5t^2 + 3t^3\n"
+    assert calls == []
+
+
 def test_springer_csv(capsys):
     status, out, _ = run(capsys, "springer", "--partition", "2,2", "--format", "csv")
     assert status == 0
@@ -413,7 +427,7 @@ def test_internal_error_is_status_4(monkeypatch, capsys):
         raise RuntimeError(f"dimension formulas disagree for w={w.one_line()}")
 
     monkeypatch.setattr(cli, "springer_cell_dim", disagree)
-    status, out, err = run(capsys, "springer", "--partition", "2")
+    status, out, err = run(capsys, "springer", "--partition", "2", "--format", "csv")
     assert status == 4
     assert out == ""
     assert err == "internal error: dimension formulas disagree for w=1,2\n"

@@ -168,6 +168,11 @@ def _without_identity(kernel):
     return lambda shape, h: kernel(shape, h) & ~1
 
 
+def _reps_without_identity(reps):
+    # index 0 is the identity, the first fiber flag in every W^J
+    return lambda shape, p: reps(shape, p)[1:]
+
+
 def _reversed_point(point):
     """The memo route with each point's one line array reversed."""
 
@@ -191,11 +196,7 @@ WRONG_ROUTES = {
     "strings-coset": (harness, "_string_ascents", lambda ascents: lambda s: ascents(s) ^ 2),
     "schubert-coset": (harness, "_point", _reversed_point),
     # the identity is the lowest point, so dropping it opens a hole in the ideal
-    "schubert-ideal": (
-        harness,
-        "_min_rep_indices",
-        lambda reps: lambda shape, p: reps(shape, p)[1:],
-    ),
+    "schubert-ideal": (harness, "_min_rep_indices", _reps_without_identity),
     "main-theorem": (hessvar, "_staircase_planes", _off_by_one),
     "phi-V-equivalence": (
         harness,
@@ -327,16 +328,11 @@ def _without_identity_in_length_planes(planes):
     return lambda n: (planes(n)[0] & ~1, *planes(n)[1:])
 
 
-def _quotient_without_identity(quotient):
-    # index 0 is the identity, the bottom of every W^J
-    return lambda n, j: quotient(n, j)[1:]
-
-
 @pytest.mark.parametrize(
     ("module", "name", "wrong", "check_id"),
     [
         (schubert, "_sn_length_planes", _without_identity_in_length_planes, "main-theorem"),
-        (hessvar, "_quotient_indices", _quotient_without_identity, "poincare-corollary"),
+        (hessvar, "_min_rep_indices", _reps_without_identity, "poincare-corollary"),
     ],
     ids=["schubert-main-theorem", "hessvar-poincare-corollary"],
 )

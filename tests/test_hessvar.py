@@ -20,6 +20,7 @@ from hesscomb import (
     hess_cells,
     hess_contains,
     identity,
+    is_min_coset_rep,
     is_parabolic_function,
     parabolic_cell_dim,
     parabolic_from_h,
@@ -30,10 +31,11 @@ from hesscomb import (
     springer_cell_dim,
     springer_contains,
     springer_min_reps,
+    springer_tableau,
     t_factorial,
 )
 from hesscomb import harness, nilpotent, symgroup
-from hesscomb.hessvar import _dimension_sets, _staircase_members, _staircase_planes
+from hesscomb.hessvar import _dimension_sets, _min_rep_indices, _staircase_members, _staircase_planes
 
 from conftest import hessenberg_functions, staircase_dims
 
@@ -189,8 +191,6 @@ def test_springer_min_reps_2_1_1():
 
 
 def test_springer_min_reps_is_filtered_intersection():
-    from hesscomb import is_min_coset_rep
-
     for total in (2, 3, 4):
         for shape in partitions(total):
             for p in parabolics(total):
@@ -201,6 +201,41 @@ def test_springer_min_reps_is_filtered_intersection():
                 ]
                 got = [v.images for v in springer_min_reps(shape, p)]
                 assert got == expected
+
+
+def test_fiber_walk_tables_match_the_per_permutation_reference():
+    # one flag at a time: the Springer tableau, both dimension formulas of
+    # springer_cell_dim, and the descent test of W^J
+    for total in range(1, 7):
+        perms = list(enumerate_sn(total))
+        for shape in partitions(total):
+            member = [springer_tableau(w, shape).is_row_strict() for w in perms]
+            assert list(nilpotent._fiber_bitmap(shape)) == member, shape
+            dims = [springer_cell_dim(w, shape) if m else -1 for w, m in zip(perms, member)]
+            assert nilpotent._springer_dim_table(shape) == tuple(dims), shape
+            for p in parabolics(total):
+                expected = [idx for idx, w in enumerate(perms) if member[idx] and is_min_coset_rep(w, p)]
+                assert _min_rep_indices(shape, p) == expected, (shape, p)
+
+
+def test_fiber_walk_reads_no_scan_plane_or_coset_table(monkeypatch):
+    for module in (symgroup, nilpotent):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    def scan(w, shape):
+        raise AssertionError("the fiber tables read the tableau scan")
+
+    monkeypatch.setattr(nilpotent, "_row_inversion_vector", scan)
+    shape = Partition((4, 2, 2))
+    assert springer_min_reps(shape, ParabolicData.from_iterable(8, (2, 5)))
+    nilpotent._fiber_bitmap(shape)
+    nilpotent._springer_dim_table(shape)
+    tables = (symgroup._sn_planes, symgroup._sn_rank_planes, symgroup._coset_table, symgroup._sn_length_planes)
+    assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0]
+    # 8! / (4! 2! 2!) flags, not 8! permutations
+    assert sum(map(len, nilpotent._fiber_by_descents(shape).values())) == 420
 
 
 # --- Poincare polynomials -------------------------------------------------------------
@@ -257,7 +292,7 @@ def test_poincare_hessenberg_matches_per_permutation_cells():
 def test_poincare_hessenberg_builds_no_sn_table():
     tables = [
         f for name, f in vars(symgroup).items()
-        if name.startswith("_sn_") or name in ("_coset_table", "_quotient_indices")
+        if name.startswith("_sn_") or name == "_coset_table"
     ]
     for table in tables:
         table.cache_clear()
@@ -286,7 +321,7 @@ def _kernel_dims(shape, h):
 
 def test_staircase_planes_match_the_per_permutation_sweep():
     for total in range(1, 7):
-        winvs = symgroup._sn_inverse_images(total)
+        winvs = [w.inverse().images for w in enumerate_sn(total)]
         for h in hessenberg_functions(total):
             for shape in partitions(total):
                 dims = _kernel_dims(shape, h)

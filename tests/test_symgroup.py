@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hesscomb import (
     ParabolicData,
+    Partition,
     Permutation,
     bruhat_leq,
     coset_factor,
@@ -26,16 +27,15 @@ from hesscomb import (
     poincare_subgroup,
     string_decompose,
 )
+from hesscomb.hessvar import _min_rep_indices
 from hesscomb.symgroup import (
     StringDecomposition,
     _bit_indices,
     _coset_table,
     _descents,
     _length,
-    _quotient_indices,
     _rank_counts,
     _sn_images,
-    _sn_inverse_images,
     _sn_lengths,
     _sn_planes,
     _sn_rank_planes,
@@ -349,9 +349,10 @@ def test_is_min_coset_rep_is_shortest_in_coset():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_quotient_indices_are_the_min_coset_reps(n):
+    # the fiber of (1^n) is all of S_n, so its flags in W^J are W^J
     perms = list(enumerate_sn(n))
     for p in parabolics(n):
-        got = _quotient_indices(n, p.sorted_j())
+        got = _min_rep_indices(Partition((1,) * n), p)
         assert list(got) == [idx for idx, w in enumerate(perms) if is_min_coset_rep(w, p)]
         assert len(got) == math.factorial(n) // math.prod(math.factorial(m) for m in p.mu)
 
@@ -414,15 +415,6 @@ def test_sn_lengths_by_blocks_are_the_inversion_counts(n):
 def test_split_index_is_the_lexicographic_index(n):
     index = _split_index(n)
     assert [index(w) for w in _sn_images(n)] == list(range(math.factorial(n)))
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_sn_inverse_images_share_the_image_tuples(n):
-    images = _sn_images(n)
-    index = _split_index(n)
-    for w, inv in zip(images, _sn_inverse_images(n)):
-        assert Permutation(inv) == Permutation(w).inverse()
-        assert inv is images[index(inv)]
 
 
 def test_bit_indices():
