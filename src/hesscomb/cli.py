@@ -14,6 +14,7 @@ Exit statuses: 0 success, 1 domain error, a partition above MAX_DEGREE = 9
 in poincare, springer, union or components, or an unwritable --out file,
 2 usage error, 3 when verify finds a failing check, 4 internal error (two
 routes of the package disagreed); 1 and 4 print one line on stderr.
+census also prints its row count and elapsed time as one stderr line.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import json
 import pathlib
 import sys
+import time
 from collections.abc import Sequence
 
 from .components import component_candidates
@@ -199,10 +201,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_census(args: argparse.Namespace) -> tuple[str, int]:
+    start = time.perf_counter()
     rows = census(args.n, args.granularity)
-    if args.format == "json":
-        return rows_to_json(rows), 0
-    return rows_to_csv(rows, args.granularity), 0
+    output = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows, args.granularity)
+    print(f"census: {len(rows)} rows in {time.perf_counter() - start:.2f}s", file=sys.stderr)
+    return output, 0
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:

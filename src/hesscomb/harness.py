@@ -7,12 +7,11 @@ hessvar._staircase_planes, a set of permutations as one int over S_n,
 compared as a set with the cached coset and fiber tables of symgroup and
 nilpotent.  The two minimal coset checks compare one descent set per
 flag, which decides them for every J at once.  The Schubert checks walk
-the fiber by S_n index and read each flag's point, an S_n index with its
-descents, from the memo schubert._point: schubert-ideal compares the
-Bruhat lower ideal of the points, from the rank plane kernel
-schubert._lower_ideal, with the points as a set, and main-theorem counts
-the ideal of the index tops of schubert._poincare_pair.
-dim-formulas-agree walks the fiber the same way and compares the tableau
+the fiber by descent group, each group's points aligned with its flags
+(schubert._point_groups): schubert-ideal compares the Bruhat lower ideal
+of the points, from the rank plane kernel schubert._lower_ideal, with
+the points as a set, and main-theorem counts the ideal of the index tops
+of schubert._poincare_pair.  dim-formulas-agree compares the tableau
 scan, the root count table and the point's length.  A check counts
 every failure and keeps the first 1000 witnesses.  The census functions
 dump the same ground truth as flat rows for offline diffing.
@@ -29,7 +28,6 @@ import time
 from collections.abc import Callable, Iterable
 
 from .hessvar import (
-    _min_rep_indices,
     _staircase_members,
     _staircase_planes,
     h_from_parabolic,
@@ -50,7 +48,7 @@ from .nilpotent import (
 from .schubert import (
     _lower_ideal,
     _poincare_pair,
-    _point,
+    _point_groups,
     compare_with_schubert_union,
     schubert_point,
     union_hypothesis,
@@ -259,15 +257,15 @@ def _check_schubert_coset(n: int) -> tuple[int, _FailureLog]:
     """A Springer fiber flag and its Schubert point agree about minimal
     coset membership for every J: they have the same right descents."""
     images = _sn_images(n)
-    flags = ParabolicData(n, frozenset())
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
-        for idx in _min_rep_indices(shape, flags):
-            cases += 1
-            diff = _descents(images[idx]) ^ _point(shape, idx)[1]
-            if diff:
-                failures.record(shape, _least_member(n, diff), images[idx])
+        for flags, _, point_descents in _point_groups(shape, 0):
+            cases += len(flags)
+            for idx, descents in zip(flags, point_descents):
+                diff = _descents(images[idx]) ^ descents
+                if diff:
+                    failures.record(shape, _least_member(n, diff), images[idx])
     return cases, failures
 
 
@@ -282,7 +280,6 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
     image of the minimal representatives is closed downward within them.
     A failure of either closure names the missing element."""
     images = _sn_images(n)
-    flags = ParabolicData(n, frozenset())
     full = (1 << len(images)) - 1
     # ascents[i - 1]: the w with w(i) < w(i + 1); W^J is their AND over i in J
     ascents = [
@@ -295,17 +292,17 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
             continue
         points = []
         seen = bytearray(len(images))
-        for idx in _min_rep_indices(shape, flags):
-            point = _point(shape, idx)[0]
-            if seen[point]:
-                failures.record(shape, None, images[idx])
-            seen[point] = 1
-            points.append(point)
+        for flags, group_points, _ in _point_groups(shape, 0):
+            for idx, point in zip(flags, group_points):
+                if seen[point]:
+                    failures.record(shape, None, images[idx])
+                seen[point] = 1
+            points += group_points
         ideal, _ = _lower_ideal(points, n)
         cases += len(points) + ideal.bit_count()
         failures.record_set(shape, None, ideal & ~_bitset(seen[::-1], range(1, 256)), images)
         for p in parabolics(n):
-            points = [_point(shape, v)[0] for v in _min_rep_indices(shape, p)]
+            points = [point for _, group_points, _ in _point_groups(shape, p.mask) for point in group_points]
             seen = bytearray(len(images))
             for point in points:
                 seen[point] = 1
@@ -352,17 +349,17 @@ def _check_dim_formulas(n: int) -> tuple[int, _FailureLog]:
     point: the tableau scan, the per shape root count table that the
     parabolic formula reads, and the point."""
     images = _sn_images(n)
-    flags = ParabolicData(n, frozenset())
+    lengths = _sn_lengths(n)
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
         dims = _springer_dim_table(shape)
-        for idx in _min_rep_indices(shape, flags):
-            w = Permutation(images[idx])
-            vector = _row_inversion_vector(w, shape)
-            cases += 1
-            if vector is None or not sum(vector) == dims[idx] == schubert_point(w, shape).length():
-                failures.record(shape, None, images[idx])
+        for flags, points, _ in _point_groups(shape, 0):
+            cases += len(flags)
+            for idx, point in zip(flags, points):
+                vector = _row_inversion_vector(Permutation(images[idx]), shape)
+                if vector is None or not sum(vector) == dims[idx] == lengths[point]:
+                    failures.record(shape, None, images[idx])
     return cases, failures
 
 

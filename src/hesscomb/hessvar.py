@@ -196,9 +196,8 @@ def springer_min_reps(shape: Partition, p: ParabolicData) -> tuple[Permutation, 
 def _min_rep_indices(shape: Partition, p: ParabolicData) -> list[int]:
     """S_n indices of the Springer fiber flags in W^J, ascending: the
     merged descent groups of the fiber that miss J."""
-    j_mask = sum(1 << i for i in p.J)
     groups = _fiber_by_descents(shape).items()
-    return sorted(itertools.chain.from_iterable(group for descents, group in groups if not descents & j_mask))
+    return sorted(itertools.chain.from_iterable(group for descents, group in groups if not descents & p.mask))
 
 
 def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:

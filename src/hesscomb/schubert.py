@@ -9,10 +9,10 @@ Hessenberg variety has the same Poincare polynomial as the union of the
 Schubert varieties indexed by these points times the longest element of
 W_J; that comparison is packaged as a report here.
 
-Points and tops travel as S_n indices (symgroup's lexicographic tables).
-schubert_point computes one point, builds no S_n table and serves flags
-of any degree; _point keeps, per flag asked for, the point's index and
-right descents, so a query computes only the points it needs.  A top
+_string_product builds every point.  schubert_point serves one flag of
+any degree; _points holds, per descent group of the fiber walk, each
+flag's point as an S_n index (symgroup's lexicographic tables) and its
+right descents, so a query for J computes only the groups in W^J.  A top
 point * w_J is the point with each J-block of positions reversed.  A
 Bruhat lower ideal is one int over S_n (symgroup's bitsets): the OR of the
 intervals [e, w] of its maximal tops, each an AND of rank count planes.
@@ -21,13 +21,14 @@ The functions that take or return Permutations convert at the edge.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import functools
 import operator
 from collections.abc import Iterable
 
-from .hessvar import _min_rep_indices, h_from_parabolic, poincare_hessenberg
-from .nilpotent import Partition, _row_inversion_vector
+from .hessvar import h_from_parabolic, poincare_hessenberg
+from .nilpotent import Partition, _fiber_by_descents, _row_inversion_vector
 from .poly import Poly
 from .symgroup import (
     ParabolicData,
@@ -44,6 +45,16 @@ from .symgroup import (
 )
 
 
+def _string_product(lengths: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The one line array of the product of the strings s_(q-l) ... s_(q-1),
+    l = lengths[q - 2], for q = n down to 2: right multiplying by a string
+    moves the entry at position q - l to position q."""
+    images = list(range(1, n + 1))
+    for q in range(n, 1, -1):
+        images.insert(q - 1, images.pop(q - 1 - lengths[q - 2]))
+    return tuple(images)
+
+
 @functools.lru_cache(maxsize=None)
 def schubert_point(w: Permutation, shape: Partition) -> Permutation:
     """The Schubert point of a flag in the Springer fiber: the permutation
@@ -57,16 +68,25 @@ def schubert_point(w: Permutation, shape: Partition) -> Permutation:
     lengths = _row_inversion_vector(w, shape)
     if lengths is None:
         raise ValueError("flag is not in the Springer fiber")
-    n = shape.n
-    return perm_from_word([k for q in range(n, 1, -1) for k in range(q - lengths[q - 2], q)], n)
+    return Permutation(_string_product(lengths, shape.n))
 
 
 @functools.lru_cache(maxsize=None)
-def _point(shape: Partition, idx: int) -> tuple[int, int]:
-    """The Schubert point of the Springer fiber flag of S_n index idx, as
-    an S_n index, and the point's right descents as a bitmask."""
-    images = schubert_point(Permutation(_sn_images(shape.n)[idx]), shape).images
-    return _split_index(shape.n)(images), _descents(images)
+def _points(shape: Partition, descents: int) -> tuple[array.array, array.array]:
+    """The Schubert points of the fiber flags with right descents
+    `descents`, aligned with that group of _fiber_by_descents: each as an
+    S_n index, and each point's right descents as a bitmask."""
+    images = _sn_images(shape.n)
+    group = _fiber_by_descents(shape)[descents]
+    points = [_string_product(_row_inversion_vector(Permutation(images[idx]), shape), shape.n) for idx in group]
+    return array.array("I", map(_split_index(shape.n), points)), array.array("I", map(_descents, points))
+
+
+def _point_groups(shape: Partition, j_mask: int) -> list[tuple[array.array, array.array, array.array]]:
+    """Per descent group of the fiber that misses j_mask, the flags in W^J:
+    the flags as S_n indices, their points and the points' descents."""
+    groups = _fiber_by_descents(shape).items()
+    return [(flags, *_points(shape, descents)) for descents, flags in groups if not descents & j_mask]
 
 
 def _lower_ideal(tops: Iterable[int], n: int) -> tuple[int, list[int]]:
@@ -79,16 +99,20 @@ def _lower_ideal(tops: Iterable[int], n: int) -> tuple[int, list[int]]:
     images = _sn_images(n)
     planes = _sn_rank_planes(n)
     full = (1 << len(images)) - 1
+    size = (len(images) + 7) // 8
     ideal = 0
+    # bit idx of the ideal is bit idx & 7 of byte idx >> 3; a shift would copy the int
+    view = ideal.to_bytes(size, "little")
     maximal: list[int] = []
     for idx in sorted(set(tops), key=_sn_lengths(n).__getitem__, reverse=True):
-        if ideal >> idx & 1:
+        if view[idx >> 3] >> (idx & 7) & 1:
             continue
         below = full
         for row, count in zip(planes, _rank_counts(images[idx])):
             if count < len(row):
                 below &= row[count]
         ideal |= below
+        view = ideal.to_bytes(size, "little")
         maximal.append(idx)
     return ideal, maximal
 
@@ -142,16 +166,16 @@ def _union_tops(shape: Partition, p: ParabolicData) -> dict[int, int]:
     if p.n != shape.n:
         raise ValueError("degree mismatch")
     images = _sn_images(shape.n)
-    j_mask = sum(1 << i for i in p.J)
+    j_mask = p.mask
     points = {}
-    for v in _min_rep_indices(shape, p):
-        point, descents = _point(shape, v)
-        # l(point w_J) = l(point) + l(w_J) exactly when point lies in W^J
-        if descents & j_mask:
-            raise RuntimeError(
-                f"product not reduced for v={Permutation(images[v])}: point {Permutation(images[point])}"
-            )
-        points[v] = point
+    for flags, group_points, point_descents in _point_groups(shape, j_mask):
+        for v, point, descents in zip(flags, group_points, point_descents):
+            # l(point w_J) = l(point) + l(w_J) exactly when point lies in W^J
+            if descents & j_mask:
+                raise RuntimeError(
+                    f"product not reduced for v={Permutation(images[v])}: point {Permutation(images[point])}"
+                )
+            points[v] = point
     if not p.J:
         return points
     # (point w_J)(x) = point(w_J(x)): the point with each block of positions reversed

@@ -229,6 +229,11 @@ class ParabolicData:
         """Block sizes, the composition of n determined by J."""
         return tuple(len(block) for block in self.blocks)
 
+    @functools.cached_property
+    def mask(self) -> int:
+        """J as a bitmask, bit i for each i in J, as _descents writes sets."""
+        return sum(1 << i for i in self.J)
+
     def sorted_j(self) -> tuple[int, ...]:
         return tuple(sorted(self.J))
 
@@ -278,7 +283,7 @@ def is_min_coset_rep(w: Permutation, p: ParabolicData) -> bool:
     """
     if w.n != p.n:
         raise ValueError("degree mismatch")
-    return not _descents(w.images) & sum(1 << i for i in p.J)
+    return not _descents(w.images) & p.mask
 
 
 def _descents(images: Sequence[int]) -> int:
@@ -370,7 +375,7 @@ def is_min_coset_rep_strings(strings: StringDecomposition, p: ParabolicData) -> 
     """
     if strings.n != p.n:
         raise ValueError("degree mismatch")
-    return not _string_ascents(strings) & sum(1 << i for i in p.J)
+    return not _string_ascents(strings) & p.mask
 
 
 def _string_ascents(strings: StringDecomposition) -> int:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import pytest
 
-from hesscomb import census, cli, rows_to_csv, schubert, symgroup
+from hesscomb import Partition, census, cli, rows_to_csv, schubert, symgroup
 from hesscomb.cli import main
 
 
@@ -60,7 +61,7 @@ def test_poincare_accepts_nonparabolic_hessenberg(capsys):
         capsys, "poincare", "--partition", "1,1,1", "--hessenberg", "2,3,3"
     )
     assert status == 0
-    from hesscomb import HessenbergFunction, Partition, poincare_hessenberg
+    from hesscomb import HessenbergFunction, poincare_hessenberg
 
     expected = poincare_hessenberg(Partition((1, 1, 1)), HessenbergFunction((2, 3, 3)))
     assert out == str(expected) + "\n"
@@ -263,14 +264,19 @@ def test_union_at_degree_nine(capsys):
 
 
 def test_union_computes_only_the_points_it_needs(capsys):
-    # W^J = {e} for J = {1..8}, so one Schubert point of the 9! flags
-    schubert._point.cache_clear()
+    # W^J = {e} for J = {1..8}: of the 2^8 descent groups of the 9! flags,
+    # only the one without descents misses J, and it holds e alone
+    schubert._points.cache_clear()
     status, out, _ = run(
         capsys, "union", "--partition", "1,1,1,1,1,1,1,1,1", "--parabolic", "1,2,3,4,5,6,7,8", "--format", "json"
     )
     assert status == 0
     assert json.loads(out)["tops"] == [[9, 8, 7, 6, 5, 4, 3, 2, 1]]
-    assert schubert._point.cache_info().currsize == 1
+    assert schubert._points.cache_info().currsize == 1
+    hits = schubert._points.cache_info().hits
+    points, _ = schubert._points(Partition((1,) * 9), 0)
+    assert schubert._points.cache_info().hits == hits + 1
+    assert list(points) == [0]
 
 
 def test_union_rejects_nonparabolic_h(capsys):
@@ -434,13 +440,14 @@ def test_internal_error_is_status_4(monkeypatch, capsys):
 
 
 def test_union_point_outside_quotient_is_status_4(monkeypatch, capsys):
-    point = schubert._point
+    points = schubert._points
 
-    def reversed_point(shape, idx):
-        images = symgroup._sn_images(shape.n)[point(shape, idx)[0]][::-1]
-        return symgroup._split_index(shape.n)(images), symgroup._descents(images)
+    def reversed_points(shape, descents):
+        images = symgroup._sn_images(shape.n)
+        flipped = [images[point][::-1] for point in points(shape, descents)[0]]
+        return [symgroup._split_index(shape.n)(w) for w in flipped], [symgroup._descents(w) for w in flipped]
 
-    monkeypatch.setattr(schubert, "_point", reversed_point)
+    monkeypatch.setattr(schubert, "_points", reversed_points)
     status, out, err = run(capsys, "union", "--partition", "2,1,1", "--parabolic", "1,3")
     assert status == 4
     assert out == ""
@@ -463,6 +470,14 @@ def test_census_cells_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "lambda,J,w,v,y,dim,springer,schubert_point"
     assert '"2,2","1,3","2,4,1,3","2,4,1,3","1,2,3,4",2,true,"1,4,2,3"' in lines
+
+
+def test_census_reports_rows_and_time_on_stderr(capsys):
+    status, out, err = run(capsys, "census", "--n", "3", "--granularity", "cells")
+    assert status == 0
+    assert out == rows_to_csv(census(3, "cells"), "cells")
+    rows = len(out.splitlines()) - 1
+    assert re.fullmatch(rf"census: {rows} rows in \d+\.\d\ds\n", err)
 
 
 def test_census_json(capsys):

@@ -173,14 +173,26 @@ def _reps_without_identity(reps):
     return lambda shape, p: reps(shape, p)[1:]
 
 
-def _reversed_point(point):
-    """The memo route with each point's one line array reversed."""
+def _moved_points(move):
+    """A wrong version of the group route schubert._points: each point's one
+    line array passed through move, its index and descents read again."""
 
-    def wrong(shape, idx):
-        images = symgroup._sn_images(shape.n)[point(shape, idx)[0]][::-1]
-        return symgroup._split_index(shape.n)(images), symgroup._descents(images)
+    def wrong_route(points):
+        def wrong(shape, descents):
+            images = symgroup._sn_images(shape.n)
+            moved = [move(images[point]) for point in points(shape, descents)[0]]
+            return [symgroup._split_index(shape.n)(w) for w in moved], [symgroup._descents(w) for w in moved]
 
-    return wrong
+        return wrong
+
+    return wrong_route
+
+
+def _points_without_identity(points):
+    # the identity, index 0, heads the descent free group and is its own
+    # point, the lowest one, so dropping it opens a hole in the ideal of
+    # any other points
+    return lambda shape, descents: tuple(column[1:] if descents == 0 else column for column in points(shape, descents))
 
 
 # check id -> (module, name, wrong version of the named route)
@@ -194,9 +206,8 @@ WRONG_ROUTES = {
     ),
     # flip bit 1 of the string ascents, inside 1..n-1 from n = 2 on
     "strings-coset": (harness, "_string_ascents", lambda ascents: lambda s: ascents(s) ^ 2),
-    "schubert-coset": (harness, "_point", _reversed_point),
-    # the identity is the lowest point, so dropping it opens a hole in the ideal
-    "schubert-ideal": (harness, "_min_rep_indices", _reps_without_identity),
+    "schubert-coset": (schubert, "_points", _moved_points(lambda w: w[::-1])),
+    "schubert-ideal": (schubert, "_points", _points_without_identity),
     "main-theorem": (hessvar, "_staircase_planes", _off_by_one),
     "phi-V-equivalence": (
         harness,
@@ -222,10 +233,10 @@ def test_each_check_fails_when_one_route_is_wrong(check_id, clean_caches, monkey
 
 
 def test_dim_formulas_fail_when_the_schubert_point_is_one_too_long(clean_caches, monkeypatch):
-    point = harness.schubert_point
-    s_1 = Permutation((2, 1, 3, 4))
-    # every n = 4 point has a right ascent or descent at 1, so its length moves by one
-    monkeypatch.setattr(harness, "schubert_point", lambda w, shape: point(w, shape) * s_1)
+    # point * s_1: every n = 4 point has a right ascent or descent at 1, so
+    # its length moves by one
+    wrong = _moved_points(lambda w: (w[1], w[0]) + w[2:])
+    monkeypatch.setattr(schubert, "_points", wrong(schubert._points))
     cases, failures = harness.CHECKS["dim-formulas-agree"](4)
     assert failures.total == cases > 0
 
@@ -283,10 +294,12 @@ def test_coset_checks_witness_a_one_element_j(check_id, clean_caches, monkeypatc
             for w in symgroup._sn_images(4)
         ]
     else:
+        # the witnesses of a shape come by descent group, then by flag index
         sets = [
-            (symgroup._sn_images(4)[idx], harness._point(shape, idx)[1])
+            (symgroup._sn_images(4)[idx], descents)
             for shape in nilpotent.partitions(4)
-            for idx in hessvar._min_rep_indices(shape, ParabolicData(4, frozenset()))
+            for flags, _, point_descents in schubert._point_groups(shape, 0)
+            for idx, descents in zip(flags, point_descents)
         ]
     expected = _descent_mismatches(4, sets)
     assert report.failures_total == len(expected) > 0
@@ -347,17 +360,22 @@ def test_each_check_fails_without_the_identity_in_the_quotient(
 
 def test_schubert_ideal_names_the_missing_element(clean_caches, monkeypatch):
     # without the identity flag the image loses its bottom, the identity, in
-    # the closure of the whole fiber and in that of W^J for J empty
-    reps = harness._min_rep_indices
-    monkeypatch.setattr(harness, "_min_rep_indices", lambda shape, p: reps(shape, p)[bool(not p.J) :])
+    # the closure of the whole fiber and in that of every W^J that holds
+    # another flag
+    monkeypatch.setattr(schubert, "_points", _points_without_identity(schubert._points))
     report = run_checks(4, checks=["schubert-ideal"])[-1]
-    # every shape of degree 4 is in the hypothesis; only (4) has a one flag fiber
-    assert [(f.shape, f.j, f.witness) for f in report.failures] == [
-        (shape.parts, j, "1,2,3,4")
-        for shape in nilpotent.partitions(4)
-        if shape.parts != (4,)
-        for j in (None, ())
-    ]
+    # every shape of degree 4 is in the hypothesis
+    expected = []
+    for shape in nilpotent.partitions(4):
+        if len(hessvar._min_rep_indices(shape, ParabolicData(4, frozenset()))) > 1:
+            expected.append((shape.parts, None, "1,2,3,4"))
+        expected += [
+            (shape.parts, p.sorted_j(), "1,2,3,4")
+            for p in symgroup.parabolics(4)
+            if len(hessvar._min_rep_indices(shape, p)) > 1
+        ]
+    assert len(expected) > 8
+    assert [(f.shape, f.j, f.witness) for f in report.failures] == expected
 
 
 # --- Census ---------------------------------------------------------------------

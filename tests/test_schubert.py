@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +35,8 @@ from hesscomb import (
     string_decompose,
     union_hypothesis,
 )
-from hesscomb.nilpotent import _row_inversion_vector
-from hesscomb.schubert import _lower_ideal, _union_tops
+from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
+from hesscomb.schubert import _lower_ideal, _points, _union_tops
 from hesscomb.symgroup import _bit_indices, _sn_images, _split_index
 
 from conftest import bruhat_leq_subword, permutations_of, subword_ideal
@@ -94,6 +95,22 @@ def test_schubert_point_length_is_cell_dim():
 def test_schubert_point_outside_fiber():
     with pytest.raises(ValueError, match="not in the Springer fiber"):
         schubert_point(Permutation((3, 2, 1, 4)), Partition((2, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_group_points_match_schubert_point_flag_by_flag(n):
+    images = _sn_images(n)
+    for shape in partitions(n):
+        for descents, flags in _fiber_by_descents(shape).items():
+            points, point_descents = _points(shape, descents)
+            assert len(points) == len(point_descents) == len(flags)
+            for idx, point, point_set in zip(flags, points, point_descents):
+                w = Permutation(images[idx])
+                lengths = _row_inversion_vector(w, shape)
+                # the strings multiplied out letter by letter, highest first
+                word = [k for q in range(n, 1, -1) for k in range(q - lengths[q - 2], q)]
+                assert images[point] == schubert_point(w, shape).images == perm_from_word(word, n).images
+                assert point_set == sum(1 << i for i in range(1, n) if images[point][i - 1] > images[point][i])
 
 
 # --- Bruhat lower ideals --------------------------------------------------------
@@ -225,6 +242,25 @@ def test_lower_ideal_matches_subword_ideal_and_pairwise_maximality(case):
     dominated = {u for u in tops for w in tops if u != w and bruhat_leq_subword(u, w)}
     assert sorted(maximal) == sorted(set(tops) - dominated)
     assert [top.length() for top in maximal] == sorted((top.length() for top in maximal), reverse=True)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lower_ideal_byte_view_matches_bruhat_leq_closure(n):
+    # at n = 1, 2 and 3 the n! bits fill only part of the view's one byte
+    rng = random.Random(n)
+    perms = list(enumerate_sn(n))
+    index = _split_index(n)
+    for _ in range(12):
+        tops = rng.sample(perms, rng.randint(1, min(len(perms), 4)))
+        # e and w0 hold the first and the last bit of the view
+        tops += rng.choice([[], [perms[0]], [perms[-1]]])
+        # tops below a longer top, which the view must skip
+        tops += rng.sample([u for u in perms if bruhat_leq(u, tops[0])], 1)
+        ideal, maximal = _lower_ideal([index(top.images) for top in tops], n)
+        expected = {u.images for u in perms if any(bruhat_leq(u, top) for top in tops)}
+        assert {_sn_images(n)[idx] for idx in _bit_indices(ideal)} == expected
+        above = {u for u in tops for w in tops if u != w and bruhat_leq(u, w)}
+        assert sorted(maximal) == sorted(index(top.images) for top in set(tops) - above)
 
 
 # --- Union of Schubert varieties ---------------------------------------------------
