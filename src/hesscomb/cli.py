@@ -34,11 +34,10 @@ from .hessvar import (
     is_parabolic_function,
     parabolic_from_h,
     poincare_hessenberg,
-    springer_min_reps,
 )
-from .nilpotent import Partition, springer_cell_dim, springer_tableau
-from .schubert import compare_with_schubert_union, schubert_point
-from .symgroup import MAX_DEGREE, ParabolicData, Permutation, perm_from_word, string_decompose
+from .nilpotent import Partition, _springer_dim_table, springer_tableau
+from .schubert import _point_groups, compare_with_schubert_union, schubert_point
+from .symgroup import MAX_DEGREE, ParabolicData, Permutation, _sn_images, _sn_lengths, perm_from_word, string_decompose
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -104,14 +103,18 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
     poly = poincare_hessenberg(shape, HessenbergFunction.identity(shape.n))
     if args.format == "text":
         return str(poly) + "\n", 0
-    cells = [
-        {
-            "w": w.one_line(),
-            "dim": springer_cell_dim(w, shape),
-            "schubert_point": schubert_point(w, shape).one_line(),
-        }
-        for w in springer_min_reps(shape, ParabolicData(shape.n, frozenset()))
-    ]
+    images = _sn_images(shape.n)
+    lengths = _sn_lengths(shape.n)
+    dims = _springer_dim_table(shape)
+    cells = []
+    # one tableau scan per flag, in its point; the rows go out in lexicographic order of w
+    for idx, point in sorted(pair for flags, points, _ in _point_groups(shape, 0) for pair in zip(flags, points)):
+        w, by_rows = Permutation(images[idx]).one_line(), lengths[point]
+        if by_rows != dims[idx]:
+            raise RuntimeError(
+                f"dimension formulas disagree for w={w}, shape={shape}: {by_rows} by rows, {dims[idx]} by roots"
+            )
+        cells.append({"w": w, "dim": by_rows, "schubert_point": Permutation(images[point]).one_line()})
     if args.format == "json":
         payload = {
             "lambda": list(shape.parts),

@@ -10,9 +10,11 @@ flag, which decides them for every J at once.  The Schubert checks walk
 the fiber by descent group, each group's points aligned with its flags
 (schubert._point_groups): schubert-ideal compares the Bruhat lower ideal
 of the points, from the rank plane kernel schubert._lower_ideal, with
-the points as a set, and main-theorem counts the ideal of the index tops
-of schubert._poincare_pair.  dim-formulas-agree compares the tableau
-scan, the root count table and the point's length.  A check counts
+the points as a set, and main-theorem counts the ideal that the same
+kernel builds from the maximal points of each descent group in W^J and
+the blocks of J (schubert._poincare_pair), ranking only the maximal tops.
+dim-formulas-agree compares the tableau scan of each flag's one line
+array, the root count table and the point's length.  A check counts
 every failure and keeps the first 1000 witnesses.  The census functions
 dump the same ground truth as flat rows for offline diffing.
 """
@@ -323,7 +325,7 @@ def _check_main_theorem(n: int) -> tuple[int, _FailureLog]:
     for shape in partitions(n):
         in_hypothesis = union_hypothesis(shape)
         for p in parabolics(n):
-            swept, union, _ = _poincare_pair(shape, p)
+            swept, union = _poincare_pair(shape, p)
             cases += 1
             if in_hypothesis and swept != union:
                 failures.record(shape, p, None)
@@ -357,7 +359,7 @@ def _check_dim_formulas(n: int) -> tuple[int, _FailureLog]:
         for flags, points, _ in _point_groups(shape, 0):
             cases += len(flags)
             for idx, point in zip(flags, points):
-                vector = _row_inversion_vector(Permutation(images[idx]), shape)
+                vector = _row_inversion_vector(images[idx], shape)
                 if vector is None or not sum(vector) == dims[idx] == lengths[point]:
                     failures.record(shape, None, images[idx])
     return cases, failures

@@ -190,14 +190,14 @@ def springer_min_reps(shape: Partition, p: ParabolicData) -> tuple[Permutation, 
     if p.n != shape.n:
         raise ValueError("degree mismatch")
     images = _sn_images(shape.n)
-    return tuple(Permutation(images[idx]) for idx in _min_rep_indices(shape, p))
+    return tuple(Permutation(images[idx]) for idx in sorted(_min_rep_indices(shape, p)))
 
 
 def _min_rep_indices(shape: Partition, p: ParabolicData) -> list[int]:
-    """S_n indices of the Springer fiber flags in W^J, ascending: the
-    merged descent groups of the fiber that miss J."""
+    """S_n indices of the Springer fiber flags in W^J: the descent groups
+    of the fiber walk that miss J, in walk order, so the identity first."""
     groups = _fiber_by_descents(shape).items()
-    return sorted(itertools.chain.from_iterable(group for descents, group in groups if not descents & p.mask))
+    return list(itertools.chain.from_iterable(group for descents, group in groups if not descents & p.mask))
 
 
 def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:

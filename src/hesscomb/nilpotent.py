@@ -26,7 +26,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .rootsys import RootSet, is_positive, positive_roots, root_dominates
 from .symgroup import (
@@ -280,7 +280,7 @@ def springer_contains(w: Permutation, shape: Partition) -> bool:
     also to w^(-1) keeping every root of the nilpotent positive; the test
     suite checks the two readings against each other.
     """
-    return _row_inversion_vector(w, shape) is not None
+    return _row_inversion_vector(w.images, shape) is not None
 
 
 def row_inversions(tableau: Tableau, q: int) -> int:
@@ -307,22 +307,23 @@ def row_inversions(tableau: Tableau, q: int) -> int:
     return same_above + longer
 
 
-def _row_inversion_vector(w: Permutation, shape: Partition) -> tuple[int, ...] | None:
+def _row_inversion_vector(images: Sequence[int], shape: Partition) -> tuple[int, ...] | None:
     """(l_1, ..., l_(n-1)) where l_(q-1) = row_inversions(T, q), T the
-    Springer tableau of w, or None when T is not row strict.
+    Springer tableau of the permutation w with one line array images, or
+    None when T is not row strict.
 
     Value q sits in the box of label w(q), so T is row strict exactly when
     each row fills left to right as q goes up: one scan of w's one line
     array reads membership and the vector together.
     """
-    if w.n != shape.n:
+    if len(images) != shape.n:
         raise ValueError("degree mismatch")
     boxes = base_filling(shape).boxes
     lens = [0] * (shape.num_rows + 1)
     # at_least[k]: the rows of length k or more so far
     at_least = [0] * (shape.num_cols + 2)
     out = []
-    for label in w.images:
+    for label in images:
         home, mine = boxes[label]
         if mine != lens[home] + 1:
             return None
@@ -343,7 +344,7 @@ def springer_cell_dim(w: Permutation, shape: Partition) -> int:
     >>> springer_cell_dim(Permutation((2, 4, 1, 3)), Partition((2, 2)))
     2
     """
-    vector = _row_inversion_vector(w, shape)
+    vector = _row_inversion_vector(w.images, shape)
     if vector is None:
         raise ValueError("flag is not in the Springer fiber")
     by_rows = sum(vector)

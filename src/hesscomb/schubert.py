@@ -16,7 +16,11 @@ right descents, so a query for J computes only the groups in W^J.  A top
 point * w_J is the point with each J-block of positions reversed.  A
 Bruhat lower ideal is one int over S_n (symgroup's bitsets): the OR of the
 intervals [e, w] of its maximal tops, each an AND of rank count planes.
-The functions that take or return Permutations convert at the edge.
+The union's ideal is built from its points in W^J, which order their
+tops as the tops order themselves, so it reads only the maximal points of
+each descent group and forms only the maximal tops; every top is ranked
+only where it is listed (_union_tops).  The functions that take or return
+Permutations convert at the edge.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from __future__ import annotations
 import array
 import dataclasses
 import functools
+import itertools
 import operator
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .hessvar import h_from_parabolic, poincare_hessenberg
 from .nilpotent import Partition, _fiber_by_descents, _row_inversion_vector
@@ -65,7 +70,7 @@ def schubert_point(w: Permutation, shape: Partition) -> Permutation:
     >>> schubert_point(Permutation((3, 4, 1, 2)), Partition((2, 1, 1))).images
     (1, 4, 2, 3)
     """
-    lengths = _row_inversion_vector(w, shape)
+    lengths = _row_inversion_vector(w.images, shape)
     if lengths is None:
         raise ValueError("flag is not in the Springer fiber")
     return Permutation(_string_product(lengths, shape.n))
@@ -78,7 +83,7 @@ def _points(shape: Partition, descents: int) -> tuple[array.array, array.array]:
     S_n index, and each point's right descents as a bitmask."""
     images = _sn_images(shape.n)
     group = _fiber_by_descents(shape)[descents]
-    points = [_string_product(_row_inversion_vector(Permutation(images[idx]), shape), shape.n) for idx in group]
+    points = [_string_product(_row_inversion_vector(images[idx], shape), shape.n) for idx in group]
     return array.array("I", map(_split_index(shape.n), points)), array.array("I", map(_descents, points))
 
 
@@ -89,26 +94,42 @@ def _point_groups(shape: Partition, j_mask: int) -> list[tuple[array.array, arra
     return [(flags, *_points(shape, descents)) for descents, flags in groups if not descents & j_mask]
 
 
-def _lower_ideal(tops: Iterable[int], n: int) -> tuple[int, list[int]]:
-    """The Bruhat lower ideal of tops, given as S_n indices, as one int over
-    S_n, and the maximal tops, longest first.
+def _times_w_j(blocks: Iterable[tuple[int, ...]]) -> Callable[[tuple[int, ...]], tuple[int, ...]] | None:
+    """Right multiplication by w_J on one line arrays, J given by its blocks:
+    (x w_J)(i) = x(w_J(i)), each block of positions reversed.  None when
+    every block is one position, so w_J = e."""
+    order = [pos - 1 for block in blocks for pos in reversed(block)]
+    return None if order == sorted(order) else operator.itemgetter(*order)
 
-    A top whose bit is already set lies below a longer top, and distinct
-    tops of equal length are incomparable, so every other top is maximal.
+
+def _lower_ideal(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]] = ()) -> tuple[int, list[int]]:
+    """The Bruhat lower ideal of the tops point * w_J (the points themselves
+    without blocks), J given by its blocks and the points, in W^J, by S_n
+    index, as one int over S_n, and the points of the maximal tops, longest
+    first.
+
+    For u, v in W^J, u <= v w_J exactly when u <= v (projection to W^J
+    preserves Bruhat order, and v <= v w_J), so a top lies in the ideal
+    exactly when its point does.  A point whose bit is already set has its
+    top below a longer top, and distinct tops of equal length are
+    incomparable, so only the top of every other point is built and ranked.
     """
     images = _sn_images(n)
     planes = _sn_rank_planes(n)
     full = (1 << len(images)) - 1
     size = (len(images) + 7) // 8
+    times_w_j = _times_w_j(blocks)
     ideal = 0
     # bit idx of the ideal is bit idx & 7 of byte idx >> 3; a shift would copy the int
     view = ideal.to_bytes(size, "little")
     maximal: list[int] = []
-    for idx in sorted(set(tops), key=_sn_lengths(n).__getitem__, reverse=True):
+    # l(point w_J) = l(point) + l(w_J); a repeated point finds its bit set
+    for idx in sorted(points, key=_sn_lengths(n).__getitem__, reverse=True):
         if view[idx >> 3] >> (idx & 7) & 1:
             continue
+        top = images[idx] if times_w_j is None else times_w_j(images[idx])
         below = full
-        for row, count in zip(planes, _rank_counts(images[idx])):
+        for row, count in zip(planes, _rank_counts(top)):
             if count < len(row):
                 below &= row[count]
         ideal |= below
@@ -150,38 +171,51 @@ def poincare_schubert_union(tops: Iterable[Permutation], n: int) -> Poly:
     return _union_poly(_indices(tops, n), n)
 
 
-def _union_poly(tops: Iterable[int], n: int) -> Poly:
-    """poincare_schubert_union of tops given as S_n indices."""
-    ideal, _ = _lower_ideal(tops, n)
+def _union_poly(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]] = ()) -> Poly:
+    """poincare_schubert_union of the tops of _lower_ideal(points, n, blocks)."""
+    ideal, _ = _lower_ideal(points, n, blocks)
     return Poly(tuple((ideal & plane).bit_count() for plane in _sn_length_planes(n)))
 
 
-def _union_tops(shape: Partition, p: ParabolicData) -> dict[int, int]:
-    """Per v in springer_min_reps, by S_n index, the S_n index of v_T w_J.
-
-    Each product is length additive because the Schubert point of a
-    minimal coset representative is again one; a point with a descent in J
-    is an internal error.
-    """
+def _quotient_points(shape: Partition, p: ParabolicData) -> dict[int, tuple[array.array, array.array]]:
+    """Per descent set of the fiber walk that misses J, the flags v in
+    springer_min_reps with those descents and their points, as S_n indices.
+    Each v_T w_J is length additive because the Schubert point of a minimal
+    coset representative is again one; a point with a descent in J is an
+    internal error."""
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    images = _sn_images(shape.n)
     j_mask = p.mask
-    points = {}
-    for flags, group_points, point_descents in _point_groups(shape, j_mask):
-        for v, point, descents in zip(flags, group_points, point_descents):
-            # l(point w_J) = l(point) + l(w_J) exactly when point lies in W^J
-            if descents & j_mask:
-                raise RuntimeError(
-                    f"product not reduced for v={Permutation(images[v])}: point {Permutation(images[point])}"
-                )
-            points[v] = point
-    if not p.J:
-        return points
-    # (point w_J)(x) = point(w_J(x)): the point with each block of positions reversed
-    reverse = operator.itemgetter(*(pos - 1 for block in p.blocks for pos in reversed(block)))
+    out = {}
+    for descents, flags in _fiber_by_descents(shape).items():
+        if descents & j_mask:
+            continue
+        points, point_descents = _points(shape, descents)
+        # l(point w_J) = l(point) + l(w_J) exactly when point lies in W^J
+        if any(map(j_mask.__and__, point_descents)):
+            images = _sn_images(shape.n)
+            v, point = next((v, pt) for v, pt, d in zip(flags, points, point_descents) if d & j_mask)
+            raise RuntimeError(f"product not reduced for v={Permutation(images[v])}: point {Permutation(images[point])}")
+        out[descents] = flags, points
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _group_maxima(shape: Partition, descents: int) -> list[int]:
+    """The points of one descent group of _points that lie below no other
+    point of the group in Bruhat order."""
+    return _lower_ideal(_points(shape, descents)[0], shape.n)[1]
+
+
+def _union_tops(shape: Partition, p: ParabolicData) -> dict[int, int]:
+    """Per v in springer_min_reps, by S_n index, the S_n index of v_T w_J."""
+    images = _sn_images(shape.n)
+    pairs = ((v, point) for flags, points in _quotient_points(shape, p).values() for v, point in zip(flags, points))
+    times_w_j = _times_w_j(p.blocks)
+    if times_w_j is None:
+        return dict(pairs)
     index = _split_index(shape.n)
-    return {v: index(reverse(images[point])) for v, point in points.items()}
+    return {v: index(times_w_j(images[point])) for v, point in pairs}
 
 
 def schubert_union_tops(shape: Partition, p: ParabolicData) -> tuple[Permutation, ...]:
@@ -224,11 +258,13 @@ class UnionComparison:
         }
 
 
-def _poincare_pair(shape: Partition, p: ParabolicData) -> tuple[Poly, Poly, list[int]]:
-    """The Hessenberg Poincare polynomial of (shape, J), that of its
-    Schubert union, and the union's distinct tops as sorted S_n indices."""
-    tops = sorted(set(_union_tops(shape, p).values()))
-    return poincare_hessenberg(shape, h_from_parabolic(p)), _union_poly(tops, shape.n), tops
+def _poincare_pair(shape: Partition, p: ParabolicData) -> tuple[Poly, Poly]:
+    """The Hessenberg Poincare polynomial of (shape, J) and that of its
+    Schubert union.  A point below another of its descent group stays below
+    it times w_J, both in W^J, so the groups' maximal points bound the union."""
+    groups = _quotient_points(shape, p)
+    points = itertools.chain.from_iterable(_group_maxima(shape, descents) for descents in groups)
+    return poincare_hessenberg(shape, h_from_parabolic(p)), _union_poly(points, shape.n, p.blocks)
 
 
 def compare_with_schubert_union(shape: Partition, p: ParabolicData) -> UnionComparison:
@@ -239,8 +275,7 @@ def compare_with_schubert_union(shape: Partition, p: ParabolicData) -> UnionComp
     """
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    hess, union, tops = _poincare_pair(shape, p)
-    images = _sn_images(shape.n)
+    hess, union = _poincare_pair(shape, p)
     return UnionComparison(
         shape=shape,
         parabolic=p,
@@ -248,5 +283,5 @@ def compare_with_schubert_union(shape: Partition, p: ParabolicData) -> UnionComp
         schubert_union_poly=union,
         equal=hess == union,
         in_hypothesis=union_hypothesis(shape),
-        tops=tuple(Permutation(images[idx]) for idx in tops),
+        tops=schubert_union_tops(shape, p),
     )

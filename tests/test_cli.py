@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import time
 
 import pytest
 
-from hesscomb import Partition, census, cli, rows_to_csv, schubert, symgroup
+from hesscomb import Partition, census, cli, nilpotent, rows_to_csv, schubert, symgroup
 from hesscomb.cli import main
 
 
@@ -130,10 +131,10 @@ def test_springer_text_builds_no_cell_row(capsys, monkeypatch):
     calls = []
 
     def counted(name):
-        return lambda w, shape: calls.append(name)
+        return lambda *args: calls.append(name)
 
-    monkeypatch.setattr(cli, "springer_cell_dim", counted("springer_cell_dim"))
-    monkeypatch.setattr(cli, "schubert_point", counted("schubert_point"))
+    monkeypatch.setattr(cli, "_point_groups", counted("_point_groups"))
+    monkeypatch.setattr(cli, "_springer_dim_table", counted("_springer_dim_table"))
     status, out, _ = run(capsys, "springer", "--partition", "2,1,1", "--format", "text")
     assert status == 0
     assert out == "1 + 3t + 5t^2 + 3t^3\n"
@@ -156,6 +157,25 @@ def test_springer_json(capsys):
     assert payload["lambda"] == [2, 1, 1]
     assert sum(payload["poincare"]) == len(payload["cells"]) == 12
     assert payload["cells"][0] == {"w": "1,2,3,4", "dim": 0, "schubert_point": "1,2,3,4"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_springer_scans_each_tableau_once(fmt, capsys, monkeypatch):
+    calls = []
+    for module in (nilpotent, schubert):
+        scan = module._row_inversion_vector
+        monkeypatch.setattr(
+            module, "_row_inversion_vector", lambda images, shape, scan=scan: calls.append(images) or scan(images, shape)
+        )
+    caches = (schubert._points, schubert.schubert_point)
+    for cache in caches:
+        cache.cache_clear()
+    status, out, _ = run(capsys, "springer", "--partition", "4,2,2", "--format", fmt)
+    for cache in caches:
+        cache.cache_clear()
+    assert status == 0
+    # 8! / (4! 2! 2!) fiber flags, each scanned once
+    assert len(calls) == len(set(calls)) == 420
 
 
 # --- schubert-point ---------------------------------------------------------------
@@ -429,14 +449,13 @@ def test_degree_limit_admits_nine(capsys):
 
 
 def test_internal_error_is_status_4(monkeypatch, capsys):
-    def disagree(w, shape):
-        raise RuntimeError(f"dimension formulas disagree for w={w.one_line()}")
-
-    monkeypatch.setattr(cli, "springer_cell_dim", disagree)
+    # the root count one too high for every flag; the fiber of (2) is the identity
+    dims = cli._springer_dim_table
+    monkeypatch.setattr(cli, "_springer_dim_table", lambda shape: tuple(d + 1 for d in dims(shape)))
     status, out, err = run(capsys, "springer", "--partition", "2", "--format", "csv")
     assert status == 4
     assert out == ""
-    assert err == "internal error: dimension formulas disagree for w=1,2\n"
+    assert err == "internal error: dimension formulas disagree for w=1,2, shape=2: 0 by rows, 1 by roots\n"
 
 
 def test_union_point_outside_quotient_is_status_4(monkeypatch, capsys):
@@ -488,6 +507,14 @@ def test_census_json(capsys):
     payload = json.loads(out)
     assert len(payload) == 2 * 2  # p(2) = 2 shapes, 2 subsets
     assert payload[0]["lambda"] == [2]
+
+
+def test_census_summaries_n6_matches_pinned_digest(capsys):
+    # both polynomials of all 11 * 32 (shape, J) pairs of degree 6
+    status, out, _ = run(capsys, "census", "--n", "6", "--granularity", "summaries", "--format", "csv")
+    assert status == 0
+    assert len(out.splitlines()) == 1 + 352
+    assert hashlib.sha256(out.encode()).hexdigest() == "9b10e060019da9ef760d916573b6386a7860bb16de7c8268083455477888de63"
 
 
 # --- --out ----------------------------------------------------------------------------

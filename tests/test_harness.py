@@ -272,6 +272,21 @@ def test_schubert_checks_build_no_inverse(clean_caches, monkeypatch):
     assert calls == []
 
 
+def test_schubert_checks_build_no_permutation(clean_caches, monkeypatch):
+    # the points, the tableau scan and the descents all read one line arrays
+    calls = []
+    post_init = Permutation.__post_init__
+
+    def counted(w):
+        calls.append(w.images)
+        post_init(w)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    reports = run_checks(5, ["schubert-coset", "dim-formulas-agree"])
+    assert all(r.passed for r in reports)
+    assert calls == []
+
+
 def _descent_mismatches(n, flags_and_sets):
     """Flags whose right descents differ from the given set, with the least
     member of the difference."""
@@ -356,6 +371,20 @@ def test_each_check_fails_without_the_identity_in_the_quotient(
     report = run_checks(4, checks=[check_id])[-1]
     assert report.n == 4
     assert not report.passed
+
+
+def test_main_theorem_fails_when_the_union_points_are_wrong(clean_caches, monkeypatch):
+    # each flag stands in for its own point: the same descents, so every
+    # point stays in W^J and the union side records failures, not raises
+    def flags_as_points(shape, descents):
+        flags = nilpotent._fiber_by_descents(shape)[descents]
+        return flags, [descents] * len(flags)
+
+    monkeypatch.setattr(schubert, "_points", flags_as_points)
+    report = run_checks(4, checks=["main-theorem"])[-1]
+    assert report.n == 4
+    assert not report.passed
+    assert report.failures_total >= len(report.failures) > 0
 
 
 def test_schubert_ideal_names_the_missing_element(clean_caches, monkeypatch):

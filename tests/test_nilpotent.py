@@ -252,7 +252,7 @@ def test_row_inversion_vector_matches_public_reading():
             member = _fiber_bitmap(shape)
             for idx, w in enumerate(enumerate_sn(total)):
                 t = springer_tableau(w, shape)
-                vector = _row_inversion_vector(w, shape)
+                vector = _row_inversion_vector(w.images, shape)
                 assert (vector is not None) == t.is_row_strict() == member[idx], (w, shape)
                 if vector is not None:
                     assert vector == tuple(row_inversions(t, q) for q in range(2, total + 1))
@@ -260,7 +260,7 @@ def test_row_inversion_vector_matches_public_reading():
 
 def test_row_inversion_vector_degree_mismatch():
     with pytest.raises(ValueError, match="degree mismatch"):
-        _row_inversion_vector(Permutation((2, 1)), Partition((2, 1)))
+        _row_inversion_vector((2, 1), Partition((2, 1)))
 
 
 def test_springer_cell_dim_examples():

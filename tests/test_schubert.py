@@ -20,6 +20,7 @@ from hesscomb import (
     coset_factor,
     enumerate_sn,
     identity,
+    is_min_coset_rep,
     longest_element,
     parabolics,
     partitions,
@@ -36,7 +37,7 @@ from hesscomb import (
     union_hypothesis,
 )
 from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
-from hesscomb.schubert import _lower_ideal, _points, _union_tops
+from hesscomb.schubert import _lower_ideal, _poincare_pair, _points, _quotient_points, _union_poly, _union_tops
 from hesscomb.symgroup import _bit_indices, _sn_images, _split_index
 
 from conftest import bruhat_leq_subword, permutations_of, subword_ideal
@@ -79,7 +80,7 @@ def test_schubert_point_word_multiplies_to_point():
                 point = schubert_point(w, shape)
                 strings = string_decompose(point)
                 assert perm_from_word(strings.word(), total) == point
-                assert strings.lengths() == _row_inversion_vector(w, shape)
+                assert strings.lengths() == _row_inversion_vector(w.images, shape)
                 assert point.length() == sum(strings.lengths())
 
 
@@ -106,7 +107,7 @@ def test_group_points_match_schubert_point_flag_by_flag(n):
             assert len(points) == len(point_descents) == len(flags)
             for idx, point, point_set in zip(flags, points, point_descents):
                 w = Permutation(images[idx])
-                lengths = _row_inversion_vector(w, shape)
+                lengths = _row_inversion_vector(w.images, shape)
                 # the strings multiplied out letter by letter, highest first
                 word = [k for q in range(n, 1, -1) for k in range(q - lengths[q - 2], q)]
                 assert images[point] == schubert_point(w, shape).images == perm_from_word(word, n).images
@@ -261,6 +262,36 @@ def test_lower_ideal_byte_view_matches_bruhat_leq_closure(n):
         assert {_sn_images(n)[idx] for idx in _bit_indices(ideal)} == expected
         above = {u for u in tops for w in tops if u != w and bruhat_leq(u, w)}
         assert sorted(maximal) == sorted(index(top.images) for top in set(tops) - above)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bruhat_order_on_w_j_reads_the_same_below_the_coset_tops(n):
+    # for u, v in W^J: u <= v w_J exactly when u <= v, by the subword oracle
+    perms = list(enumerate_sn(n))
+    for p in parabolics(n):
+        w_j = longest_element(p)
+        quotient = [w for w in perms if is_min_coset_rep(w, p)]
+        for v in quotient:
+            below_v, below_top = subword_ideal(v.images), subword_ideal((v * w_j).images)
+            assert [u.images in below_top for u in quotient] == [u.images in below_v for u in quotient], (p, v)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ideal_of_the_points_is_the_ideal_of_every_top(n):
+    # only the tops of the maximal points are ranked, and the union reads
+    # only the maximal points of each descent group
+    images, index = _sn_images(n), _split_index(n)
+    for shape in partitions(n):
+        for p in parabolics(n):
+            tops = sorted(set(_union_tops(shape, p).values()))
+            expected, expected_maximal = _lower_ideal(tops, n)
+            points = [point for _, group in _quotient_points(shape, p).values() for point in group]
+            ideal, maximal = _lower_ideal(points, n, p.blocks)
+            assert ideal == expected, (shape, p)
+            w_j = longest_element(p)
+            maximal_tops = [index((Permutation(images[point]) * w_j).images) for point in maximal]
+            assert sorted(maximal_tops) == sorted(expected_maximal), (shape, p)
+            assert _poincare_pair(shape, p)[1] == _union_poly(tops, n), (shape, p)
 
 
 # --- Union of Schubert varieties ---------------------------------------------------
