@@ -50,9 +50,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma separated integers, got {text!r}") from None
 
 
+def _partition(args: argparse.Namespace) -> Partition:
+    """The --partition shape, its parts read like every other integer list."""
+    return Partition(_parse_ints(args.partition))
+
+
 def _bounded_partition(args: argparse.Namespace) -> Partition:
     """The --partition shape, rejected before any sweep above MAX_DEGREE."""
-    shape = Partition.from_string(args.partition)
+    shape = _partition(args)
     if shape.n > MAX_DEGREE:
         raise ValueError(f"partition has degree {shape.n}, at most {MAX_DEGREE} is supported")
     return shape
@@ -128,7 +133,7 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_schubert_point(args: argparse.Namespace) -> tuple[str, int]:
-    shape = Partition.from_string(args.partition)
+    shape = _partition(args)
     if args.perm is not None:
         w = Permutation(_parse_ints(args.perm))
         if w.n != shape.n:

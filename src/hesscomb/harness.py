@@ -5,14 +5,19 @@ of a given degree and all parabolic subsets, comparing two independent
 routes to the same answer.  The staircase side is the coset free kernel
 hessvar._staircase_planes, a set of permutations as one int over S_n,
 compared as a set with the cached coset and fiber tables of symgroup and
-nilpotent.  The two minimal coset checks compare one descent set per
-flag, which decides them for every J at once.  The Schubert checks walk
-the fiber by descent group, each group's points aligned with its flags
-(schubert._point_groups): schubert-ideal compares the Bruhat lower ideal
-of the points, from the rank plane kernel schubert._lower_ideal, with
-the points as a set, and main-theorem counts the ideal that the same
-kernel builds from the maximal points of each descent group in W^J and
-the blocks of J (schubert._poincare_pair), ranking only the maximal tops.
+nilpotent; parabolic-dimension bit slices the gathered coset side and
+adds it to the staircase dimension counter, plane by plane, to meet the
+bit planes of l(w) + 1.  The two minimal coset checks compare one
+descent set per flag, which decides them for every J at once.  The
+Schubert checks walk the fiber by descent group, each group's points
+aligned with its flags (schubert._point_groups): schubert-ideal builds,
+once per shape, each group's points and their Bruhat lower ideal (the
+rank plane kernel schubert._lower_ideal over the group's maximal
+points), and for each J compares the union of the ideals of the groups
+that miss J with the union of their points; main-theorem counts the
+ideal that the same kernel builds from the maximal points of each
+descent group in W^J and the blocks of J (schubert._poincare_pair),
+ranking only the maximal tops.
 dim-formulas-agree compares the tableau scan of each flag's one line
 array, the root count table and the point's length.  A check counts
 every failure and keeps the first 1000 witnesses.  The census functions
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -40,6 +46,7 @@ from .hessvar import (
 from .nilpotent import (
     Partition,
     _fiber_bitmap,
+    _fiber_by_descents,
     _row_inversion_vector,
     _springer_dim_table,
     dominance_ideal,
@@ -48,6 +55,7 @@ from .nilpotent import (
     partitions,
 )
 from .schubert import (
+    _group_maxima,
     _lower_ideal,
     _poincare_pair,
     _point_groups,
@@ -194,30 +202,34 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     dimension of its minimal representative plus the length of the tail."""
     images = _sn_images(n)
     lengths = _sn_lengths(n)
-    # one base 256 digit per S_n index, digit i holding l(w_i) + 1
-    length_digits = int.from_bytes(bytes(length + 1 for length in lengths), "little")
-    levels = max(lengths).bit_length()
     # the byte values with bit `level` set, for each bit of a byte
     with_bit = [frozenset(value for value in range(256) if value >> level & 1) for level in range(8)]
+    # the bit planes of l(w) + 1 over S_n, lowest first
+    data = bytes(length + 1 for length in reversed(lengths))
+    targets = [_bitset(data, with_bit[level]) for level in range((max(lengths) + 1).bit_length())]
     shapes = list(partitions(n))
-    excess = _records([_excess(shape, lengths) for shape in shapes])
+    excess = [_excess(shape, lengths) for shape in shapes]
+    depths = [max(column).bit_length() for column in excess]
+    # the records replace the columns, which need not stay alive with them
+    excess = _records(excess)
     cases = 0
     failures = _FailureLog()
     for p in parabolics(n):
-        for shape, gathered in zip(shapes, _by_coset(excess, n, p)):
-            # only the flags whose minimal representative is in the fiber
-            cells = _bitset(gathered, range(1, 256))
-            # there digit i becomes sdim(v) + l(y) = l(w) - (l(v) - sdim(v));
-            # a digit never borrows, as l(w) + 1 >= l(v) + 1 >= the excess
-            by_coset = length_digits - int.from_bytes(gathered, "big")
-            digits = by_coset.to_bytes(len(images), "big")
+        for shape, gathered, depth in zip(shapes, _by_coset(excess, n, p), depths):
+            # the excess 1 + l(v) - sdim(v) of each w's minimal representative
+            # v, bit sliced; it is 0 exactly off the fiber
+            addend = [_bitset(gathered, with_bit[level]) for level in range(depth)]
+            cells = functools.reduce(int.__or__, addend, 0)
             members, counter = _staircase_planes(shape, h_from_parabolic(p))
-            counter += [0] * (levels - len(counter))
-            wrong = cells & ~members
-            for level, plane in enumerate(counter):
-                wrong |= cells & (plane ^ _bitset(digits, with_bit[level]))
+            # dim + excess = sdim(v) + l(y) + 1 + l(v) - sdim(v) = l(w) + 1 on
+            # every cell: a ripple carry add, compared level by level
+            wrong = ~members
+            carry = 0
+            for a, b, target in itertools.zip_longest(counter, addend, targets, fillvalue=0):
+                wrong |= a ^ b ^ carry ^ target
+                carry = a & b | carry & (a ^ b)
             cases += cells.bit_count()
-            failures.record_set(shape, p, wrong, images)
+            failures.record_set(shape, p, cells & (wrong | carry), images)
     return cases, failures
 
 
@@ -280,40 +292,53 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
     """For shapes with at most three rows or two columns: the Schubert point
     map is injective, its image is closed downward in Bruhat order, and the
     image of the minimal representatives is closed downward within them.
-    A failure of either closure names the missing element."""
+    A failure of either closure names the missing element.
+
+    The image of the flags in W^J is the union of the images of the descent
+    groups that miss J, and the ideal of a union is the union of the
+    ideals, so each group's points and ideal are built once per shape."""
     images = _sn_images(n)
     full = (1 << len(images)) - 1
     # ascents[i - 1]: the w with w(i) < w(i + 1); W^J is their AND over i in J
     ascents = [
         _bitset(bytes(w[i - 1] < w[i] for w in reversed(images)), range(1, 256)) for i in range(1, n)
     ]
+    size = (len(images) + 7) // 8
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
         if not union_hypothesis(shape):
             continue
-        points = []
+        # per descent group: its descents, its points and their ideal, as ints over S_n
+        groups = []
         seen = bytearray(len(images))
-        for flags, group_points, _ in _point_groups(shape, 0):
+        # _point_groups(shape, 0) holds every group, in the order of the walk
+        for descents, (flags, group_points, _) in zip(_fiber_by_descents(shape), _point_groups(shape, 0)):
+            # bit point of the group's points is bit point & 7 of byte point >> 3
+            marks = bytearray(size)
             for idx, point in zip(flags, group_points):
                 if seen[point]:
                     failures.record(shape, None, images[idx])
                 seen[point] = 1
-            points += group_points
-        ideal, _ = _lower_ideal(points, n)
-        cases += len(points) + ideal.bit_count()
-        failures.record_set(shape, None, ideal & ~_bitset(seen[::-1], range(1, 256)), images)
+                marks[point >> 3] |= 1 << (point & 7)
+            cases += len(group_points)
+            ideal, _ = _lower_ideal(_group_maxima(shape, descents), n)
+            groups.append((descents, int.from_bytes(marks, "little"), ideal))
         for p in parabolics(n):
-            points = [point for _, group_points, _ in _point_groups(shape, p.mask) for point in group_points]
-            seen = bytearray(len(images))
-            for point in points:
-                seen[point] = 1
+            points = ideal = 0
+            for descents, group_points, group_ideal in groups:
+                if not descents & p.mask:
+                    points |= group_points
+                    ideal |= group_ideal
+            if not p.J:
+                # every group misses the empty J: the closure of the whole image
+                cases += ideal.bit_count()
+                failures.record_set(shape, None, ideal & ~points, images)
             quotient = full
             for i in p.J:
                 quotient &= ascents[i - 1]
-            ideal, _ = _lower_ideal(points, n)
             cases += quotient.bit_count()
-            failures.record_set(shape, p, ideal & quotient & ~_bitset(seen[::-1], range(1, 256)), images)
+            failures.record_set(shape, p, ideal & quotient & ~points, images)
     return cases, failures
 
 

@@ -15,7 +15,8 @@ flag's point as an S_n index (symgroup's lexicographic tables) and its
 right descents, so a query for J computes only the groups in W^J.  A top
 point * w_J is the point with each J-block of positions reversed.  A
 Bruhat lower ideal is one int over S_n (symgroup's bitsets): the OR of the
-intervals [e, w] of its maximal tops, each an AND of rank count planes.
+intervals [e, w] of its maximal tops, each an AND of the rank count
+planes at the top's essential cells.
 The union's ideal is built from its points in W^J, which order their
 tops as the tops order themselves, so it reads only the maximal points of
 each descent group and forms only the maximal tops; every top is ranked
@@ -40,7 +41,7 @@ from .symgroup import (
     Permutation,
     _bit_indices,
     _descents,
-    _rank_counts,
+    _essential_counts,
     _sn_images,
     _sn_length_planes,
     _sn_lengths,
@@ -112,28 +113,33 @@ def _lower_ideal(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]
     preserves Bruhat order, and v <= v w_J), so a top lies in the ideal
     exactly when its point does.  A point whose bit is already set has its
     top below a longer top, and distinct tops of equal length are
-    incomparable, so only the top of every other point is built and ranked.
+    incomparable, so only the top of every other distinct point is built,
+    and the byte view of the ideal it is tested against needs making again
+    only when the length drops.  Each top ANDs the rank planes of its
+    essential counts alone.
     """
     images = _sn_images(n)
+    lengths = _sn_lengths(n)
     planes = _sn_rank_planes(n)
     full = (1 << len(images)) - 1
     size = (len(images) + 7) // 8
     times_w_j = _times_w_j(blocks)
     ideal = 0
-    # bit idx of the ideal is bit idx & 7 of byte idx >> 3; a shift would copy the int
-    view = ideal.to_bytes(size, "little")
+    length = -1
     maximal: list[int] = []
-    # l(point w_J) = l(point) + l(w_J); a repeated point finds its bit set
-    for idx in sorted(points, key=_sn_lengths(n).__getitem__, reverse=True):
+    # l(point w_J) = l(point) + l(w_J)
+    for idx in sorted(set(points), key=lengths.__getitem__, reverse=True):
+        if lengths[idx] != length:
+            length = lengths[idx]
+            # bit idx of the ideal is bit idx & 7 of byte idx >> 3; a shift would copy the int
+            view = ideal.to_bytes(size, "little")
         if view[idx >> 3] >> (idx & 7) & 1:
             continue
         top = images[idx] if times_w_j is None else times_w_j(images[idx])
         below = full
-        for row, count in zip(planes, _rank_counts(top)):
-            if count < len(row):
-                below &= row[count]
+        for row, count in _essential_counts(top):
+            below &= planes[row][count]
         ideal |= below
-        view = ideal.to_bytes(size, "little")
         maximal.append(idx)
     return ideal, maximal
 

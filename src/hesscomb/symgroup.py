@@ -157,6 +157,30 @@ def _rank_counts(images: Sequence[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _essential_counts(images: Sequence[int]) -> list[tuple[int, int]]:
+    """The counts of _rank_counts that already decide u <= w, as (row, count)
+    pairs, row the count's place in _rank_counts: the essential cells
+    (i, k) with w(i) < k <= w(i + 1) and w^(-1)(k - 1) <= i < w^(-1)(k)
+    (Fulton's essential set, Duke Math. J. 65, 1992, in this count
+    convention).  No such count is the largest value of its row.
+
+    >>> _essential_counts((1, 3, 2))
+    [(0, 0)]
+    >>> _essential_counts((2, 4, 1, 3))
+    [(1, 0), (7, 1)]
+    """
+    n = len(images)
+    position = [0] * (n + 1)
+    for pos, value in enumerate(images, start=1):
+        position[value] = pos
+    out = []
+    for i in range(1, n):
+        for k in range(images[i - 1] + 1, images[i] + 1):
+            if position[k - 1] <= i < position[k]:
+                out.append(((i - 1) * (n - 1) + k - 2, sum(value >= k for value in images[:i])))
+    return out
+
+
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """Bruhat order on S_n by the dominance criterion.
 
@@ -493,7 +517,8 @@ def _sn_rank_planes(n: int) -> tuple[tuple[int, ...], ...]:
     """Rank count planes over S_n, one row per count of _rank_counts and in
     its order: row[c] is the set of u whose count is at most c, for each c
     below the count's largest value min(i, n - k + 1).  So the interval
-    [e, w] is the AND of row[count] over the counts of w below that value.
+    [e, w] is the AND of row[count] over the counts of w below that value,
+    and already over its essential counts (_essential_counts).
 
     The counts are summed one position at a time, one byte per permutation;
     a count is at most n - 1, so no byte carries into the next.  No count

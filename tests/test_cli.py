@@ -95,6 +95,19 @@ def test_poincare_unparseable_partition(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("2,x", "error: expected comma separated integers, got '2,x'\n"),
+        ("2,,1", "error: expected comma separated integers, got '2,,1'\n"),
+        ("", "error: empty partition\n"),
+    ],
+)
+def test_partition_pieces_get_the_integer_list_diagnostic(capsys, text, message):
+    status, out, err = run(capsys, "poincare", "--partition", text, "--parabolic", "")
+    assert (status, out, err) == (1, "", message)
+
+
 def test_missing_space_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["poincare", "--partition", "2,2"])

@@ -116,6 +116,19 @@ def test_strings_coset_at_degree_8():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    ("check_id", "cases"),
+    [
+        ("parabolic-dimension", [1, 7, 52, 537, 5822, 79450]),
+        ("schubert-ideal", [3, 12, 59, 469, 4279, 49794]),
+    ],
+)
+def test_sweep_case_counts_are_pinned(check_id, cases):
+    # parabolic-dimension counts nonempty cells, schubert-ideal points,
+    # ideal elements and quotient sizes
+    assert [r.cases_run for r in run_checks(6, checks=[check_id])] == cases
+
+
 def test_check_report_json():
     (report,) = run_checks(1, checks=["dim-formulas-agree"])
     d = report.to_json_dict()
@@ -349,6 +362,36 @@ def test_set_checks_fail_on_a_member_either_side(name, wrong, check_id, clean_ca
     report = run_checks(4, checks=[check_id])[-1]
     assert report.n == 4
     assert not report.passed
+
+
+def _one_bit_flipped(kernel, shape, p, level):
+    """The staircase side with bit `level` of one member's dimension flipped:
+    w0, whose cell is full at J = {1..n-1}."""
+    w0 = math.factorial(shape.n) - 1
+
+    def wrong(other, h):
+        members, counter = kernel(other, h)
+        if (other, h) != (shape, hessvar.h_from_parabolic(p)):
+            return members, counter
+        counter = list(counter)
+        counter[level] ^= 1 << w0
+        return members, counter
+
+    return wrong
+
+
+@pytest.mark.parametrize("level", range(3))
+def test_parabolic_dimension_fails_on_one_flipped_dimension_bit(level, clean_caches, monkeypatch):
+    # w0 has dimension 6 = 0b110, three counter levels; its excess is 1, so
+    # flipping bit 0 makes the sum 8 and carries out past l(w0) + 1 = 0b111
+    shape, p = Partition((1, 1, 1, 1)), ParabolicData(4, frozenset({1, 2, 3}))
+    members, counter = hessvar._staircase_planes(shape, hessvar.h_from_parabolic(p))
+    assert len(counter) == 3 and members >> math.factorial(4) - 1 & 1
+    monkeypatch.setattr(harness, "_staircase_planes", _one_bit_flipped(harness._staircase_planes, shape, p, level))
+    cases, failures = harness.CHECKS["parabolic-dimension"](4)
+    assert cases == 537
+    assert failures.total == 1
+    assert failures.witnesses == [harness.Failure((1, 1, 1, 1), (1, 2, 3), "4,3,2,1")]
 
 
 def _without_identity_in_length_planes(planes):

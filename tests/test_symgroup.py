@@ -33,6 +33,7 @@ from hesscomb.symgroup import (
     _bit_indices,
     _coset_table,
     _descents,
+    _essential_counts,
     _length,
     _rank_counts,
     _sn_images,
@@ -404,6 +405,23 @@ def test_sn_rank_planes_are_the_brute_counts(n):
             assert list(_bit_indices(plane)) == [
                 idx for idx, w in enumerate(images) if sum(v >= k for v in w[:i]) <= c
             ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_essential_counts_cut_the_interval_of_every_count(n):
+    rows = _sn_rank_planes(n)
+    full = (1 << math.factorial(n)) - 1
+    for w in _sn_images(n):
+        counts = _rank_counts(w)
+        every = full
+        for row, count in zip(rows, counts):
+            if count < len(row):
+                every &= row[count]
+        essential = full
+        for row, count in _essential_counts(w):
+            assert count == counts[row] < len(rows[row])
+            essential &= rows[row][count]
+        assert essential == every, w
 
 
 @pytest.mark.parametrize("n", range(1, 8))
