@@ -27,7 +27,7 @@ import time
 from collections.abc import Sequence
 
 from .components import component_candidates
-from .harness import census, rows_to_csv, rows_to_json, run_checks
+from .harness import _write_csv, census, rows_to_csv, rows_to_json, run_checks
 from .hessvar import (
     HessenbergFunction,
     h_from_parabolic,
@@ -35,29 +35,23 @@ from .hessvar import (
     parabolic_from_h,
     poincare_hessenberg,
 )
-from .nilpotent import Partition, _springer_dim_table, springer_tableau
+from .nilpotent import Partition, springer_tableau
 from .schubert import _point_groups, compare_with_schubert_union, schubert_point
-from .symgroup import MAX_DEGREE, ParabolicData, Permutation, _sn_images, _sn_lengths, perm_from_word, string_decompose
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(piece) for piece in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected comma separated integers, got {text!r}") from None
-
-
-def _partition(args: argparse.Namespace) -> Partition:
-    """The --partition shape, its parts read like every other integer list."""
-    return Partition(_parse_ints(args.partition))
+from .symgroup import (
+    MAX_DEGREE,
+    ParabolicData,
+    Permutation,
+    _parse_ints,
+    _sn_images,
+    _sn_lengths,
+    perm_from_word,
+    string_decompose,
+)
 
 
 def _bounded_partition(args: argparse.Namespace) -> Partition:
     """The --partition shape, rejected before any sweep above MAX_DEGREE."""
-    shape = _partition(args)
+    shape = Partition.from_string(args.partition)
     if shape.n > MAX_DEGREE:
         raise ValueError(f"partition has degree {shape.n}, at most {MAX_DEGREE} is supported")
     return shape
@@ -68,7 +62,7 @@ def _hessenberg_space(
 ) -> tuple[ParabolicData | None, HessenbergFunction]:
     """The Hessenberg function named by the flags, with its J when parabolic."""
     if args.parabolic is not None:
-        p = ParabolicData.from_iterable(n, _parse_ints(args.parabolic))
+        p = ParabolicData.from_string(n, args.parabolic)
         return p, h_from_parabolic(p)
     h = HessenbergFunction(_parse_ints(args.hessenberg))
     if h.n != n:
@@ -110,14 +104,14 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
         return str(poly) + "\n", 0
     images = _sn_images(shape.n)
     lengths = _sn_lengths(shape.n)
-    dims = _springer_dim_table(shape)
+    rows = (row for _, flags, dims, points, _ in _point_groups(shape, 0) for row in zip(flags, dims, points))
     cells = []
     # one tableau scan per flag, in its point; the rows go out in lexicographic order of w
-    for idx, point in sorted(pair for flags, points, _ in _point_groups(shape, 0) for pair in zip(flags, points)):
+    for idx, by_roots, point in sorted(rows):
         w, by_rows = Permutation(images[idx]).one_line(), lengths[point]
-        if by_rows != dims[idx]:
+        if by_rows != by_roots:
             raise RuntimeError(
-                f"dimension formulas disagree for w={w}, shape={shape}: {by_rows} by rows, {dims[idx]} by roots"
+                f"dimension formulas disagree for w={w}, shape={shape}: {by_rows} by rows, {by_roots} by roots"
             )
         cells.append({"w": w, "dim": by_rows, "schubert_point": Permutation(images[point]).one_line()})
     if args.format == "json":
@@ -127,13 +121,11 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
             "cells": cells,
         }
         return json.dumps(payload, indent=2) + "\n", 0
-    lines = ["w,dim,schubert_point"]
-    lines += [f"\"{c['w']}\",{c['dim']},\"{c['schubert_point']}\"" for c in cells]
-    return "\n".join(lines) + "\n", 0
+    return _write_csv(("w", "dim", "schubert_point"), cells), 0
 
 
 def _cmd_schubert_point(args: argparse.Namespace) -> tuple[str, int]:
-    shape = _partition(args)
+    shape = Partition.from_string(args.partition)
     if args.perm is not None:
         w = Permutation(_parse_ints(args.perm))
         if w.n != shape.n:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from .nilpotent import Partition, _springer_dim_table
-from .schubert import _lower_ideal, _union_tops
+from .nilpotent import Partition
+from .schubert import _lower_ideal, _point_groups, _union_tops
 from .symgroup import ParabolicData, Permutation, _sn_images, longest_element
 
 
@@ -71,11 +71,11 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
     w_j = longest_element(p)
     len_wj = w_j.length()
     images = _sn_images(shape.n)
-    dims = _springer_dim_table(shape)
+    sdim = {v: dim for _, flags, dims, _, _ in _point_groups(shape, p.mask) for v, dim in zip(flags, dims)}
     rows: list[tuple[Permutation, Permutation, int, int]] = []
     for v_idx, s_top in _union_tops(shape, p).items():
         v = Permutation(images[v_idx])
-        rows.append((v, v * w_j, s_top, dims[v_idx] + len_wj))
+        rows.append((v, v * w_j, s_top, sdim[v_idx] + len_wj))
     maximal = set(_lower_ideal((row[2] for row in rows), shape.n)[1])
     out = [
         ComponentCandidate(

@@ -4,11 +4,13 @@ Every theorem in the package has a named check that runs over all shapes
 of a given degree and all parabolic subsets, comparing two independent
 routes to the same answer.  The staircase side is the coset free kernel
 hessvar._staircase_planes, a set of permutations as one int over S_n,
-compared as a set with the cached coset and fiber tables of symgroup and
-nilpotent; parabolic-dimension bit slices the gathered coset side and
-adds it to the staircase dimension counter, plane by plane, to meet the
-bit planes of l(w) + 1.  The two minimal coset checks compare one
-descent set per flag, which decides them for every J at once.  The
+compared as a set with the coset side, one byte per S_n index and shape
+gathered through symgroup's coset tables: the excess 1 + l(v) - sdim(v)
+of _excess, 0 exactly off the fiber.  fixed-points reads its nonzero
+bytes; parabolic-dimension bit slices it and adds it to the staircase
+dimension counter, plane by plane, to meet the bit planes of l(w) + 1.
+The two minimal coset checks compare one descent set per flag, which
+decides them for every J at once.  The
 Schubert checks walk the fiber by descent group, each group's points
 aligned with its flags (schubert._point_groups): schubert-ideal builds,
 once per shape, each group's points and their Bruhat lower ideal (the
@@ -19,7 +21,7 @@ ideal that the same kernel builds from the maximal points of each
 descent group in W^J and the blocks of J (schubert._poincare_pair),
 ranking only the maximal tops.
 dim-formulas-agree compares the tableau scan of each flag's one line
-array, the root count table and the point's length.  A check counts
+array, the walk's root count and the point's length.  A check counts
 every failure and keeps the first 1000 witnesses.  The census functions
 dump the same ground truth as flat rows for offline diffing.
 """
@@ -45,14 +47,13 @@ from .hessvar import (
 )
 from .nilpotent import (
     Partition,
-    _fiber_bitmap,
     _fiber_by_descents,
     _row_inversion_vector,
-    _springer_dim_table,
     dominance_ideal,
     dominance_ideal_from_filling,
     highest_form_roots,
     partitions,
+    springer_contains,
 )
 from .schubert import (
     _group_maxima,
@@ -74,7 +75,6 @@ from .symgroup import (
     _gather,
     _sn_images,
     _sn_lengths,
-    _split_index,
     _string_ascents,
     parabolics,
     string_decompose,
@@ -186,7 +186,7 @@ def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
     representative of its coset lies in the Springer fiber."""
     images = _sn_images(n)
     shapes = list(partitions(n))
-    fibers = _records([_fiber_bitmap(shape) for shape in shapes])
+    fibers = _records([_excess(shape) for shape in shapes])
     cases = 0
     failures = _FailureLog()
     for p in parabolics(n):
@@ -208,10 +208,9 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     data = bytes(length + 1 for length in reversed(lengths))
     targets = [_bitset(data, with_bit[level]) for level in range((max(lengths) + 1).bit_length())]
     shapes = list(partitions(n))
-    excess = [_excess(shape, lengths) for shape in shapes]
-    depths = [max(column).bit_length() for column in excess]
-    # the records replace the columns, which need not stay alive with them
-    excess = _records(excess)
+    columns = [_excess(shape) for shape in shapes]
+    depths = [max(column).bit_length() for column in columns]
+    excess = _records(columns)
     cases = 0
     failures = _FailureLog()
     for p in parabolics(n):
@@ -233,10 +232,16 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     return cases, failures
 
 
-def _excess(shape: Partition, lengths: tuple[int, ...]) -> bytes:
-    """1 + l(v) - sdim(v) per S_n index v in the Springer fiber, 0 off it."""
-    dims = _springer_dim_table(shape)
-    return bytes(1 + lengths[v] - dim if dim >= 0 else 0 for v, dim in enumerate(dims))
+@functools.lru_cache(maxsize=None)
+def _excess(shape: Partition) -> bytes:
+    """1 + l(v) - sdim(v) per S_n index v in the Springer fiber, 0 off it,
+    from the walk's dimensions; fixed-points and parabolic-dimension share it."""
+    lengths = _sn_lengths(shape.n)
+    out = bytearray(len(lengths))
+    for flags, dims in _fiber_by_descents(shape).values():
+        for v, dim in zip(flags, dims):
+            out[v] = 1 + lengths[v] - dim
+    return bytes(out)
 
 
 def _check_poincare_corollary(n: int) -> tuple[int, _FailureLog]:
@@ -274,7 +279,7 @@ def _check_schubert_coset(n: int) -> tuple[int, _FailureLog]:
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
-        for flags, _, point_descents in _point_groups(shape, 0):
+        for _, flags, _, _, point_descents in _point_groups(shape, 0):
             cases += len(flags)
             for idx, descents in zip(flags, point_descents):
                 diff = _descents(images[idx]) ^ descents
@@ -312,8 +317,7 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
         # per descent group: its descents, its points and their ideal, as ints over S_n
         groups = []
         seen = bytearray(len(images))
-        # _point_groups(shape, 0) holds every group, in the order of the walk
-        for descents, (flags, group_points, _) in zip(_fiber_by_descents(shape), _point_groups(shape, 0)):
+        for descents, flags, _, group_points, _ in _point_groups(shape, 0):
             # bit point of the group's points is bit point & 7 of byte point >> 3
             marks = bytearray(size)
             for idx, point in zip(flags, group_points):
@@ -373,19 +377,18 @@ def _check_phi_v_equivalence(n: int) -> tuple[int, _FailureLog]:
 def _check_dim_formulas(n: int) -> tuple[int, _FailureLog]:
     """The row inversion and root counting Springer dimension formulas agree
     on every fiber flag, and so does the length of the flag's Schubert
-    point: the tableau scan, the per shape root count table that the
-    parabolic formula reads, and the point."""
+    point: the tableau scan, the root count that the fiber walk carries
+    for the parabolic formula, and the point."""
     images = _sn_images(n)
     lengths = _sn_lengths(n)
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
-        dims = _springer_dim_table(shape)
-        for flags, points, _ in _point_groups(shape, 0):
+        for _, flags, dims, points, _ in _point_groups(shape, 0):
             cases += len(flags)
-            for idx, point in zip(flags, points):
+            for idx, dim, point in zip(flags, dims, points):
                 vector = _row_inversion_vector(images[idx], shape)
-                if vector is None or not sum(vector) == dims[idx] == lengths[point]:
+                if vector is None or not sum(vector) == dim == lengths[point]:
                     failures.record(shape, None, images[idx])
     return cases, failures
 
@@ -463,10 +466,8 @@ def census(n: int, granularity: str) -> list[dict[str, object]]:
 
 
 def _census_cells(n: int) -> list[dict[str, object]]:
-    index = _split_index(n)
     rows: list[dict[str, object]] = []
     for shape in partitions(n):
-        member = _fiber_bitmap(shape)
         for p in parabolics(n):
             for cell in hess_cells(shape, p):
                 rows.append(
@@ -477,7 +478,7 @@ def _census_cells(n: int) -> list[dict[str, object]]:
                         "v": cell.v.one_line(),
                         "y": cell.y.one_line(),
                         "dim": cell.dim,
-                        "springer": bool(member[index(cell.w.images)]),
+                        "springer": springer_contains(cell.w, shape),
                         "schubert_point": schubert_point(cell.v, shape).one_line(),
                     }
                 )
@@ -512,17 +513,18 @@ def _csv_value(value: object) -> object:
 def rows_to_csv(rows: list[dict[str, object]], granularity: str) -> str:
     """Render census rows as CSV; list valued fields are comma joined and
     the csv module quotes them."""
-    if granularity == "cells":
-        fields = CELL_FIELDS
-    elif granularity == "summaries":
-        fields = SUMMARY_FIELDS
-    else:
+    fields = {"cells": CELL_FIELDS, "summaries": SUMMARY_FIELDS}.get(granularity)
+    if fields is None:
         raise ValueError(f"unknown granularity: {granularity!r}")
+    return _write_csv(fields, rows)
+
+
+def _write_csv(fields: tuple[str, ...], rows: Iterable[dict[str, object]]) -> str:
+    """The header of fields, then one line per row of its fields' values."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_csv_value(row[field]) for field in fields])
+    writer.writerows([_csv_value(row[field]) for field in fields] for row in rows)
     return buffer.getvalue()
 
 

@@ -10,7 +10,9 @@ part for v and the full length of y.
 One coset free kernel, _staircase_planes, reads membership and dimension
 off the value planes of w^(-1) for all of S_n at once, as integer bitsets
 (symgroup._sn_planes); poincare_hessenberg, hess_cells and the harness
-checks take their staircase side from it.
+checks take their staircase side from it.  springer_min_reps and
+poincare_parabolic_formula read the fiber flags in W^J and their
+dimensions from nilpotent._fiber_groups, no table over S_n.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from collections.abc import Iterable
 
 from .nilpotent import (
     Partition,
-    _fiber_by_descents,
-    _springer_dim_table,
+    _fiber_groups,
     dominance_ideal_from_filling,
     highest_form_roots,
     springer_cell_dim,
@@ -73,10 +74,6 @@ class HessenbergFunction:
         if not 1 <= i <= self.n:
             raise ValueError(f"position {i} out of range")
         return self.values[i - 1]
-
-    @staticmethod
-    def from_string(text: str) -> HessenbergFunction:
-        return HessenbergFunction(tuple(int(part) for part in text.split(",")))
 
     @staticmethod
     def identity(n: int) -> HessenbergFunction:
@@ -190,14 +187,8 @@ def springer_min_reps(shape: Partition, p: ParabolicData) -> tuple[Permutation, 
     if p.n != shape.n:
         raise ValueError("degree mismatch")
     images = _sn_images(shape.n)
-    return tuple(Permutation(images[idx]) for idx in sorted(_min_rep_indices(shape, p)))
-
-
-def _min_rep_indices(shape: Partition, p: ParabolicData) -> list[int]:
-    """S_n indices of the Springer fiber flags in W^J: the descent groups
-    of the fiber walk that miss J, in walk order, so the identity first."""
-    groups = _fiber_by_descents(shape).items()
-    return list(itertools.chain.from_iterable(group for descents, group in groups if not descents & p.mask))
+    flags = itertools.chain.from_iterable(flags for _, flags, _ in _fiber_groups(shape, p.mask))
+    return tuple(Permutation(images[idx]) for idx in sorted(flags))
 
 
 def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:
@@ -321,8 +312,7 @@ def poincare_parabolic_formula(shape: Partition, p: ParabolicData) -> Poly:
     """
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    dims = _springer_dim_table(shape)
-    exponents = (dims[idx] for idx in _min_rep_indices(shape, p))
+    exponents = itertools.chain.from_iterable(dims for _, _, dims in _fiber_groups(shape, p.mask))
     return Poly.from_exponents(exponents) * poincare_subgroup(p)
 
 

@@ -13,9 +13,9 @@ row strict tableau, and the dimension of the Schubert cell section through
 wB is computed two independent ways, by tableau row inversions and by
 counting inversions of the inverse permutation outside that root support.
 _row_inversion_vector reads a flag's tableau in one scan of w's one line
-array; the per shape tables _fiber_bitmap and _springer_dim_table rest on
-_fiber_by_descents, a walk over the row strict fillings, and never read
-the scan, so the harness can compare the two.
+array; the one per shape table, _fiber_by_descents, walks the row strict
+fillings, counts each flag's dimension by roots and never reads the scan,
+so the harness can compare the two.
 """
 
 from __future__ import annotations
@@ -24,17 +24,11 @@ import array
 import collections
 import dataclasses
 import functools
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 
 from .rootsys import RootSet, is_positive, positive_roots, root_dominates
-from .symgroup import (
-    Permutation,
-    _inversions,
-    _sn_images,
-    _sn_lengths,
-)
+from .symgroup import Permutation, _inversions, _parse_ints
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,7 +66,7 @@ class Partition:
 
     @staticmethod
     def from_string(text: str) -> Partition:
-        return Partition(tuple(int(part) for part in text.split(",")))
+        return Partition(_parse_ints(text))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -364,61 +358,54 @@ def springer_cell_dim(w: Permutation, shape: Partition) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _fiber_by_descents(shape: Partition) -> dict[int, array.array]:
-    """The Springer fiber flags as ascending S_n indices, grouped by their
-    right descents as a bitmask (bit i when w(i) > w(i + 1)).
+def _fiber_by_descents(shape: Partition) -> dict[int, tuple[array.array, array.array]]:
+    """The Springer fiber flags grouped by their right descents as a
+    bitmask (bit i when w(i) > w(i + 1)): per group, the flags as ascending
+    S_n indices and their springer_cell_dim.
 
     The flags are the row strict fillings: value q goes into the leftmost
     empty box of some row, and w(q) is that box's label.  Trying the free
     labels in increasing order walks the fiber in lexicographic order of
     w, and the index adds up the Lehmer code, (unused labels below w(q))
-    times (n - q)!.  Labels travel as one bit each, bit label of an int.
+    times (n - q)!.  Placing label a after a label b > a inverts (a, b) in
+    w^(-1), so each label adds the placed labels b > a with (a, b) outside
+    the orbit ideal.  Labels travel as one bit each, bit label of an int.
     """
     n = shape.n
     # a label is free once the label to its left is placed
     left = {1 << b: 1 << a for row in base_filling(shape).rows for a, b in zip(row, row[1:])}
+    ideal = dominance_ideal_from_filling(shape).roots
+    outside = {1 << a: sum(1 << b for b in range(a + 1, n + 1) if (a, b) not in ideal) for a in range(1, n + 1)}
     weights = [math.factorial(n - 1 - q) for q in range(n)]
-    groups: dict[int, array.array] = collections.defaultdict(functools.partial(array.array, "I"))
+    groups = collections.defaultdict(lambda: (array.array("I"), array.array("B")))
 
-    def walk(q: int, unused: int, prev: int, idx: int, descents: int) -> None:
+    def walk(q: int, unused: int, prev: int, idx: int, descents: int, dim: int) -> None:
         if q == n - 1:
             # one label is left, and the label to its left is placed
-            groups[descents | (prev > unused) << q].append(idx)
+            flags, dims = groups[descents | (prev > unused) << q]
+            flags.append(idx)
+            dims.append(dim + outside[unused].bit_count())
             return
         rank = 0
         bits = unused
         while bits:
             low = bits & -bits
             if not unused & left.get(low, 0):
-                walk(q + 1, unused ^ low, low, idx + rank * weights[q], descents | (prev > low) << q)
+                inverted = (outside[low] & ~unused).bit_count()
+                walk(q + 1, unused ^ low, low, idx + rank * weights[q], descents | (prev > low) << q, dim + inverted)
             rank += 1
             bits ^= low
 
-    walk(0, (1 << n + 1) - 2, 0, 0, 0)
+    walk(0, (1 << n + 1) - 2, 0, 0, 0, 0)
     return groups
 
 
-@functools.lru_cache(maxsize=None)
-def _fiber_bitmap(shape: Partition) -> bytes:
-    """springer_contains per S_n index, one byte 1 or 0."""
-    out = bytearray(math.factorial(shape.n))
-    for idx in itertools.chain.from_iterable(_fiber_by_descents(shape).values()):
-        out[idx] = 1
-    return bytes(out)
+def _fiber_groups(shape: Partition, j_mask: int) -> list[tuple[int, array.array, array.array]]:
+    """The fiber flags in W^J, J as a bitmask: (descents, flags, dims) for
+    each descent group of _fiber_by_descents that misses J, in walk order,
+    so the identity first.
 
-
-@functools.lru_cache(maxsize=None)
-def _springer_dim_table(shape: Partition) -> tuple[int, ...]:
-    """springer_cell_dim per S_n index, -1 outside the fiber (root formula)."""
-    n = shape.n
-    ideal = tuple((i - 1, j - 1) for i, j in dominance_ideal_from_filling(shape).sorted_roots())
-    images = _sn_images(n)
-    lengths = _sn_lengths(n)
-    out = [-1] * len(images)
-    winv = [0] * n
-    for idx in itertools.chain.from_iterable(_fiber_by_descents(shape).values()):
-        for pos, value in enumerate(images[idx]):
-            winv[value - 1] = pos
-        # the ideal roots that w^(-1) inverts are the ones the count skips
-        out[idx] = lengths[idx] - sum(1 for i, j in ideal if winv[i] > winv[j])
-    return tuple(out)
+    >>> [(d, list(flags), list(dims)) for d, flags, dims in _fiber_groups(Partition((2, 2)), 0b1010)]
+    [(0, [0], [0]), (4, [2, 10], [1, 2])]
+    """
+    return [(descents, *group) for descents, group in _fiber_by_descents(shape).items() if not descents & j_mask]

@@ -12,11 +12,11 @@ W_J; that comparison is packaged as a report here.
 _string_product builds every point.  schubert_point serves one flag of
 any degree; _points holds, per descent group of the fiber walk, each
 flag's point as an S_n index (symgroup's lexicographic tables) and its
-right descents, so a query for J computes only the groups in W^J.  A top
-point * w_J is the point with each J-block of positions reversed.  A
-Bruhat lower ideal is one int over S_n (symgroup's bitsets): the OR of the
-intervals [e, w] of its maximal tops, each an AND of the rank count
-planes at the top's essential cells.
+right descents, and _point_groups joins them to nilpotent._fiber_groups,
+checking that the points stay in W^J.  A top point * w_J is the point
+with each J-block of positions reversed.  A Bruhat lower ideal is one int
+over S_n (symgroup's bitsets): the OR of the intervals [e, w] of its
+maximal tops, each an AND of the rank count planes at its essential cells.
 The union's ideal is built from its points in W^J, which order their
 tops as the tops order themselves, so it reads only the maximal points of
 each descent group and forms only the maximal tops; every top is ranked
@@ -31,10 +31,10 @@ import dataclasses
 import functools
 import itertools
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from .hessvar import h_from_parabolic, poincare_hessenberg
-from .nilpotent import Partition, _fiber_by_descents, _row_inversion_vector
+from .nilpotent import Partition, _fiber_by_descents, _fiber_groups, _row_inversion_vector
 from .poly import Poly
 from .symgroup import (
     ParabolicData,
@@ -83,16 +83,27 @@ def _points(shape: Partition, descents: int) -> tuple[array.array, array.array]:
     `descents`, aligned with that group of _fiber_by_descents: each as an
     S_n index, and each point's right descents as a bitmask."""
     images = _sn_images(shape.n)
-    group = _fiber_by_descents(shape)[descents]
-    points = [_string_product(_row_inversion_vector(images[idx], shape), shape.n) for idx in group]
+    flags, _ = _fiber_by_descents(shape)[descents]
+    points = [_string_product(_row_inversion_vector(images[idx], shape), shape.n) for idx in flags]
     return array.array("I", map(_split_index(shape.n), points)), array.array("I", map(_descents, points))
 
 
-def _point_groups(shape: Partition, j_mask: int) -> list[tuple[array.array, array.array, array.array]]:
+def _point_groups(
+    shape: Partition, j_mask: int
+) -> Iterator[tuple[int, array.array, array.array, array.array, array.array]]:
     """Per descent group of the fiber that misses j_mask, the flags in W^J:
-    the flags as S_n indices, their points and the points' descents."""
-    groups = _fiber_by_descents(shape).items()
-    return [(flags, *_points(shape, descents)) for descents, flags in groups if not descents & j_mask]
+    (descents, flags, dims, points, point_descents), flags and points as
+    aligned S_n indices.  Each v_T w_J is length additive because the
+    Schubert point of a minimal coset representative is again one; a point
+    with a descent in J is an internal error."""
+    for descents, flags, dims in _fiber_groups(shape, j_mask):
+        points, point_descents = _points(shape, descents)
+        # l(point w_J) = l(point) + l(w_J) exactly when point lies in W^J
+        if any(map(j_mask.__and__, point_descents)):
+            images = _sn_images(shape.n)
+            v, point = next((v, pt) for v, pt, d in zip(flags, points, point_descents) if d & j_mask)
+            raise RuntimeError(f"product not reduced for v={Permutation(images[v])}: point {Permutation(images[point])}")
+        yield descents, flags, dims, points, point_descents
 
 
 def _times_w_j(blocks: Iterable[tuple[int, ...]]) -> Callable[[tuple[int, ...]], tuple[int, ...]] | None:
@@ -183,29 +194,6 @@ def _union_poly(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]]
     return Poly(tuple((ideal & plane).bit_count() for plane in _sn_length_planes(n)))
 
 
-def _quotient_points(shape: Partition, p: ParabolicData) -> dict[int, tuple[array.array, array.array]]:
-    """Per descent set of the fiber walk that misses J, the flags v in
-    springer_min_reps with those descents and their points, as S_n indices.
-    Each v_T w_J is length additive because the Schubert point of a minimal
-    coset representative is again one; a point with a descent in J is an
-    internal error."""
-    if p.n != shape.n:
-        raise ValueError("degree mismatch")
-    j_mask = p.mask
-    out = {}
-    for descents, flags in _fiber_by_descents(shape).items():
-        if descents & j_mask:
-            continue
-        points, point_descents = _points(shape, descents)
-        # l(point w_J) = l(point) + l(w_J) exactly when point lies in W^J
-        if any(map(j_mask.__and__, point_descents)):
-            images = _sn_images(shape.n)
-            v, point = next((v, pt) for v, pt, d in zip(flags, points, point_descents) if d & j_mask)
-            raise RuntimeError(f"product not reduced for v={Permutation(images[v])}: point {Permutation(images[point])}")
-        out[descents] = flags, points
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _group_maxima(shape: Partition, descents: int) -> list[int]:
     """The points of one descent group of _points that lie below no other
@@ -216,7 +204,7 @@ def _group_maxima(shape: Partition, descents: int) -> list[int]:
 def _union_tops(shape: Partition, p: ParabolicData) -> dict[int, int]:
     """Per v in springer_min_reps, by S_n index, the S_n index of v_T w_J."""
     images = _sn_images(shape.n)
-    pairs = ((v, point) for flags, points in _quotient_points(shape, p).values() for v, point in zip(flags, points))
+    pairs = ((v, point) for _, flags, _, points, _ in _point_groups(shape, p.mask) for v, point in zip(flags, points))
     times_w_j = _times_w_j(p.blocks)
     if times_w_j is None:
         return dict(pairs)
@@ -230,6 +218,8 @@ def schubert_union_tops(shape: Partition, p: ParabolicData) -> tuple[Permutation
     >>> [t.one_line() for t in schubert_union_tops(Partition((2, 2)), ParabolicData(4, frozenset({1, 3})))]
     ['2,1,4,3', '3,1,4,2', '4,1,3,2']
     """
+    if p.n != shape.n:
+        raise ValueError("degree mismatch")
     images = _sn_images(shape.n)
     return tuple(Permutation(images[idx]) for idx in sorted(set(_union_tops(shape, p).values())))
 
@@ -268,8 +258,7 @@ def _poincare_pair(shape: Partition, p: ParabolicData) -> tuple[Poly, Poly]:
     """The Hessenberg Poincare polynomial of (shape, J) and that of its
     Schubert union.  A point below another of its descent group stays below
     it times w_J, both in W^J, so the groups' maximal points bound the union."""
-    groups = _quotient_points(shape, p)
-    points = itertools.chain.from_iterable(_group_maxima(shape, descents) for descents in groups)
+    points = itertools.chain.from_iterable(_group_maxima(shape, d) for d, *_ in _point_groups(shape, p.mask))
     return poincare_hessenberg(shape, h_from_parabolic(p)), _union_poly(points, shape.n, p.blocks)
 
 

@@ -194,6 +194,17 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return all(a <= b for a, b in zip(_rank_counts(u.images), _rank_counts(w.images)))
 
 
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma separated integers, e.g. "1,3"; blank text is the empty tuple."""
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        return tuple(int(piece) for piece in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected comma separated integers, got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Parabolic subgroups and their cosets.
 # ---------------------------------------------------------------------------
@@ -232,8 +243,7 @@ class ParabolicData:
     @staticmethod
     def from_string(n: int, text: str) -> ParabolicData:
         """Parse "1,3"; the empty string names the empty set."""
-        j = frozenset(int(part) for part in text.split(",")) if text else frozenset()
-        return ParabolicData(n, j)
+        return ParabolicData(n, frozenset(_parse_ints(text)))
 
     @functools.cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:

@@ -147,7 +147,7 @@ def test_springer_text_builds_no_cell_row(capsys, monkeypatch):
         return lambda *args: calls.append(name)
 
     monkeypatch.setattr(cli, "_point_groups", counted("_point_groups"))
-    monkeypatch.setattr(cli, "_springer_dim_table", counted("_springer_dim_table"))
+    monkeypatch.setattr(cli, "_sn_lengths", counted("_sn_lengths"))
     status, out, _ = run(capsys, "springer", "--partition", "2,1,1", "--format", "text")
     assert status == 0
     assert out == "1 + 3t + 5t^2 + 3t^3\n"
@@ -161,6 +161,13 @@ def test_springer_csv(capsys):
     assert lines[0] == "w,dim,schubert_point"
     assert len(lines) == 1 + 6  # 4!/(2!2!) = 6 fiber flags
     assert lines[1] == '"1,2,3,4",0,"1,2,3,4"'
+
+
+def test_springer_csv_quotes_like_the_census_rows(capsys):
+    # the census writer quotes a field only when it holds a comma
+    status, out, _ = run(capsys, "springer", "--partition", "1", "--format", "csv")
+    assert status == 0
+    assert out == "w,dim,schubert_point\n1,0,1\n"
 
 
 def test_springer_json(capsys):
@@ -463,8 +470,12 @@ def test_degree_limit_admits_nine(capsys):
 
 def test_internal_error_is_status_4(monkeypatch, capsys):
     # the root count one too high for every flag; the fiber of (2) is the identity
-    dims = cli._springer_dim_table
-    monkeypatch.setattr(cli, "_springer_dim_table", lambda shape: tuple(d + 1 for d in dims(shape)))
+    groups = cli._point_groups
+
+    def wrong(shape, j_mask):
+        return [(d, flags, [dim + 1 for dim in dims], *rest) for d, flags, dims, *rest in groups(shape, j_mask)]
+
+    monkeypatch.setattr(cli, "_point_groups", wrong)
     status, out, err = run(capsys, "springer", "--partition", "2", "--format", "csv")
     assert status == 4
     assert out == ""

@@ -153,7 +153,7 @@ def test_failures_total_counts_past_the_stored_witnesses(fifteen_hundred_failure
 
 
 def _clear_caches():
-    for module in (symgroup, nilpotent, hessvar, schubert):
+    for module in (symgroup, nilpotent, hessvar, schubert, harness):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -181,9 +181,13 @@ def _without_identity(kernel):
     return lambda shape, h: kernel(shape, h) & ~1
 
 
-def _reps_without_identity(reps):
-    # index 0 is the identity, the first fiber flag in every W^J
-    return lambda shape, p: reps(shape, p)[1:]
+def _reps_without_identity(groups):
+    # index 0 is the identity, the first flag of the first fiber group in every W^J
+    def wrong(shape, j_mask):
+        (descents, flags, dims), *rest = groups(shape, j_mask)
+        return [(descents, flags[1:], dims[1:]), *rest]
+
+    return wrong
 
 
 def _moved_points(move):
@@ -255,16 +259,19 @@ def test_dim_formulas_fail_when_the_schubert_point_is_one_too_long(clean_caches,
 
 
 def test_dim_formulas_fail_when_the_root_count_table_is_one_too_high(clean_caches, monkeypatch):
-    table = harness._springer_dim_table
+    groups = schubert._fiber_groups
     shape = Partition((2, 1, 1))
-    # the last fiber index of one shape: a single wrong entry is found
-    last = max(i for i, dim in enumerate(table(shape)) if dim >= 0)
+    # the last flag of one shape's walk: a single wrong root count is found
+    last = groups(shape, 0)[-1][1][-1]
 
-    def wrong(other):
-        dims = table(other)
-        return dims[:last] + (dims[last] + 1,) + dims[last + 1 :] if other == shape else dims
+    def wrong(other, j_mask):
+        out = groups(other, j_mask)
+        if other != shape:
+            return out
+        *rest, (descents, flags, dims) = out
+        return [*rest, (descents, flags, [*dims[:-1], dims[-1] + 1])]
 
-    monkeypatch.setattr(harness, "_springer_dim_table", wrong)
+    monkeypatch.setattr(schubert, "_fiber_groups", wrong)
     (report,) = [r for r in run_checks(4, checks=["dim-formulas-agree"]) if r.n == 4]
     assert report.failures_total == 1
     assert report.failures[0].shape == shape.parts
@@ -326,7 +333,7 @@ def test_coset_checks_witness_a_one_element_j(check_id, clean_caches, monkeypatc
         sets = [
             (symgroup._sn_images(4)[idx], descents)
             for shape in nilpotent.partitions(4)
-            for flags, _, point_descents in schubert._point_groups(shape, 0)
+            for _, flags, _, _, point_descents in schubert._point_groups(shape, 0)
             for idx, descents in zip(flags, point_descents)
         ]
     expected = _descent_mismatches(4, sets)
@@ -394,6 +401,16 @@ def test_parabolic_dimension_fails_on_one_flipped_dimension_bit(level, clean_cac
     assert failures.witnesses == [harness.Failure((1, 1, 1, 1), (1, 2, 3), "4,3,2,1")]
 
 
+def test_excess_is_one_plus_length_minus_springer_dimension_on_the_fiber():
+    for n in range(1, 7):
+        for shape in nilpotent.partitions(n):
+            expected = bytes(
+                1 + w.length() - nilpotent.springer_cell_dim(w, shape) if nilpotent.springer_contains(w, shape) else 0
+                for w in symgroup.enumerate_sn(n)
+            )
+            assert harness._excess(shape) == expected, shape
+
+
 def _without_identity_in_length_planes(planes):
     # index 0 is the identity, the only permutation of length 0
     return lambda n: (planes(n)[0] & ~1, *planes(n)[1:])
@@ -403,7 +420,7 @@ def _without_identity_in_length_planes(planes):
     ("module", "name", "wrong", "check_id"),
     [
         (schubert, "_sn_length_planes", _without_identity_in_length_planes, "main-theorem"),
-        (hessvar, "_min_rep_indices", _reps_without_identity, "poincare-corollary"),
+        (hessvar, "_fiber_groups", _reps_without_identity, "poincare-corollary"),
     ],
     ids=["schubert-main-theorem", "hessvar-poincare-corollary"],
 )
@@ -420,7 +437,7 @@ def test_main_theorem_fails_when_the_union_points_are_wrong(clean_caches, monkey
     # each flag stands in for its own point: the same descents, so every
     # point stays in W^J and the union side records failures, not raises
     def flags_as_points(shape, descents):
-        flags = nilpotent._fiber_by_descents(shape)[descents]
+        flags, _ = nilpotent._fiber_by_descents(shape)[descents]
         return flags, [descents] * len(flags)
 
     monkeypatch.setattr(schubert, "_points", flags_as_points)
@@ -438,14 +455,13 @@ def test_schubert_ideal_names_the_missing_element(clean_caches, monkeypatch):
     report = run_checks(4, checks=["schubert-ideal"])[-1]
     # every shape of degree 4 is in the hypothesis
     expected = []
+    parabolics = symgroup.parabolics(4)
     for shape in nilpotent.partitions(4):
-        if len(hessvar._min_rep_indices(shape, ParabolicData(4, frozenset()))) > 1:
+        sizes = [sum(len(flags) for _, flags, _ in nilpotent._fiber_groups(shape, p.mask)) for p in parabolics]
+        # parabolics(4) opens with the empty J
+        if sizes[0] > 1:
             expected.append((shape.parts, None, "1,2,3,4"))
-        expected += [
-            (shape.parts, p.sorted_j(), "1,2,3,4")
-            for p in symgroup.parabolics(4)
-            if len(hessvar._min_rep_indices(shape, p)) > 1
-        ]
+        expected += [(shape.parts, p.sorted_j(), "1,2,3,4") for p, size in zip(parabolics, sizes) if size > 1]
     assert len(expected) > 8
     assert [(f.shape, f.j, f.witness) for f in report.failures] == expected
 

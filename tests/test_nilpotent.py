@@ -24,7 +24,7 @@ from hesscomb import (
     springer_contains,
     springer_tableau,
 )
-from hesscomb.nilpotent import _fiber_bitmap, _row_inversion_vector
+from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
 
 from conftest import root_set, small_partitions
 
@@ -49,6 +49,12 @@ def test_partition_accessors():
     assert shape.column_heights() == (2, 2, 1)
     assert str(shape) == "3,2"
     assert Partition.from_string("3,2") == shape
+
+
+def test_partition_from_string_gives_the_integer_list_diagnostic():
+    with pytest.raises(ValueError) as info:
+        Partition.from_string("2,x")
+    assert str(info.value) == "expected comma separated integers, got '2,x'"
 
 
 def test_partitions_enumeration():
@@ -249,11 +255,11 @@ def test_row_inversion_vector_matches_public_reading():
     # every flag of S_n: the scan gives None exactly off the fiber
     for total in (1, 2, 3, 4, 5):
         for shape in partitions(total):
-            member = _fiber_bitmap(shape)
+            fiber = {idx for flags, _ in _fiber_by_descents(shape).values() for idx in flags}
             for idx, w in enumerate(enumerate_sn(total)):
                 t = springer_tableau(w, shape)
                 vector = _row_inversion_vector(w.images, shape)
-                assert (vector is not None) == t.is_row_strict() == member[idx], (w, shape)
+                assert (vector is not None) == t.is_row_strict() == (idx in fiber), (w, shape)
                 if vector is not None:
                     assert vector == tuple(row_inversions(t, q) for q in range(2, total + 1))
 

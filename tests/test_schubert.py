@@ -37,7 +37,7 @@ from hesscomb import (
     union_hypothesis,
 )
 from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
-from hesscomb.schubert import _lower_ideal, _poincare_pair, _points, _quotient_points, _union_poly, _union_tops
+from hesscomb.schubert import _lower_ideal, _poincare_pair, _point_groups, _points, _union_poly, _union_tops
 from hesscomb.symgroup import _bit_indices, _sn_images, _split_index
 
 from conftest import bruhat_leq_subword, permutations_of, subword_ideal
@@ -102,7 +102,7 @@ def test_schubert_point_outside_fiber():
 def test_group_points_match_schubert_point_flag_by_flag(n):
     images = _sn_images(n)
     for shape in partitions(n):
-        for descents, flags in _fiber_by_descents(shape).items():
+        for descents, (flags, _) in _fiber_by_descents(shape).items():
             points, point_descents = _points(shape, descents)
             assert len(points) == len(point_descents) == len(flags)
             for idx, point, point_set in zip(flags, points, point_descents):
@@ -285,7 +285,7 @@ def test_ideal_of_the_points_is_the_ideal_of_every_top(n):
         for p in parabolics(n):
             tops = sorted(set(_union_tops(shape, p).values()))
             expected, expected_maximal = _lower_ideal(tops, n)
-            points = [point for _, group in _quotient_points(shape, p).values() for point in group]
+            points = [point for _, _, _, group, _ in _point_groups(shape, p.mask) for point in group]
             ideal, maximal = _lower_ideal(points, n, p.blocks)
             assert ideal == expected, (shape, p)
             w_j = longest_element(p)

@@ -27,7 +27,7 @@ from hesscomb import (
     poincare_subgroup,
     string_decompose,
 )
-from hesscomb.hessvar import _min_rep_indices
+from hesscomb.nilpotent import _fiber_groups
 from hesscomb.symgroup import (
     StringDecomposition,
     _bit_indices,
@@ -353,7 +353,7 @@ def test_quotient_indices_are_the_min_coset_reps(n):
     # the fiber of (1^n) is all of S_n, so its flags in W^J are W^J
     perms = list(enumerate_sn(n))
     for p in parabolics(n):
-        got = _min_rep_indices(Partition((1,) * n), p)
+        got = [idx for _, flags, _ in _fiber_groups(Partition((1,) * n), p.mask) for idx in flags]
         assert sorted(got) == [idx for idx, w in enumerate(perms) if is_min_coset_rep(w, p)]
         assert len(got) == math.factorial(n) // math.prod(math.factorial(m) for m in p.mu)
 
