@@ -11,7 +11,8 @@ Subcommands expose the main computations with text, JSON, or CSV output:
     census         dump ground truth rows for a degree
 
 Exit statuses: 0 success, 1 domain error, a partition above MAX_DEGREE = 9
-in poincare, springer, union or components, or an unwritable --out file,
+in poincare, springer, union or components, a cells census above degree
+MAX_CELLS_DEGREE = 7, or an unwritable --out file,
 2 usage error, 3 when verify finds a failing check, 4 internal error (two
 routes of the package disagreed); 1 and 4 print one line on stderr.
 census also prints its row count and elapsed time as one stderr line.
@@ -42,7 +43,7 @@ from .symgroup import (
     ParabolicData,
     Permutation,
     _parse_ints,
-    _sn_images,
+    _sn_image,
     _sn_lengths,
     perm_from_word,
     string_decompose,
@@ -102,18 +103,18 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
     poly = poincare_hessenberg(shape, HessenbergFunction.identity(shape.n))
     if args.format == "text":
         return str(poly) + "\n", 0
-    images = _sn_images(shape.n)
+    image = _sn_image(shape.n)
     lengths = _sn_lengths(shape.n)
     rows = (row for _, flags, dims, points, _ in _point_groups(shape, 0) for row in zip(flags, dims, points))
     cells = []
     # one tableau scan per flag, in its point; the rows go out in lexicographic order of w
     for idx, by_roots, point in sorted(rows):
-        w, by_rows = Permutation(images[idx]).one_line(), lengths[point]
+        w, by_rows = Permutation(image(idx)).one_line(), lengths[point]
         if by_rows != by_roots:
             raise RuntimeError(
                 f"dimension formulas disagree for w={w}, shape={shape}: {by_rows} by rows, {by_roots} by roots"
             )
-        cells.append({"w": w, "dim": by_rows, "schubert_point": Permutation(images[point]).one_line()})
+        cells.append({"w": w, "dim": by_rows, "schubert_point": Permutation(image(point)).one_line()})
     if args.format == "json":
         payload = {
             "lambda": list(shape.parts),

@@ -17,7 +17,7 @@ from typing import Any
 
 from .nilpotent import Partition
 from .schubert import _lower_ideal, _point_groups, _union_tops
-from .symgroup import ParabolicData, Permutation, _sn_images, longest_element
+from .symgroup import ParabolicData, Permutation, _sn_image, longest_element
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,18 +70,18 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
         raise ValueError("degree mismatch")
     w_j = longest_element(p)
     len_wj = w_j.length()
-    images = _sn_images(shape.n)
+    image = _sn_image(shape.n)
     sdim = {v: dim for _, flags, dims, _, _ in _point_groups(shape, p.mask) for v, dim in zip(flags, dims)}
     rows: list[tuple[Permutation, Permutation, int, int]] = []
     for v_idx, s_top in _union_tops(shape, p).items():
-        v = Permutation(images[v_idx])
+        v = Permutation(image(v_idx))
         rows.append((v, v * w_j, s_top, sdim[v_idx] + len_wj))
     maximal = set(_lower_ideal((row[2] for row in rows), shape.n)[1])
     out = [
         ComponentCandidate(
             v=v,
             top_cell=top,
-            schubert_top=Permutation(images[s_top]),
+            schubert_top=Permutation(image(s_top)),
             cell_dim=dim,
             full_cell=dim == top.length(),
             bruhat_maximal=s_top in maximal,

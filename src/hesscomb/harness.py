@@ -65,6 +65,7 @@ from .schubert import (
     union_hypothesis,
 )
 from .symgroup import (
+    MAX_CELLS_DEGREE,
     MAX_SWEEP_DEGREE,
     ParabolicData,
     Permutation,
@@ -450,7 +451,8 @@ SUMMARY_FIELDS = ("lambda", "J", "hessenberg_poly", "schubert_union_poly", "equa
 def census(n: int, granularity: str) -> list[dict[str, object]]:
     """Flat ground truth rows for one degree.
 
-    cells: one row per nonempty cell of every (shape, J) pair.
+    cells: one row per nonempty cell of every (shape, J) pair, for degrees
+    up to MAX_CELLS_DEGREE = 7 (the rows of degree 8 outgrow memory).
     summaries: one row per (shape, J) pair with both polynomials.
 
     >>> census(1, "summaries")
@@ -459,6 +461,8 @@ def census(n: int, granularity: str) -> list[dict[str, object]]:
     if not 1 <= n <= MAX_SWEEP_DEGREE:
         raise ValueError(f"degree must be between 1 and {MAX_SWEEP_DEGREE}, got {n}")
     if granularity == "cells":
+        if n > MAX_CELLS_DEGREE:
+            raise ValueError(f"cells granularity supports degree at most {MAX_CELLS_DEGREE}, got {n}")
         return _census_cells(n)
     if granularity == "summaries":
         return _census_summaries(n)

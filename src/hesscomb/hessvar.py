@@ -36,6 +36,7 @@ from .symgroup import (
     ParabolicData,
     Permutation,
     _bit_indices,
+    _sn_image,
     _sn_images,
     _sn_planes,
     coset_factor,
@@ -125,6 +126,10 @@ def hess_contains(w: Permutation, shape: Partition, h: HessenbergFunction) -> bo
     The criterion moves each root of the highest form nilpotent by w^(-1)
     and asks for landing inside the staircase root set, i.e. at a matrix
     position allowed by h.
+
+    A reference route of the test suite: it works one permutation at a
+    time and reads no per degree table, so the tests can hold the fast
+    routes against it; keep it off the fast path.
     """
     if not (w.n == shape.n == h.n):
         raise ValueError("degree mismatch")
@@ -142,6 +147,10 @@ def cell_dim(w: Permutation, shape: Partition, h: HessenbergFunction) -> int:
     Counts N(w^(-1)) in two zones: inversions outside the orbit ideal root
     support are free, and inversions inside it survive only when they also
     lie in w applied to the negative staircase roots.
+
+    A reference route of the test suite: it works one permutation at a
+    time and reads no per degree table, so the tests can hold the fast
+    routes against it; keep it off the fast path.
 
     >>> cell_dim(Permutation((2, 4, 1, 3)), Partition((2, 2)), HessenbergFunction((2, 2, 4, 4)))
     2
@@ -165,6 +174,10 @@ def parabolic_cell_dim(w: Permutation, shape: Partition, p: ParabolicData) -> in
 
     Agreement with cell_dim under h_from_parabolic(p) is the parabolic
     dimension theorem, enforced by the check harness.
+
+    A reference route of the test suite: it works one permutation at a
+    time and reads no per degree table, so the tests can hold the fast
+    routes against it; keep it off the fast path.
     """
     if w.n != shape.n or p.n != shape.n:
         raise ValueError("degree mismatch")
@@ -186,9 +199,9 @@ def springer_min_reps(shape: Partition, p: ParabolicData) -> tuple[Permutation, 
     """
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    images = _sn_images(shape.n)
+    image = _sn_image(shape.n)
     flags = itertools.chain.from_iterable(flags for _, flags, _ in _fiber_groups(shape, p.mask))
-    return tuple(Permutation(images[idx]) for idx in sorted(flags))
+    return tuple(Permutation(image(idx)) for idx in sorted(flags))
 
 
 def _staircase_negatives(h: HessenbergFunction) -> frozenset[tuple[int, int]]:

@@ -32,6 +32,10 @@ MAX_DEGREE = 9
 # Largest degree of the exhaustive harness sweeps (run_checks and census),
 # which visit every shape and every J of a degree.
 MAX_SWEEP_DEGREE = 8
+# Largest degree of census --granularity cells, one row per cell of every
+# shape and J: 1,137,663 rows at degree 7, and 19,048,197 at 8 would hold
+# about 15 GB of rows.
+MAX_CELLS_DEGREE = 7
 
 
 @dataclasses.dataclass(frozen=True, order=True, slots=True)
@@ -183,6 +187,10 @@ def _essential_counts(images: Sequence[int]) -> list[tuple[int, int]]:
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """Bruhat order on S_n by the dominance criterion.
+
+    A reference route of the test suite: it works one permutation at a
+    time and reads no per degree table, so the tests can hold the fast
+    routes against it; keep it off the fast path.
 
     >>> u = perm_from_word([2, 3], 4)
     >>> w = perm_from_word([1, 2, 3, 1], 4)
@@ -406,6 +414,10 @@ def is_min_coset_rep_strings(strings: StringDecomposition, p: ParabolicData) -> 
 
     w is shortest in w W_J exactly when l(w_i) <= l(w_(i-1)) for every
     i in J, with l(w_0) taken to be 0; strings is string_decompose(w).
+
+    A reference route of the test suite: it works one permutation at a
+    time and reads no per degree table, so the tests can hold the fast
+    routes against it; keep it off the fast path.
     """
     if strings.n != p.n:
         raise ValueError("degree mismatch")
@@ -433,14 +445,27 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Cached per degree tables, aligned with the lexicographic order of S_n:
-# one line arrays, their index, lengths, the adjacent sorting swaps and
-# coset representatives.  They serve the harness sweeps and per shape
-# tables.  A set of permutations can also be one int,
-# bit i standing for the permutation of index i.  In that form _sn_planes
-# holds the value planes of w^(-1), and a poincare_hessenberg query builds
-# them and no other table; _sn_rank_planes and _sn_length_planes hold the
-# rank count and length planes that Bruhat lower ideals are counted with.
+# Cached per degree tables, aligned with the lexicographic order of S_n.  In
+# that order S_n is n blocks of (n-1)! permutations, block b holding
+# w(1) = b + 1 followed by a relabelled S_(n-1) in its tail, the values
+# above b + 1 moved down by one.  So each table of degree n is put together
+# block by block from the table of degree n - 1, and no permutation is
+# visited.  A set of permutations is one int, bit i standing for the
+# permutation of index i, and the sets of degree n are ORs of shifted sets
+# of degree n - 1:
+#
+# * _sn_planes holds the value planes of w^(-1); a poincare_hessenberg
+#   query builds them and no other table.
+# * _sn_rank_planes and _sn_length_planes hold the rank count and length
+#   planes that Bruhat lower ideals are built and counted with.  Each has
+#   its own recursion and reads no other table, so the Schubert union
+#   shares no code with the staircase sweep.
+# * _sn_lengths adds b to each length of block b, one byte per index.
+#
+# _split_index ranks a one line array and _sn_image unranks an index, both
+# through the tables of the head and tail halves of the array.  _sn_images,
+# all n! one line arrays, and the coset tables serve only the harness
+# sweeps, which visit every permutation anyway.
 # ---------------------------------------------------------------------------
 
 
@@ -450,33 +475,57 @@ def _sn_images(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def _split_tables(n: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The halves of the one line arrays of S_n, split after h = n // 2
+    entries: every head in lexicographic order, and per set of tail values,
+    sorted, its orderings in lexicographic order.  The arrays with one head
+    are a run of (n - h)! indices, the heads in order, and within the run
+    the tail keeps its place among the orderings of its values: two tables
+    of 18,144 entries in all at n = 9, not one of 9! entries over S_n."""
+    values = range(1, n + 1)
+    heads = list(itertools.permutations(values, n // 2))
+    tails = {rest: tuple(itertools.permutations(rest)) for rest in itertools.combinations(values, n - n // 2)}
+    return heads, tails
+
+
+@functools.lru_cache(maxsize=None)
 def _split_index(n: int) -> Callable[[tuple[int, ...]], int]:
     """The S_n index of a one line array as head[w[:h]] + tail[w[h:]], h =
-    n // 2: two tables of 18,144 entries in all at n = 9, not one of 9!
-    entries over S_n.  The arrays with one head are a run of (n - h)!
-    indices, the heads in lexicographic order, and within the run the tail
-    is ranked among the orderings of its values."""
+    n // 2, from _split_tables."""
     h = n // 2
-    values = range(1, n + 1)
+    heads, tails = _split_tables(n)
     size = math.factorial(n - h)
-    head = {part: rank * size for rank, part in enumerate(itertools.permutations(values, h))}
-    tail = {
-        part: rank
-        for rest in itertools.combinations(values, n - h)
-        for rank, part in enumerate(itertools.permutations(rest))
-    }
+    head = {part: rank * size for rank, part in enumerate(heads)}
+    tail = {part: rank for parts in tails.values() for rank, part in enumerate(parts)}
     return lambda images: head[images[:h]] + tail[images[h:]]
 
 
 @functools.lru_cache(maxsize=None)
-def _sn_lengths(n: int) -> tuple[int, ...]:
-    """l(w) per S_n index.  Block b of S_n holds w(1) = b + 1, which is
-    inverted with the b smaller values, and a relabelled S_(n-1) in its
-    tail, so the block reads b + l for each l one degree lower."""
+def _sn_image(n: int) -> Callable[[int], tuple[int, ...]]:
+    """The one line array of an S_n index, the inverse of _split_index:
+    the index's run of (n - h)! names the head, and its place in the run
+    the ordering of the other values, from _split_tables."""
+    heads, tails = _split_tables(n)
+    size = math.factorial(n - n // 2)
+    runs = [(head, tails[tuple(v for v in range(1, n + 1) if v not in head)]) for head in heads]
+
+    def image(idx: int) -> tuple[int, ...]:
+        run, place = divmod(idx, size)
+        head, orderings = runs[run]
+        return head + orderings[place]
+
+    return image
+
+
+@functools.lru_cache(maxsize=None)
+def _sn_lengths(n: int) -> bytes:
+    """l(w) per S_n index, one byte each.  In block b, w(1) = b + 1 is
+    inverted with the b smaller values, so the block reads b + l for each
+    l one degree lower."""
     if n <= 1:
-        return (0,)
+        return b"\0"
     below = _sn_lengths(n - 1)
-    return tuple(b + length for b in range(n) for length in below)
+    return b"".join(below.translate(bytes((value + b) % 256 for value in range(256))) for b in range(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -486,10 +535,8 @@ def _sn_planes(n: int) -> tuple[tuple[int, ...], ...]:
     ge[pos][k] is the set of w with w^(-1)(pos + 1) >= k + 1, for k = 0..n:
     ge[pos][0] is all of S_n, ge[pos][n] is empty, and ge[pos][k] ^
     ge[pos][k + 1] is the set with w^(-1)(pos + 1) = k + 1, that is
-    w(k + 1) = pos + 1.  In lexicographic order S_n is n blocks of (n-1)!
-    permutations, block b holding w(1) = b + 1 and a relabelled S_(n-1) in
-    its tail, so each plane of degree n is an OR of shifted planes of
-    degree n - 1 and no permutation is visited.
+    w(k + 1) = pos + 1.  Each plane of degree n is an OR of shifted planes
+    of degree n - 1.
     """
     below = _sn_planes(n - 1) if n > 1 else ()
     size = math.factorial(n - 1)
@@ -517,9 +564,17 @@ def _bitset(data: bytes, values: Container[int]) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _sn_length_planes(n: int) -> tuple[int, ...]:
-    """planes[l]: the set of w in S_n with l(w) = l, for l = 0..n(n-1)/2."""
-    data = bytes(reversed(_sn_lengths(n)))
-    return tuple(_bitset(data, range(length, length + 1)) for length in range(n * (n - 1) // 2 + 1))
+    """planes[l]: the set of w in S_n with l(w) = l, for l = 0..n(n-1)/2.
+    Block b holds the lengths one degree lower raised by b, as _sn_lengths."""
+    if n <= 1:
+        return (1,)
+    below = _sn_length_planes(n - 1)
+    size = math.factorial(n - 1)
+    planes = [0] * (n * (n - 1) // 2 + 1)
+    for b in range(n):
+        for length, plane in enumerate(below):
+            planes[b + length] |= plane << b * size
+    return tuple(planes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -528,25 +583,41 @@ def _sn_rank_planes(n: int) -> tuple[tuple[int, ...], ...]:
     its order: row[c] is the set of u whose count is at most c, for each c
     below the count's largest value min(i, n - k + 1).  So the interval
     [e, w] is the AND of row[count] over the counts of w below that value,
-    and already over its essential counts (_essential_counts).
+    and already over its essential counts (_essential_counts).  No count
+    is below i - k + 1, so the planes below that are empty.
 
-    The counts are summed one position at a time, one byte per permutation;
-    a count is at most n - 1, so no byte carries into the next.  No count
-    is below i - k + 1, so the planes below that are empty."""
-    images = _sn_images(n)
-    # the one line arrays back to back, the highest index first
-    flat = bytes(itertools.chain.from_iterable(reversed(images)))
-    counts = [0] * (n + 1)
-    rows = []
-    for i in range(1, n):
-        column = flat[i - 1 :: n]
-        for k in range(2, n + 1):
-            counts[k] += int.from_bytes(column.translate(_byte_map(range(k, n + 1), b"\0\1")), "big")
-            data = counts[k].to_bytes(len(images), "big")
-            rows.append(
-                tuple(_bitset(data, range(c + 1)) if c > i - k else 0 for c in range(min(i, n - k + 1)))
-            )
-    return tuple(rows)
+    Block b holds u(1) = b + 1 and a relabelled t in S_(n-1) in its tail,
+    whose values above b are those of u above b + 1, moved down by one.
+    So the count (i, k) of u is [b + 1 >= k] plus the count
+    (i - 1, k - [k > b + 1]) of t, and each plane is an OR of shifted
+    planes one degree lower.  The counts (0, k), (i, 1) and (i, n) of t
+    are the same for every t: 0, i and 0.
+    """
+    if n <= 1:
+        return ()
+    below = _sn_rank_planes(n - 1)
+    size = math.factorial(n - 1)
+    full = (1 << size) - 1
+
+    def tail(i: int, k: int, c: int) -> int:
+        # the t in S_(n-1) whose count (i, k) is at most c
+        if c < 0:
+            return 0
+        if i == 0 or k == n:
+            return full
+        if k == 1:
+            return full if c >= i else 0
+        row = below[(i - 1) * (n - 2) + k - 2]
+        return row[c] if c < len(row) else full
+
+    return tuple(
+        tuple(
+            sum(tail(i - 1, k - (k > b + 1), c - (b + 1 >= k)) << b * size for b in range(n)) if c > i - k else 0
+            for c in range(min(i, n - k + 1))
+        )
+        for i in range(1, n)
+        for k in range(2, n + 1)
+    )
 
 
 def _bit_indices(bits: int) -> Iterator[int]:

@@ -9,7 +9,21 @@ import time
 
 import pytest
 
-from hesscomb import Partition, census, cli, nilpotent, rows_to_csv, schubert, symgroup
+from hesscomb import (
+    ParabolicData,
+    Partition,
+    bruhat_lower_ideal,
+    census,
+    cli,
+    components,
+    hessvar,
+    nilpotent,
+    rows_to_csv,
+    schubert,
+    schubert_union_tops,
+    springer_min_reps,
+    symgroup,
+)
 from hesscomb.cli import main
 
 
@@ -177,6 +191,28 @@ def test_springer_json(capsys):
     assert payload["lambda"] == [2, 1, 1]
     assert sum(payload["poincare"]) == len(payload["cells"]) == 12
     assert payload["cells"][0] == {"w": "1,2,3,4", "dim": 0, "schubert_point": "1,2,3,4"}
+
+
+def test_single_queries_build_no_table_of_the_sn_arrays(capsys):
+    # the queries unrank their S_n indices one at a time (symgroup._sn_image)
+    for module in (symgroup, nilpotent, hessvar, schubert, components, cli):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    queries = [
+        ("union", "--partition", "3,3,2", "--parabolic", "1,4", "--format", "json"),
+        ("components", "--partition", "4,2,2", "--parabolic", "2,5,6", "--format", "json"),
+        ("springer", "--partition", "3,3,2", "--format", "csv"),
+        ("springer", "--partition", "3,3,2", "--format", "json"),
+    ]
+    for argv in queries:
+        status, out, _ = run(capsys, *argv)
+        assert status == 0 and out
+    shape, p = Partition((4, 2, 1, 1)), ParabolicData.from_iterable(8, (2, 5))
+    assert springer_min_reps(shape, p)
+    tops = schubert_union_tops(shape, p)
+    assert len(bruhat_lower_ideal(tops[:1], 8)) > 1
+    assert symgroup._sn_images.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -521,6 +557,16 @@ def test_census_reports_rows_and_time_on_stderr(capsys):
     assert out == rows_to_csv(census(3, "cells"), "cells")
     rows = len(out.splitlines()) - 1
     assert re.fullmatch(rf"census: {rows} rows in \d+\.\d\ds\n", err)
+
+
+def test_census_cells_stop_at_degree_seven(tmp_path, capsys):
+    # degree 8 has 19,048,197 cells: one line, status 1, no rows, no traceback
+    target = tmp_path / "cells.csv"
+    for out_flag in ((), ("--out", str(target))):
+        status, out, err = run(capsys, "census", "--n", "8", "--granularity", "cells", *out_flag)
+        assert status == 1 and out == ""
+        assert err == "error: cells granularity supports degree at most 7, got 8\n"
+    assert not target.exists()
 
 
 def test_census_json(capsys):

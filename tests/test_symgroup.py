@@ -36,7 +36,9 @@ from hesscomb.symgroup import (
     _essential_counts,
     _length,
     _rank_counts,
+    _sn_image,
     _sn_images,
+    _sn_length_planes,
     _sn_lengths,
     _sn_planes,
     _sn_rank_planes,
@@ -390,7 +392,7 @@ def test_sn_planes_layout(n):
             ]
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_sn_rank_planes_are_the_brute_counts(n):
     images = _sn_images(n)
     # (i, k) in the order of _rank_counts: i = 1..n-1 outer, k = 2..n inner
@@ -426,7 +428,36 @@ def test_essential_counts_cut_the_interval_of_every_count(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sn_lengths_by_blocks_are_the_inversion_counts(n):
-    assert _sn_lengths(n) == tuple(_length(w) for w in _sn_images(n))
+    assert tuple(_sn_lengths(n)) == tuple(_length(w) for w in _sn_images(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sn_length_planes_hold_each_index_at_its_length(n):
+    planes = _sn_length_planes(n)
+    assert len(planes) == n * (n - 1) // 2 + 1
+    expected = [0] * len(planes)
+    for idx, w in enumerate(_sn_images(n)):
+        expected[_length(w)] |= 1 << idx
+    assert list(planes) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sn_image_unranks_the_split_index(n):
+    image, index = _sn_image(n), _split_index(n)
+    for idx, w in enumerate(_sn_images(n)):
+        assert image(idx) == w
+        assert index(image(idx)) == idx
+
+
+def test_union_planes_read_no_other_table():
+    # the rank and length planes have their own block recursion: the
+    # Schubert union side shares no table with the staircase sweep
+    tables = (_sn_images, _sn_lengths, _sn_planes, _coset_table, _sn_rank_planes, _sn_length_planes)
+    for table in tables:
+        table.cache_clear()
+    _sn_rank_planes(7)
+    _sn_length_planes(7)
+    assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0, 7, 7]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
