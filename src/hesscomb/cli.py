@@ -15,7 +15,8 @@ in poincare, springer, union or components, a cells census above degree
 MAX_CELLS_DEGREE = 7, or an unwritable --out file,
 2 usage error, 3 when verify finds a failing check, 4 internal error (two
 routes of the package disagreed); 1 and 4 print one line on stderr.
-census also prints its row count and elapsed time as one stderr line.
+census also prints its row count and elapsed time as one stderr line, and
+verify its report count, total failures and elapsed time, in both formats.
 """
 
 from __future__ import annotations
@@ -182,8 +183,11 @@ def _cmd_components(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    start = time.perf_counter()
     checks = None if args.checks is None else [c for c in args.checks.split(",") if c]
     reports = run_checks(args.n, checks)
+    failures = sum(r.failures_total for r in reports)
+    print(f"verify: {len(reports)} reports, {failures} failures in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     status = 3 if any(not r.passed for r in reports) else 0
     if args.format == "json":
         return json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n", status

@@ -12,16 +12,15 @@ JSON output labels it heuristic_maximal.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any
 
 from .nilpotent import Partition
+from .record import Record
 from .schubert import _lower_ideal, _point_groups, _union_tops
 from .symgroup import ParabolicData, Permutation, _sn_image, longest_element
 
 
-@dataclasses.dataclass(frozen=True)
-class ComponentCandidate:
+class ComponentCandidate(Record):
     """One top cell v*w_J of a parabolic Hessenberg variety.
 
     cell_dim is the dimension of the cell indexed by v*w_J, which equals

@@ -29,7 +29,6 @@ dump the same ground truth as flat rows for offline diffing.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -55,6 +54,7 @@ from .nilpotent import (
     partitions,
     springer_contains,
 )
+from .record import Record
 from .schubert import (
     _group_maxima,
     _lower_ideal,
@@ -84,8 +84,7 @@ from .symgroup import (
 _MAX_RECORDED_FAILURES = 1000
 
 
-@dataclasses.dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     """One counterexample: the shape and parabolic set where it happened
     plus a one line witness permutation, each omitted when irrelevant."""
 
@@ -94,8 +93,7 @@ class Failure:
     witness: str | None
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one named check at one degree: failures holds the first
     witnesses, failures_total counts every failure."""
 
@@ -124,12 +122,12 @@ class CheckReport:
         }
 
 
-@dataclasses.dataclass
 class _FailureLog:
     """Counts every failure of a check and keeps the first witnesses."""
 
-    witnesses: list[Failure] = dataclasses.field(default_factory=list)
-    total: int = 0
+    def __init__(self) -> None:
+        self.witnesses: list[Failure] = []
+        self.total = 0
 
     def record(
         self,

@@ -17,7 +17,6 @@ dimensions from nilpotent._fiber_groups, no table over S_n.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -31,6 +30,7 @@ from .nilpotent import (
     springer_cell_dim,
 )
 from .poly import Poly
+from .record import Record
 from .rootsys import root_act
 from .symgroup import (
     ParabolicData,
@@ -45,8 +45,7 @@ from .symgroup import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class HessenbergFunction:
+class HessenbergFunction(Record):
     """h: {1..n} -> {1..n} nondecreasing with h(i) >= i.
 
     >>> h = HessenbergFunction((2, 2, 4, 4))
@@ -56,16 +55,17 @@ class HessenbergFunction:
 
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        n = len(self.values)
+    def __init__(self, values: Iterable[int]) -> None:
+        values = tuple(values)
+        n = len(values)
         if n < 1:
             raise ValueError("empty Hessenberg function")
-        for i, v in enumerate(self.values, start=1):
+        for i, v in enumerate(values, start=1):
             if not i <= v <= n:
                 raise ValueError(f"h({i}) = {v} violates i <= h(i) <= {n}")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError(f"values must be nondecreasing: {self.values}")
+        if any(a > b for a, b in zip(values, values[1:])):
+            raise ValueError(f"values must be nondecreasing: {values}")
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -329,8 +329,7 @@ def poincare_parabolic_formula(shape: Partition, p: ParabolicData) -> Poly:
     return Poly.from_exponents(exponents) * poincare_subgroup(p)
 
 
-@dataclasses.dataclass(frozen=True)
-class HessCell:
+class HessCell(Record):
     """One nonempty cell of a parabolic Hessenberg variety."""
 
     w: Permutation

@@ -22,29 +22,29 @@ from __future__ import annotations
 
 import array
 import collections
-import dataclasses
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
+from .record import Record
 from .rootsys import RootSet, is_positive, positive_roots, root_dominates
 from .symgroup import Permutation, _inversions, _parse_ints
 
 
-@dataclasses.dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A partition written largest part first, e.g. Partition((3, 2))."""
 
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
+        if not parts:
             raise ValueError("empty partition")
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be nonincreasing: {self.parts}")
+        if any(p < 1 for p in parts):
+            raise ValueError(f"parts must be positive: {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"parts must be nonincreasing: {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def n(self) -> int:
@@ -89,8 +89,7 @@ def partitions(n: int) -> Iterator[Partition]:
         yield Partition(parts)
 
 
-@dataclasses.dataclass(frozen=True)
-class BaseFilling:
+class BaseFilling(Record):
     """The canonical labeling of a Young diagram, rows listed top to bottom.
 
     >>> base_filling(Partition((3, 2))).rows
@@ -223,8 +222,7 @@ def dominance_ideal_from_filling(shape: Partition) -> RootSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class Tableau:
+class Tableau(Record):
     """A bijective filling of a Young diagram, rows top to bottom.
 
     Row strictness (each row increasing left to right) is a predicate on
@@ -234,13 +232,15 @@ class Tableau:
     shape: Partition
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        if tuple(len(row) for row in self.rows) != self.shape.parts:
+    def __init__(self, shape: Partition, rows: Iterable[Iterable[int]]) -> None:
+        rows = tuple(tuple(row) for row in rows)
+        if tuple(len(row) for row in rows) != shape.parts:
             raise ValueError("row lengths do not match the shape")
-        entries = [e for row in self.rows for e in row]
-        if sorted(entries) != list(range(1, self.shape.n + 1)):
-            raise ValueError(f"entries must be a bijection with 1..{self.shape.n}")
+        entries = [e for row in rows for e in row]
+        if sorted(entries) != list(range(1, shape.n + 1)):
+            raise ValueError(f"entries must be a bijection with 1..{shape.n}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rows", rows)
 
     def row_of(self, value: int) -> int:
         for r, row in enumerate(self.rows, start=1):

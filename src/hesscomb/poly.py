@@ -8,8 +8,9 @@ stored ascending, so Poly((1, 3, 4, 3, 1)) is 1 + 3t + 4t^2 + 3t^3 + t^4.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterable
+
+from .record import Record
 
 
 def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -19,14 +20,13 @@ def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Dense integer polynomial, coefficients ascending in t."""
 
-    coeffs: tuple[int, ...] = ()
+    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _strip(self.coeffs))
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        object.__setattr__(self, "coeffs", _strip(coeffs))
 
     @staticmethod
     def zero() -> Poly:

@@ -9,9 +9,10 @@ with the pairs directly keeps the Weyl action and the matrix picture
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
+
+from .record import Record
 
 if TYPE_CHECKING:
     from .symgroup import Permutation
@@ -29,8 +30,7 @@ def _check_root(root: Root, n: int) -> None:
         raise ValueError(f"not a root of degree {n}: {root}")
 
 
-@dataclasses.dataclass(frozen=True)
-class RootSet:
+class RootSet(Record):
     """A set of roots together with the degree n they live in.
 
     Carrying n explicitly makes complements well defined; a bare set of
@@ -40,10 +40,12 @@ class RootSet:
     n: int
     roots: frozenset[Root]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roots", frozenset(self.roots))
-        for r in self.roots:
-            _check_root(r, self.n)
+    def __init__(self, n: int, roots: Iterable[Root]) -> None:
+        roots = frozenset(roots)
+        for r in roots:
+            _check_root(r, n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "roots", roots)
 
     def __contains__(self, root: Root) -> bool:
         return root in self.roots

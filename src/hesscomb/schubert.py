@@ -27,7 +27,6 @@ Permutations convert at the edge.
 from __future__ import annotations
 
 import array
-import dataclasses
 import functools
 import itertools
 import operator
@@ -36,6 +35,7 @@ from collections.abc import Callable, Iterable, Iterator
 from .hessvar import h_from_parabolic, poincare_hessenberg
 from .nilpotent import Partition, _fiber_by_descents, _fiber_groups, _row_inversion_vector
 from .poly import Poly
+from .record import Record
 from .symgroup import (
     ParabolicData,
     Permutation,
@@ -241,8 +241,7 @@ def union_hypothesis(shape: Partition) -> bool:
     return shape.num_rows <= 3 or shape.num_cols <= 2
 
 
-@dataclasses.dataclass(frozen=True)
-class UnionComparison:
+class UnionComparison(Record):
     """Comparison of the Hessenberg Poincare polynomial with the Schubert union."""
 
     shape: Partition

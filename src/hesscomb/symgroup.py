@@ -16,7 +16,6 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import array
-import dataclasses
 import functools
 import itertools
 import math
@@ -24,6 +23,7 @@ import operator
 from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 
 from .poly import Poly, t_factorial
+from .record import Record
 from .rootsys import Root, RootSet
 
 # Largest degree the single CLI queries accept.  They sweep all of S_n, and
@@ -38,8 +38,8 @@ MAX_SWEEP_DEGREE = 8
 MAX_CELLS_DEGREE = 7
 
 
-@dataclasses.dataclass(frozen=True, order=True, slots=True)
-class Permutation:
+@functools.total_ordering
+class Permutation(Record):
     """A permutation of {1, ..., n} in one line notation.
 
     >>> w = Permutation((3, 1, 4, 2))
@@ -51,12 +51,18 @@ class Permutation:
     3
     """
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+    def __init__(self, images: Iterable[int]) -> None:
+        images = tuple(images)
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+        object.__setattr__(self, "images", images)
+
+    def __lt__(self, other: Permutation) -> bool:
+        """Permutations order by their one line arrays."""
+        return self.images < other.images if type(other) is Permutation else NotImplemented
 
     @property
     def n(self) -> int:
@@ -218,8 +224,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(Record):
     """A subset J of {1, ..., n-1} with its block decomposition of positions.
 
     Positions i and i+1 share a block exactly when i lies in J, so the
@@ -236,13 +241,15 @@ class ParabolicData:
     n: int
     J: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "J", frozenset(self.J))
-        if self.n < 1:
+    def __init__(self, n: int, J: Iterable[int]) -> None:
+        J = frozenset(J)
+        if n < 1:
             raise ValueError("degree must be at least 1")
-        bad = [i for i in self.J if not 1 <= i <= self.n - 1]
+        bad = [i for i in J if not 1 <= i <= n - 1]
         if bad:
-            raise ValueError(f"J members out of range 1..{self.n - 1}: {sorted(bad)}")
+            raise ValueError(f"J members out of range 1..{n - 1}: {sorted(bad)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "J", J)
 
     @staticmethod
     def from_iterable(n: int, j: Iterable[int]) -> ParabolicData:
@@ -353,8 +360,7 @@ def longest_element(p: ParabolicData) -> Permutation:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class StringDecomposition:
+class StringDecomposition(Record):
     """Factor strings (w_1, ..., w_(n-1)), each a run of generator indices.
 
     strings[i-1] holds the word of w_i, so it is either () or a tuple
@@ -363,11 +369,12 @@ class StringDecomposition:
 
     strings: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strings", tuple(tuple(s) for s in self.strings))
-        for i, string in enumerate(self.strings, start=1):
+    def __init__(self, strings: Iterable[Iterable[int]]) -> None:
+        strings = tuple(tuple(s) for s in strings)
+        for i, string in enumerate(strings, start=1):
             if string and string != tuple(range(string[0], i + 1)):
                 raise ValueError(f"factor {i} is not a run ending at s_{i}: {string}")
+        object.__setattr__(self, "strings", strings)
 
     @property
     def n(self) -> int:

@@ -26,6 +26,7 @@ from hesscomb import (
     RootSet,
     harness,
     highest_form_roots,
+    partitions,
     perm_from_word,
 )
 from hesscomb.hessvar import _position_pairs
@@ -172,17 +173,6 @@ def small_partitions(max_n: int = 6) -> st.SearchStrategy[tuple[int, ...]]:
     """Partition part tuples of total size up to max_n."""
 
     def build(total: int) -> st.SearchStrategy[tuple[int, ...]]:
-        def partitions_list(n: int) -> list[tuple[int, ...]]:
-            def gen(remaining: int, cap: int):
-                if remaining == 0:
-                    yield ()
-                    return
-                for part in range(min(remaining, cap), 0, -1):
-                    for rest in gen(remaining - part, part):
-                        yield (part,) + rest
-
-            return list(gen(n, n))
-
-        return st.sampled_from(partitions_list(total))
+        return st.sampled_from([s.parts for s in partitions(total)])
 
     return st.integers(min_value=1, max_value=max_n).flatmap(build)

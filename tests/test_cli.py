@@ -477,6 +477,17 @@ def test_verify_prints_every_failure_not_only_the_stored(fifteen_hundred_failure
     assert report["failures_total"] == 1500 and len(report["failures"]) == 1000
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_reports_failures_and_time_on_stderr(fifteen_hundred_failures, capsys, fmt):
+    status, out, err = run(capsys, "verify", "--n", "2", "--checks", "phi-V-equivalence,fixed-points", "--format", fmt)
+    assert status == 3
+    lines = out.splitlines()
+    reports = json.loads(out) if fmt == "json" else [line for line in lines if not line.startswith(" ")]
+    assert len(reports) == 4
+    # two phi-V-equivalence reports of 1500 failures each, two passing fixed-points
+    assert re.fullmatch(r"verify: 4 reports, 3000 failures in \d+\.\d\ds\n", err)
+
+
 # --- boundaries ----------------------------------------------------------------------
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Iterable
 
@@ -92,7 +91,7 @@ def test_permutation_has_slots_not_a_dict():
     # the Schubert point memo holds two Permutations per fiber flag
     w = Permutation((2, 1))
     assert not hasattr(w, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         w.images = (1, 2)
 
 
