@@ -110,12 +110,12 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
     cells = []
     # one tableau scan per flag, in its point; the rows go out in lexicographic order of w
     for idx, by_roots, point in sorted(rows):
-        w, by_rows = Permutation(image(idx)).one_line(), lengths[point]
+        w, by_rows = ",".join(map(str, image(idx))), lengths[point]
         if by_rows != by_roots:
             raise RuntimeError(
                 f"dimension formulas disagree for w={w}, shape={shape}: {by_rows} by rows, {by_roots} by roots"
             )
-        cells.append({"w": w, "dim": by_rows, "schubert_point": Permutation(image(point)).one_line()})
+        cells.append({"w": w, "dim": by_rows, "schubert_point": ",".join(map(str, image(point)))})
     if args.format == "json":
         payload = {
             "lambda": list(shape.parts),

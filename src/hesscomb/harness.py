@@ -33,6 +33,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import time
 from collections.abc import Callable, Iterable
 
@@ -60,7 +61,6 @@ from .schubert import (
     _lower_ideal,
     _poincare_pair,
     _point_groups,
-    compare_with_schubert_union,
     schubert_point,
     union_hypothesis,
 )
@@ -74,7 +74,7 @@ from .symgroup import (
     _coset_table,
     _descents,
     _gather,
-    _sn_images,
+    _sn_image,
     _sn_lengths,
     _string_ascents,
     parabolics,
@@ -152,13 +152,13 @@ class _FailureLog:
         shape: Partition,
         p: ParabolicData,
         bits: int,
-        images: tuple[tuple[int, ...], ...],
+        image: Callable[[int], tuple[int, ...]],
     ) -> None:
-        """One failure per set bit of bits, bit i naming images[i], lowest first."""
+        """One failure per set bit of bits, bit i naming image(i), lowest first."""
         count = bits.bit_count()
         stored = min(count, max(0, _MAX_RECORDED_FAILURES - len(self.witnesses)))
         for idx in itertools.islice(_bit_indices(bits), stored):
-            self.record(shape, p, images[idx])
+            self.record(shape, p, image(idx))
         self.total += count - stored
 
 
@@ -183,7 +183,6 @@ def _by_coset(records: list[bytes], n: int, p: ParabolicData) -> list[bytes]:
 def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
     """A flag lies in the parabolic Hessenberg variety iff the minimal
     representative of its coset lies in the Springer fiber."""
-    images = _sn_images(n)
     shapes = list(partitions(n))
     fibers = _records([_excess(shape) for shape in shapes])
     cases = 0
@@ -191,15 +190,14 @@ def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
     for p in parabolics(n):
         for shape, in_fiber in zip(shapes, _by_coset(fibers, n, p)):
             by_staircase = _staircase_members(shape, h_from_parabolic(p))
-            cases += len(images)
-            failures.record_set(shape, p, _bitset(in_fiber, range(1, 256)) ^ by_staircase, images)
+            cases += len(in_fiber)
+            failures.record_set(shape, p, _bitset(in_fiber, range(1, 256)) ^ by_staircase, _sn_image(n))
     return cases, failures
 
 
 def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     """The staircase inversion count of a nonempty cell equals the Springer
     dimension of its minimal representative plus the length of the tail."""
-    images = _sn_images(n)
     lengths = _sn_lengths(n)
     # the byte values with bit `level` set, for each bit of a byte
     with_bit = [frozenset(value for value in range(256) if value >> level & 1) for level in range(8)]
@@ -227,7 +225,7 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
                 wrong |= a ^ b ^ carry ^ target
                 carry = a & b | carry & (a ^ b)
             cases += cells.bit_count()
-            failures.record_set(shape, p, cells & (wrong | carry), images)
+            failures.record_set(shape, p, cells & (wrong | carry), _sn_image(n))
     return cases, failures
 
 
@@ -264,26 +262,27 @@ def _check_strings_coset(n: int) -> tuple[int, _FailureLog]:
     # J only ever holds 1..n-1, so no other bit can tell the tests apart
     inside = (1 << n) - 2
     failures = _FailureLog()
-    for images in _sn_images(n):
+    for images in itertools.permutations(range(1, n + 1)):
         diff = (_descents(images) ^ _string_ascents(string_decompose(Permutation(images)))) & inside
         if diff:
             failures.record(None, _least_member(n, diff), images)
-    return len(_sn_images(n)), failures
+    return math.factorial(n), failures
 
 
 def _check_schubert_coset(n: int) -> tuple[int, _FailureLog]:
     """A Springer fiber flag and its Schubert point agree about minimal
     coset membership for every J: they have the same right descents."""
-    images = _sn_images(n)
+    image = _sn_image(n)
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
         for _, flags, _, _, point_descents in _point_groups(shape, 0):
             cases += len(flags)
             for idx, descents in zip(flags, point_descents):
-                diff = _descents(images[idx]) ^ descents
+                w = image(idx)
+                diff = _descents(w) ^ descents
                 if diff:
-                    failures.record(shape, _least_member(n, diff), images[idx])
+                    failures.record(shape, _least_member(n, diff), w)
     return cases, failures
 
 
@@ -301,13 +300,15 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
     The image of the flags in W^J is the union of the images of the descent
     groups that miss J, and the ideal of a union is the union of the
     ideals, so each group's points and ideal are built once per shape."""
-    images = _sn_images(n)
-    full = (1 << len(images)) - 1
+    image = _sn_image(n)
+    order = math.factorial(n)
+    full = (1 << order) - 1
     # ascents[i - 1]: the w with w(i) < w(i + 1); W^J is their AND over i in J
     ascents = [
-        _bitset(bytes(w[i - 1] < w[i] for w in reversed(images)), range(1, 256)) for i in range(1, n)
+        _bitset(bytes(w[i - 1] < w[i] for w in itertools.permutations(range(1, n + 1)))[::-1], range(1, 256))
+        for i in range(1, n)
     ]
-    size = (len(images) + 7) // 8
+    size = (order + 7) // 8
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
@@ -315,13 +316,13 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
             continue
         # per descent group: its descents, its points and their ideal, as ints over S_n
         groups = []
-        seen = bytearray(len(images))
+        seen = bytearray(order)
         for descents, flags, _, group_points, _ in _point_groups(shape, 0):
             # bit point of the group's points is bit point & 7 of byte point >> 3
             marks = bytearray(size)
             for idx, point in zip(flags, group_points):
                 if seen[point]:
-                    failures.record(shape, None, images[idx])
+                    failures.record(shape, None, image(idx))
                 seen[point] = 1
                 marks[point >> 3] |= 1 << (point & 7)
             cases += len(group_points)
@@ -336,12 +337,12 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
             if not p.J:
                 # every group misses the empty J: the closure of the whole image
                 cases += ideal.bit_count()
-                failures.record_set(shape, None, ideal & ~points, images)
+                failures.record_set(shape, None, ideal & ~points, image)
             quotient = full
             for i in p.J:
                 quotient &= ascents[i - 1]
             cases += quotient.bit_count()
-            failures.record_set(shape, p, ideal & quotient & ~points, images)
+            failures.record_set(shape, p, ideal & quotient & ~points, image)
     return cases, failures
 
 
@@ -378,7 +379,7 @@ def _check_dim_formulas(n: int) -> tuple[int, _FailureLog]:
     on every fiber flag, and so does the length of the flag's Schubert
     point: the tableau scan, the root count that the fiber walk carries
     for the parabolic formula, and the point."""
-    images = _sn_images(n)
+    image = _sn_image(n)
     lengths = _sn_lengths(n)
     cases = 0
     failures = _FailureLog()
@@ -386,9 +387,10 @@ def _check_dim_formulas(n: int) -> tuple[int, _FailureLog]:
         for _, flags, dims, points, _ in _point_groups(shape, 0):
             cases += len(flags)
             for idx, dim, point in zip(flags, dims, points):
-                vector = _row_inversion_vector(images[idx], shape)
+                w = image(idx)
+                vector = _row_inversion_vector(w, shape)
                 if vector is None or not sum(vector) == dim == lengths[point]:
-                    failures.record(shape, None, images[idx])
+                    failures.record(shape, None, w)
     return cases, failures
 
 
@@ -491,14 +493,14 @@ def _census_summaries(n: int) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
     for shape in partitions(n):
         for p in parabolics(n):
-            report = compare_with_schubert_union(shape, p)
+            hess, union = _poincare_pair(shape, p)
             rows.append(
                 {
                     "lambda": shape.parts,
                     "J": p.sorted_j(),
-                    "hessenberg_poly": report.hessenberg_poly.coeffs,
-                    "schubert_union_poly": report.schubert_union_poly.coeffs,
-                    "equal": report.equal,
+                    "hessenberg_poly": hess.coeffs,
+                    "schubert_union_poly": union.coeffs,
+                    "equal": hess == union,
                 }
             )
     return rows

@@ -37,7 +37,6 @@ from .symgroup import (
     Permutation,
     _bit_indices,
     _sn_image,
-    _sn_images,
     _sn_planes,
     coset_factor,
     inversion_set,
@@ -315,7 +314,6 @@ def poincare_hessenberg(shape: Partition, h: HessenbergFunction) -> Poly:
     return Poly(tuple(cells.bit_count() for cells in _dimension_sets(*_staircase_planes(shape, h))))
 
 
-@functools.lru_cache(maxsize=None)
 def poincare_parabolic_formula(shape: Partition, p: ParabolicData) -> Poly:
     """Closed formula for the parabolic case: sum over springer_min_reps of
     t^(Springer cell dimension) times the Poincare polynomial of W_J.
@@ -344,10 +342,10 @@ def hess_cells(shape: Partition, p: ParabolicData) -> tuple[HessCell, ...]:
         raise ValueError("degree mismatch")
     sets = _dimension_sets(*_staircase_planes(shape, h_from_parabolic(p)))
     dims = {idx: dim for dim, cells in enumerate(sets) for idx in _bit_indices(cells)}
-    images = _sn_images(shape.n)
+    image = _sn_image(shape.n)
     out = []
     for idx in sorted(dims):
-        w = Permutation(images[idx])
+        w = Permutation(image(idx))
         v, y = coset_factor(w, p)
         out.append(HessCell(w=w, dim=dims[idx], v=v, y=y))
     return tuple(out)

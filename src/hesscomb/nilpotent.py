@@ -353,7 +353,7 @@ def springer_cell_dim(w: Permutation, shape: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per shape tables for exhaustive sweeps, aligned with symgroup._sn_images.
+# Per shape tables for exhaustive sweeps, by lexicographic S_n index.
 # ---------------------------------------------------------------------------
 
 

@@ -470,15 +470,10 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 # * _sn_lengths adds b to each length of block b, one byte per index.
 #
 # _split_index ranks a one line array and _sn_image unranks an index, both
-# through the tables of the head and tail halves of the array.  _sn_images,
-# all n! one line arrays, and the coset tables serve only the harness
-# sweeps, which visit every permutation anyway.
+# through the tables of the head and tail halves of the array; no table
+# holds the n! one line arrays.  The sorting swaps and the coset tables
+# serve only the harness sweeps, which visit every permutation anyway.
 # ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _sn_images(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.permutations(range(1, n + 1)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -639,19 +634,23 @@ def _bit_indices(bits: int) -> Iterator[int]:
 @functools.lru_cache(maxsize=None)
 def _sn_sorting_swaps(n: int) -> tuple[array.array, ...]:
     """swaps[i - 1][idx]: the index of w with the values at positions i and
-    i + 1 put in increasing order, w itself or w s_i."""
-    images = _sn_images(n)
-    index = _split_index(n)
-    return tuple(
-        array.array(
-            "I",
-            (
-                idx if w[i] < w[i + 1] else index(w[:i] + (w[i + 1], w[i]) + w[i + 2 :])
-                for idx, w in enumerate(images)
-            ),
-        )
-        for i in range(n - 1)
-    )
+    i + 1 put in increasing order, w itself or w s_i.  Past position 1 the
+    swap keeps w(1) and acts on the tail, so block b of swaps[i - 1] is
+    swaps[i - 2] one degree lower shifted by b (n - 1)!.  At position 1 the
+    descents w(1) = a + 1 > w(2) = c + 1 are the run of (n - 2)! indices
+    a (n - 1)! + c (n - 2)! + r of block a, r the relabelled rest, and the
+    swap keeps r: it maps the run to c (n - 1)! + (a - 1) (n - 2)! + r."""
+    if n <= 1:
+        return ()
+    below = _sn_sorting_swaps(n - 1)
+    size, run = math.factorial(n - 1), math.factorial(n - 2)
+    first = array.array("I", range(n * size))
+    for a in range(n):
+        for c in range(a):
+            start, target = a * size + c * run, c * size + (a - 1) * run
+            first[start : start + run] = array.array("I", range(target, target + run))
+    blocks = (itertools.chain.from_iterable(map((b * size).__add__, row) for b in range(n)) for row in below)
+    return (first, *(array.array("I", block) for block in blocks))
 
 
 @functools.lru_cache(maxsize=None)

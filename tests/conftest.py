@@ -29,8 +29,35 @@ from hesscomb import (
     partitions,
     perm_from_word,
 )
+from hesscomb import cli, components, hessvar, nilpotent, poly, rootsys, schubert, symgroup
 from hesscomb.hessvar import _position_pairs
 from hesscomb.rootsys import Root
+
+
+def one_line_arrays(n: int) -> list[tuple[int, ...]]:
+    """S_n in lexicographic one line order, the index order of symgroup's
+    tables, listed by itertools.permutations rather than by the package's
+    rank and unrank routes, so that those stay checked against it."""
+    return list(itertools.permutations(range(1, n + 1)))
+
+
+def clear_caches() -> None:
+    """Empty every functools cache of the package."""
+    for module in (cli, components, harness, hessvar, nilpotent, poly, rootsys, schubert, symgroup):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def built_tables() -> dict[str, int]:
+    """The per degree tables of symgroup that hold entries, each with its
+    entry count: every _sn_*, _split_* and _coset_table cache."""
+    tables = {
+        name: value.cache_info().currsize
+        for name, value in vars(symgroup).items()
+        if name.startswith(("_sn_", "_split_")) or name == "_coset_table"
+    }
+    return {name: size for name, size in tables.items() if size}
 
 
 def reduced_word_of(w: Permutation) -> tuple[int, ...]:

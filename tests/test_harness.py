@@ -15,10 +15,13 @@ from hesscomb import (
     Poly,
     RootSet,
     census,
+    compare_with_schubert_union,
     harness,
     hess_cells,
     hessvar,
     nilpotent,
+    parabolics,
+    partitions,
     rows_to_csv,
     rows_to_json,
     run_checks,
@@ -26,6 +29,8 @@ from hesscomb import (
     symgroup,
 )
 from hesscomb.harness import CELL_FIELDS, SUMMARY_FIELDS
+
+from conftest import clear_caches, one_line_arrays
 
 EXPECTED_IDS = [
     "fixed-points",
@@ -152,18 +157,11 @@ def test_failures_total_counts_past_the_stored_witnesses(fifteen_hundred_failure
 # --- Each check can fail ----------------------------------------------------------
 
 
-def _clear_caches():
-    for module in (symgroup, nilpotent, hessvar, schubert, harness):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 @pytest.fixture
 def clean_caches():
-    _clear_caches()
+    clear_caches()
     yield
-    _clear_caches()
+    clear_caches()
 
 
 def _off_by_one(kernel):
@@ -196,8 +194,8 @@ def _moved_points(move):
 
     def wrong_route(points):
         def wrong(shape, descents):
-            images = symgroup._sn_images(shape.n)
-            moved = [move(images[point]) for point in points(shape, descents)[0]]
+            image = symgroup._sn_image(shape.n)
+            moved = [move(image(point)) for point in points(shape, descents)[0]]
             return [symgroup._split_index(shape.n)(w) for w in moved], [symgroup._descents(w) for w in moved]
 
         return wrong
@@ -275,7 +273,7 @@ def test_dim_formulas_fail_when_the_root_count_table_is_one_too_high(clean_cache
     (report,) = [r for r in run_checks(4, checks=["dim-formulas-agree"]) if r.n == 4]
     assert report.failures_total == 1
     assert report.failures[0].shape == shape.parts
-    assert report.failures[0].witness == ",".join(map(str, symgroup._sn_images(4)[last]))
+    assert report.failures[0].witness == ",".join(map(str, one_line_arrays(4)[last]))
 
 
 def test_schubert_checks_build_no_inverse(clean_caches, monkeypatch):
@@ -326,12 +324,13 @@ def test_coset_checks_witness_a_one_element_j(check_id, clean_caches, monkeypatc
     if check_id == "strings-coset":
         sets = [
             (w, harness._string_ascents(symgroup.string_decompose(Permutation(w))))
-            for w in symgroup._sn_images(4)
+            for w in one_line_arrays(4)
         ]
     else:
+        images = one_line_arrays(4)
         # the witnesses of a shape come by descent group, then by flag index
         sets = [
-            (symgroup._sn_images(4)[idx], descents)
+            (images[idx], descents)
             for shape in nilpotent.partitions(4)
             for _, flags, _, _, point_descents in schubert._point_groups(shape, 0)
             for idx, descents in zip(flags, point_descents)
@@ -519,6 +518,20 @@ def test_census_validation():
         census(9, "cells")
     with pytest.raises(ValueError):
         census(2, "rows")
+
+
+def test_census_summaries_build_no_union_tops(monkeypatch):
+    # the rows hold the two polynomials, never the union's tops
+    expected = [compare_with_schubert_union(shape, p) for shape in partitions(5) for p in parabolics(5)]
+
+    def tops(shape, p):
+        raise AssertionError("census summaries built the union tops")
+
+    monkeypatch.setattr(schubert, "_union_tops", tops)
+    rows = census(5, "summaries")
+    assert [(row["hessenberg_poly"], row["schubert_union_poly"], row["equal"]) for row in rows] == [
+        (c.hessenberg_poly.coeffs, c.schubert_union_poly.coeffs, c.equal) for c in expected
+    ]
 
 
 def test_census_deterministic():

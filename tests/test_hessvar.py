@@ -34,10 +34,10 @@ from hesscomb import (
     springer_tableau,
     t_factorial,
 )
-from hesscomb import harness, hessvar, nilpotent, symgroup
+from hesscomb import harness, nilpotent, symgroup
 from hesscomb.hessvar import _dimension_sets, _staircase_members, _staircase_planes
 
-from conftest import hessenberg_functions, staircase_dims
+from conftest import built_tables, clear_caches, hessenberg_functions, staircase_dims
 
 
 # --- Hessenberg functions ------------------------------------------------------
@@ -221,10 +221,7 @@ def test_fiber_walk_tables_match_the_per_permutation_reference():
 
 
 def test_fiber_walk_reads_no_scan_plane_or_coset_table(monkeypatch):
-    for module in (symgroup, nilpotent):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    clear_caches()
 
     def scan(w, shape):
         raise AssertionError("the fiber tables read the tableau scan")
@@ -233,23 +230,19 @@ def test_fiber_walk_reads_no_scan_plane_or_coset_table(monkeypatch):
     shape = Partition((4, 2, 2))
     assert springer_min_reps(shape, ParabolicData.from_iterable(8, (2, 5)))
     assert poincare_parabolic_formula(shape, ParabolicData.from_iterable(8, (1, 4, 7)))
-    tables = (symgroup._sn_planes, symgroup._sn_rank_planes, symgroup._coset_table, symgroup._sn_length_planes)
-    assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0]
+    # springer_min_reps unranks the flags it lists, and reads no other table
+    assert built_tables() == {"_split_tables": 1, "_sn_image": 1}
     # 8! / (4! 2! 2!) flags, not 8! permutations
     assert sum(len(flags) for flags, _ in nilpotent._fiber_by_descents(shape).values()) == 420
 
 
 def test_parabolic_formula_builds_no_sn_table():
     # the fiber walk carries the dimensions, so no table of all of S_n is read
-    for module in (symgroup, nilpotent, hessvar):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    clear_caches()
     for shape in partitions(8):
         for p in parabolics(8):
             poincare_parabolic_formula(shape, p)
-    tables = (symgroup._sn_images, symgroup._sn_lengths)
-    assert [table.cache_info().currsize for table in tables] == [0, 0]
+    assert built_tables() == {}
 
 
 # --- Poincare polynomials -------------------------------------------------------------
@@ -304,20 +297,12 @@ def test_poincare_hessenberg_matches_per_permutation_cells():
 
 
 def test_poincare_hessenberg_builds_no_sn_table():
-    tables = [
-        f for name, f in vars(symgroup).items()
-        if name.startswith("_sn_") or name == "_coset_table"
-    ]
-    for table in tables:
-        table.cache_clear()
+    clear_caches()
     shape = Partition((3, 2, 2, 1))
     h = HessenbergFunction((2, 3, 5, 5, 6, 8, 8, 8))
-    # bypass the result cache so the sweep itself runs
-    assert poincare_hessenberg.__wrapped__(shape, h)(1) > 0
-    sizes = {table.__name__: table.cache_info().currsize for table in tables}
+    assert poincare_hessenberg(shape, h)(1) > 0
     # the value planes, built up degree by degree, are the only table read
-    assert sizes.pop("_sn_planes") == 8
-    assert not any(sizes.values()), sizes
+    assert built_tables() == {"_sn_planes": 8}
     # n (n + 1) planes, none larger than the plane of all of S_8
     ge = symgroup._sn_planes(8)
     size = sum(sys.getsizeof(plane) for row in ge for plane in row)
@@ -363,7 +348,7 @@ def test_coset_route_builds_no_plane():
         symgroup._coset_table.__wrapped__(6, p.sorted_j())
         harness._by_coset(fibers, 6, p)
         for shape in shapes:
-            poincare_parabolic_formula.__wrapped__(shape, p)
+            poincare_parabolic_formula(shape, p)
             springer_min_reps(shape, p)
     assert symgroup._sn_planes.cache_info().currsize == 0
 

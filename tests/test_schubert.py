@@ -38,9 +38,9 @@ from hesscomb import (
 )
 from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
 from hesscomb.schubert import _lower_ideal, _poincare_pair, _point_groups, _points, _union_poly, _union_tops
-from hesscomb.symgroup import _bit_indices, _sn_images, _split_index
+from hesscomb.symgroup import _bit_indices, _split_index
 
-from conftest import bruhat_leq_subword, permutations_of, subword_ideal
+from conftest import bruhat_leq_subword, one_line_arrays, permutations_of, subword_ideal
 
 
 # --- Schubert points ---------------------------------------------------------
@@ -100,7 +100,7 @@ def test_schubert_point_outside_fiber():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_group_points_match_schubert_point_flag_by_flag(n):
-    images = _sn_images(n)
+    images = one_line_arrays(n)
     for shape in partitions(n):
         for descents, (flags, _) in _fiber_by_descents(shape).items():
             points, point_descents = _points(shape, descents)
@@ -235,7 +235,7 @@ def top_sets(draw) -> tuple[int, list[Permutation]]:
 @settings(max_examples=150, deadline=None)
 def test_lower_ideal_matches_subword_ideal_and_pairwise_maximality(case):
     n, tops = case
-    images = _sn_images(n)
+    images = one_line_arrays(n)
     ideal, maximal = _lower_ideal([_split_index(n)(top.images) for top in tops], n)
     expected = set().union(*(subword_ideal(top.images) for top in tops))
     assert {images[idx] for idx in _bit_indices(ideal)} == expected
@@ -249,6 +249,7 @@ def test_lower_ideal_matches_subword_ideal_and_pairwise_maximality(case):
 def test_lower_ideal_byte_view_matches_bruhat_leq_closure(n):
     # at n = 1, 2 and 3 the n! bits fill only part of the view's one byte
     rng = random.Random(n)
+    images = one_line_arrays(n)
     perms = list(enumerate_sn(n))
     index = _split_index(n)
     for _ in range(12):
@@ -259,7 +260,7 @@ def test_lower_ideal_byte_view_matches_bruhat_leq_closure(n):
         tops += rng.sample([u for u in perms if bruhat_leq(u, tops[0])], 1)
         ideal, maximal = _lower_ideal([index(top.images) for top in tops], n)
         expected = {u.images for u in perms if any(bruhat_leq(u, top) for top in tops)}
-        assert {_sn_images(n)[idx] for idx in _bit_indices(ideal)} == expected
+        assert {images[idx] for idx in _bit_indices(ideal)} == expected
         above = {u for u in tops for w in tops if u != w and bruhat_leq(u, w)}
         assert sorted(maximal) == sorted(index(top.images) for top in set(tops) - above)
 
@@ -280,7 +281,7 @@ def test_bruhat_order_on_w_j_reads_the_same_below_the_coset_tops(n):
 def test_ideal_of_the_points_is_the_ideal_of_every_top(n):
     # only the tops of the maximal points are ranked, and the union reads
     # only the maximal points of each descent group
-    images, index = _sn_images(n), _split_index(n)
+    images, index = one_line_arrays(n), _split_index(n)
     for shape in partitions(n):
         for p in parabolics(n):
             tops = sorted(set(_union_tops(shape, p).values()))

@@ -36,11 +36,11 @@ from hesscomb.symgroup import (
     _length,
     _rank_counts,
     _sn_image,
-    _sn_images,
     _sn_length_planes,
     _sn_lengths,
     _sn_planes,
     _sn_rank_planes,
+    _sn_sorting_swaps,
     _split_index,
     _string_ascents,
 )
@@ -49,6 +49,9 @@ from conftest import (
     brute_poincare_subgroup,
     brute_subgroup,
     bruhat_leq_subword,
+    built_tables,
+    clear_caches,
+    one_line_arrays,
     permutations_of,
     reduced_word_of,
     small_permutations,
@@ -373,7 +376,7 @@ def test_coset_table_is_the_coset_factor(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sn_planes_layout(n):
-    images = _sn_images(n)
+    images = one_line_arrays(n)
     ge = _sn_planes(n)
     assert len(ge) == n
     full = (1 << math.factorial(n)) - 1
@@ -393,7 +396,7 @@ def test_sn_planes_layout(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sn_rank_planes_are_the_brute_counts(n):
-    images = _sn_images(n)
+    images = one_line_arrays(n)
     # (i, k) in the order of _rank_counts: i = 1..n-1 outer, k = 2..n inner
     pairs = [(i, k) for i in range(1, n) for k in range(2, n + 1)]
     rows = _sn_rank_planes(n)
@@ -412,7 +415,7 @@ def test_sn_rank_planes_are_the_brute_counts(n):
 def test_essential_counts_cut_the_interval_of_every_count(n):
     rows = _sn_rank_planes(n)
     full = (1 << math.factorial(n)) - 1
-    for w in _sn_images(n):
+    for w in one_line_arrays(n):
         counts = _rank_counts(w)
         every = full
         for row, count in zip(rows, counts):
@@ -427,7 +430,7 @@ def test_essential_counts_cut_the_interval_of_every_count(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sn_lengths_by_blocks_are_the_inversion_counts(n):
-    assert tuple(_sn_lengths(n)) == tuple(_length(w) for w in _sn_images(n))
+    assert tuple(_sn_lengths(n)) == tuple(_length(w) for w in one_line_arrays(n))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -435,7 +438,7 @@ def test_sn_length_planes_hold_each_index_at_its_length(n):
     planes = _sn_length_planes(n)
     assert len(planes) == n * (n - 1) // 2 + 1
     expected = [0] * len(planes)
-    for idx, w in enumerate(_sn_images(n)):
+    for idx, w in enumerate(one_line_arrays(n)):
         expected[_length(w)] |= 1 << idx
     assert list(planes) == expected
 
@@ -443,7 +446,7 @@ def test_sn_length_planes_hold_each_index_at_its_length(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sn_image_unranks_the_split_index(n):
     image, index = _sn_image(n), _split_index(n)
-    for idx, w in enumerate(_sn_images(n)):
+    for idx, w in enumerate(one_line_arrays(n)):
         assert image(idx) == w
         assert index(image(idx)) == idx
 
@@ -451,18 +454,30 @@ def test_sn_image_unranks_the_split_index(n):
 def test_union_planes_read_no_other_table():
     # the rank and length planes have their own block recursion: the
     # Schubert union side shares no table with the staircase sweep
-    tables = (_sn_images, _sn_lengths, _sn_planes, _coset_table, _sn_rank_planes, _sn_length_planes)
-    for table in tables:
-        table.cache_clear()
+    clear_caches()
     _sn_rank_planes(7)
     _sn_length_planes(7)
-    assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0, 7, 7]
+    assert built_tables() == {"_sn_rank_planes": 7, "_sn_length_planes": 7}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sorting_swaps_by_blocks_are_the_per_permutation_swaps(n):
+    # the block recursion reads no other table, not even the rank route
+    clear_caches()
+    swaps = _sn_sorting_swaps(n)
+    assert built_tables() == {"_sn_sorting_swaps": n}
+    perms = one_line_arrays(n)
+    rank = {w: idx for idx, w in enumerate(perms)}
+    assert len(swaps) == n - 1
+    for i, row in enumerate(swaps, start=1):
+        # of w and w s_i, the one with positions i and i + 1 sorted comes first
+        assert list(row) == [rank[min(w, (*w[: i - 1], w[i], w[i - 1], *w[i + 1 :]))] for w in perms], i
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_split_index_is_the_lexicographic_index(n):
     index = _split_index(n)
-    assert [index(w) for w in _sn_images(n)] == list(range(math.factorial(n)))
+    assert [index(w) for w in one_line_arrays(n)] == list(range(math.factorial(n)))
 
 
 def test_bit_indices():
