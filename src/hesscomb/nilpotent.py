@@ -301,6 +301,13 @@ def row_inversions(tableau: Tableau, q: int) -> int:
     return same_above + longer
 
 
+@functools.lru_cache(maxsize=None)
+def _boxes(parts: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+    """base_filling(shape).boxes, cached on shape.parts: a tuple of ints
+    hashes and compares in C, and the scan looks it up once per flag."""
+    return base_filling(Partition(parts)).boxes
+
+
 def _row_inversion_vector(images: Sequence[int], shape: Partition) -> tuple[int, ...] | None:
     """(l_1, ..., l_(n-1)) where l_(q-1) = row_inversions(T, q), T the
     Springer tableau of the permutation w with one line array images, or
@@ -310,12 +317,13 @@ def _row_inversion_vector(images: Sequence[int], shape: Partition) -> tuple[int,
     each row fills left to right as q goes up: one scan of w's one line
     array reads membership and the vector together.
     """
-    if len(images) != shape.n:
+    parts = shape.parts
+    if len(images) != sum(parts):
         raise ValueError("degree mismatch")
-    boxes = base_filling(shape).boxes
-    lens = [0] * (shape.num_rows + 1)
+    boxes = _boxes(parts)
+    lens = [0] * (len(parts) + 1)
     # at_least[k]: the rows of length k or more so far
-    at_least = [0] * (shape.num_cols + 2)
+    at_least = [0] * (parts[0] + 2)
     out = []
     for label in images:
         home, mine = boxes[label]

@@ -19,7 +19,6 @@ import array
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 
 from .poly import Poly, t_factorial
@@ -471,8 +470,8 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 #
 # _split_index ranks a one line array and _sn_image unranks an index, both
 # through the tables of the head and tail halves of the array; no table
-# holds the n! one line arrays.  The sorting swaps and the coset tables
-# serve only the harness sweeps, which visit every permutation anyway.
+# holds the n! one line arrays.  The sorting swaps serve only the harness
+# sweeps, which visit every permutation anyway and gather through them.
 # ---------------------------------------------------------------------------
 
 
@@ -651,30 +650,3 @@ def _sn_sorting_swaps(n: int) -> tuple[array.array, ...]:
             first[start : start + run] = array.array("I", range(target, target + run))
     blocks = (itertools.chain.from_iterable(map((b * size).__add__, row) for b in range(n)) for row in below)
     return (first, *(array.array("I", block) for block in blocks))
-
-
-@functools.lru_cache(maxsize=None)
-def _coset_table(n: int, j: tuple[int, ...]) -> array.array:
-    """Index of the minimal coset representative of w W_J, per S_n index:
-    w with each block's values sorted.  j is sorted; the table for j grows
-    from the one without its last member i, whose reps have sorted blocks
-    except that position i + 1 must still be inserted into its block."""
-    if not j:
-        return array.array("I", range(math.factorial(n)))
-    i = j[-1]
-    out = _coset_table(n, j[:-1])
-    lo = i
-    while lo - 1 in j:
-        lo -= 1
-    swaps = _sn_sorting_swaps(n)
-    for k in range(i, lo - 1, -1):
-        out = array.array("I", _gather(swaps[k - 1], out))
-    return out
-
-
-def _gather(values: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
-    """values[i] for each i in indices, in one C level pass."""
-    if len(indices) == 1:
-        # itemgetter of one index returns the bare item
-        return (values[indices[0]],)
-    return operator.itemgetter(*indices)(values)

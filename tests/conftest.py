@@ -51,11 +51,11 @@ def clear_caches() -> None:
 
 def built_tables() -> dict[str, int]:
     """The per degree tables of symgroup that hold entries, each with its
-    entry count: every _sn_*, _split_* and _coset_table cache."""
+    entry count: every _sn_* and _split_* cache."""
     tables = {
         name: value.cache_info().currsize
         for name, value in vars(symgroup).items()
-        if name.startswith(("_sn_", "_split_")) or name == "_coset_table"
+        if name.startswith(("_sn_", "_split_"))
     }
     return {name: size for name, size in tables.items() if size}
 

@@ -30,7 +30,7 @@ from hesscomb import (
 )
 from hesscomb.harness import CELL_FIELDS, SUMMARY_FIELDS
 
-from conftest import clear_caches, one_line_arrays
+from conftest import built_tables, clear_caches, one_line_arrays
 
 EXPECTED_IDS = [
     "fixed-points",
@@ -408,6 +408,21 @@ def test_excess_is_one_plus_length_minus_springer_dimension_on_the_fiber():
                 for w in symgroup.enumerate_sn(n)
             )
             assert harness._excess(shape) == expected, shape
+
+
+def test_coset_checks_build_no_table_per_j():
+    # the coset side gathers J by J through the sorting swaps and keeps
+    # nothing per J: only the degree tables that the two checks read stay
+    clear_caches()
+    CHECKS["fixed-points"](7)
+    CHECKS["parabolic-dimension"](7)
+    assert built_tables() == {
+        "_split_tables": 1,
+        "_sn_image": 1,
+        "_sn_lengths": 7,
+        "_sn_planes": 7,
+        "_sn_sorting_swaps": 7,
+    }
 
 
 def _without_identity_in_length_planes(planes):

@@ -341,15 +341,10 @@ def test_staircase_planes_match_hess_contains_and_cell_dim():
 
 
 def test_coset_route_builds_no_plane():
-    symgroup._sn_planes.cache_clear()
-    shapes = list(partitions(6))
-    fibers = harness._records([harness._excess.__wrapped__(shape) for shape in shapes])
-    for p in parabolics(6):
-        symgroup._coset_table.__wrapped__(6, p.sorted_j())
-        harness._by_coset(fibers, 6, p)
-        for shape in shapes:
-            poincare_parabolic_formula(shape, p)
-            springer_min_reps(shape, p)
+    clear_caches()
+    for p, shape, _ in harness._by_coset(6):
+        poincare_parabolic_formula(shape, p)
+        springer_min_reps(shape, p)
     assert symgroup._sn_planes.cache_info().currsize == 0
 
 

@@ -22,15 +22,16 @@ from hesscomb import (
     is_min_coset_rep_strings,
     longest_element,
     parabolics,
+    partitions,
     perm_from_word,
     poincare_subgroup,
     string_decompose,
 )
+from hesscomb import harness
 from hesscomb.nilpotent import _fiber_groups
 from hesscomb.symgroup import (
     StringDecomposition,
     _bit_indices,
-    _coset_table,
     _descents,
     _essential_counts,
     _length,
@@ -364,11 +365,17 @@ def test_quotient_indices_are_the_min_coset_reps(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_coset_table_is_the_coset_factor(n):
+    # the coset sweep gathers each shape's excess byte at the minimal
+    # representative v of w = v y, the highest w first
     index = _split_index(n)
-    perms = list(enumerate_sn(n))
-    for p in parabolics(n):
-        expected = [index(coset_factor(w, p)[0].images) for w in perms]
-        assert list(_coset_table(n, p.sorted_j())) == expected
+    perms = list(enumerate_sn(n))[::-1]
+    reps = {p: [index(coset_factor(w, p)[0].images) for w in perms] for p in parabolics(n)}
+    seen = []
+    for p, shape, gathered in harness._by_coset(n):
+        excess = harness._excess(shape)
+        assert gathered == bytes(excess[v] for v in reps[p]), (p, shape)
+        seen.append((p, shape))
+    assert seen == [(p, shape) for p in parabolics(n) for shape in partitions(n)]
 
 
 # --- Per degree tables ---------------------------------------------------------
