@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 
 from hesscomb import component_candidates, parabolics, partitions
+from hesscomb.symgroup import MAX_SWEEP_DEGREE
 
 
 def survey_pair(shape, p) -> dict[str, object]:
@@ -36,15 +37,15 @@ def survey_pair(shape, p) -> dict[str, object]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=4, help="degree to survey (<= 7)")
+    parser.add_argument("--n", type=int, default=4, help=f"degree to survey (<= {MAX_SWEEP_DEGREE})")
     parser.add_argument(
         "--only-mixed",
         action="store_true",
         help="print only pairs whose maximal candidates span several dimensions",
     )
     args = parser.parse_args(argv)
-    if not 1 <= args.n <= 7:
-        parser.error("--n must be between 1 and 7")
+    if not 1 <= args.n <= MAX_SWEEP_DEGREE:
+        parser.error(f"--n must be between 1 and {MAX_SWEEP_DEGREE}")
 
     mixed = 0
     rows = 0

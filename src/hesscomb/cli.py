@@ -197,6 +197,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         line = f"{mark}  {r.check_id:<20}  n={r.n}  cases={r.cases_run}  {r.elapsed:.2f}s"
         if not r.passed:
             line += f"  failures={r.failures_total}"
+        if r.out_of_regime is not None:
+            line += "  out_of_regime_equal={}/{}".format(*r.out_of_regime)
         lines.append(line)
         for f in r.failures[:5]:
             shape = "-" if f.shape is None else ",".join(str(x) for x in f.shape)

@@ -19,7 +19,8 @@ points), and for each J compares the union of the ideals of the groups
 that miss J with the union of their points; main-theorem counts the
 ideal that the same kernel builds from the maximal points of each
 descent group in W^J and the blocks of J (schubert._poincare_pair),
-ranking only the maximal tops.
+ranking only the maximal tops, and keeps, outside the proved regime,
+the tally of pairs whose two polynomials are equal anyway.
 dim-formulas-agree compares the tableau scan of each flag's one line
 array, the walk's root count and the point's length.  A check counts
 every failure and keeps the first 1000 witnesses.  The census functions
@@ -95,7 +96,9 @@ class Failure(Record):
 
 class CheckReport(Record):
     """Outcome of one named check at one degree: failures holds the first
-    witnesses, failures_total counts every failure."""
+    witnesses, failures_total counts every failure.  out_of_regime is
+    (equal, total) over the pairs a check compares but asserts nothing
+    about, None for a check that has none."""
 
     check_id: str
     n: int
@@ -103,6 +106,7 @@ class CheckReport(Record):
     failures: tuple[Failure, ...]
     failures_total: int
     elapsed: float
+    out_of_regime: tuple[int, int] | None
 
     @property
     def passed(self) -> bool:
@@ -119,6 +123,7 @@ class CheckReport(Record):
             ],
             "failures_total": self.failures_total,
             "elapsed": round(self.elapsed, 3),
+            "out_of_regime": None if self.out_of_regime is None else dict(zip(("equal", "total"), self.out_of_regime)),
         }
 
 
@@ -128,6 +133,7 @@ class _FailureLog:
     def __init__(self) -> None:
         self.witnesses: list[Failure] = []
         self.total = 0
+        self.out_of_regime: tuple[int, int] | None = None
 
     def record(
         self,
@@ -355,17 +361,22 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
 
 def _check_main_theorem(n: int) -> tuple[int, _FailureLog]:
     """Inside the proved regime the Hessenberg Poincare polynomial matches
-    the Schubert union.  Outside it the pair is still computed and counted
-    in cases_run, but nothing is asserted or kept about it."""
-    cases = 0
+    the Schubert union.  Outside it nothing is asserted: the pair is counted
+    in cases_run and kept in the out_of_regime tally, (equal, total)."""
+    cases = equal = total = 0
     failures = _FailureLog()
     for shape in partitions(n):
         in_hypothesis = union_hypothesis(shape)
         for p in parabolics(n):
             swept, union = _poincare_pair(shape, p)
             cases += 1
-            if in_hypothesis and swept != union:
-                failures.record(shape, p, None)
+            if in_hypothesis:
+                if swept != union:
+                    failures.record(shape, p, None)
+            else:
+                total += 1
+                equal += swept == union
+    failures.out_of_regime = (equal, total)
     return cases, failures
 
 
@@ -447,6 +458,7 @@ def run_checks(n_max: int, checks: Iterable[str] | None = None) -> list[CheckRep
                     failures=tuple(failures.witnesses),
                     failures_total=failures.total,
                     elapsed=time.perf_counter() - start,
+                    out_of_regime=failures.out_of_regime,
                 )
             )
     return reports

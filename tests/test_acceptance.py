@@ -221,6 +221,8 @@ def test_criterion_4_main_theorem_sweep(capsys):
             assert report.failures == (), report
         # every (shape, J) pair is a case: p(n) * 2^(n-1)
         assert [r.cases_run for r in reports] == [1, 4, 12, 40, 112, 352, 960]
+        # outside the regime: (pairs with equal polynomials, pairs)
+        assert [r.out_of_regime for r in reports] == [(0, 0)] * 5 + [(20, 32), (89, 192)]
         assert time.perf_counter() - start < SWEEP_BUDGET
 
 

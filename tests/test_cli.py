@@ -427,6 +427,16 @@ def test_verify_text(capsys):
     assert len(lines) == 18  # 9 checks x 2 degrees
     assert all(line.startswith("ok  ") for line in lines)
     assert "fixed-points" in lines[0]
+    # only main-theorem keeps an out-of-regime tally, empty below n = 6
+    tallied = [line for line in lines if "out_of_regime_equal=" in line]
+    assert tallied == [line for line in lines if "main-theorem" in line]
+    assert all(line.endswith("  out_of_regime_equal=0/0") for line in tallied)
+
+
+def test_verify_main_theorem_line_ends_in_the_out_of_regime_tally(capsys):
+    status, out, _ = run(capsys, "verify", "--n", "6", "--checks", "main-theorem")
+    assert status == 0
+    assert out.splitlines()[-1].endswith("  out_of_regime_equal=20/32")
 
 
 def test_verify_selected_checks_json(capsys):
@@ -451,6 +461,7 @@ def test_verify_selected_checks_json(capsys):
         ("main-theorem", 3),
     ]
     assert all(r["failures"] == [] for r in payload)
+    assert [r["out_of_regime"] for r in payload] == [None, {"equal": 0, "total": 0}] * 3
 
 
 def test_verify_unknown_check(capsys):

@@ -62,6 +62,7 @@ CASES = {
         "failures": (Failure((2,), (1,), "2,1"),),
         "failures_total": 1,
         "elapsed": 0.25,
+        "out_of_regime": (20, 32),
     },
     UnionComparison: {
         "shape": Partition((2,)),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import random
 
 import pytest
@@ -348,6 +349,21 @@ def test_union_hypothesis():
     assert union_hypothesis(Partition((1, 1, 1, 1)))  # one column
     assert not union_hypothesis(Partition((3, 1, 1, 1)))  # four rows, three columns
     assert not union_hypothesis(Partition((3, 3, 3, 1)))
+
+
+def test_observed_out_of_regime_equal_j_form_an_up_set_n_le_7():
+    # an observation, not a theorem: outside the proved regime the J whose
+    # two polynomials agree stay so when any i joins J
+    partial = 0
+    for total in range(1, 8):
+        for shape in partitions(total):
+            if union_hypothesis(shape):
+                continue
+            equal = {p.J for p in parabolics(total) if operator.eq(*_poincare_pair(shape, p))}
+            assert all(j | {i} in equal for j in equal for i in range(1, total)), shape
+            partial += 0 < len(equal) < 2 ** (total - 1)
+    # (3,1,1,1), (3,2,1,1), (4,1,1,1) and (3,1,1,1,1) agree on some J, not all
+    assert partial == 4
 
 
 def test_compare_with_schubert_union_2_2():

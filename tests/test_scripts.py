@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script, args, last_line",
     [
-        ("main_theorem_sweep.py", ("--n-max", "3"), "all in-regime comparisons equal"),
+        ("component_survey.py", ("--n", "4", "--only-mixed"), "40 pairs surveyed, 3 with mixed top dimensions"),
         ("component_survey.py", ("--n", "3"), "12 pairs surveyed, 0 with mixed top dimensions"),
         ("component_survey.py", ("--n", "5"), "112 pairs surveyed, 23 with mixed top dimensions"),
     ],
@@ -28,10 +28,10 @@ def test_script_exits_zero(script, args, last_line):
     assert result.stdout.splitlines()[-1] == last_line
 
 
-def test_sweep_caps_n_max_at_the_harness_degree():
-    result = _run("main_theorem_sweep.py", "--n-max", str(MAX_SWEEP_DEGREE + 1))
+def test_survey_caps_n_at_the_harness_degree():
+    result = _run("component_survey.py", "--n", str(MAX_SWEEP_DEGREE + 1))
     assert result.returncode == 2
-    assert f"--n-max must be between 1 and {MAX_SWEEP_DEGREE}" in result.stderr
+    assert f"--n must be between 1 and {MAX_SWEEP_DEGREE}" in result.stderr
 
 
 def _run(script, *args):
