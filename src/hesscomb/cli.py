@@ -29,7 +29,7 @@ import time
 from collections.abc import Sequence
 
 from .components import component_candidates
-from .harness import _write_csv, census, rows_to_csv, rows_to_json, run_checks
+from .harness import GRANULARITIES, _write_csv, census, rows_to_csv, rows_to_json, run_checks
 from .hessvar import (
     HessenbergFunction,
     h_from_parabolic,
@@ -272,9 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     census_cmd = sub.add_parser("census", help="dump ground truth rows for one degree")
     census_cmd.add_argument("--n", type=int, required=True)
-    census_cmd.add_argument(
-        "--granularity", choices=("cells", "summaries"), default="summaries"
-    )
+    census_cmd.add_argument("--granularity", choices=tuple(GRANULARITIES), default="summaries")
     _add_output_flags(census_cmd, ("csv", "json"))
     census_cmd.set_defaults(handler=_cmd_census)
 

@@ -23,8 +23,9 @@ ranking only the maximal tops, and keeps, outside the proved regime,
 the tally of pairs whose two polynomials are equal anyway.
 dim-formulas-agree compares the tableau scan of each flag's one line
 array, the walk's root count and the point's length.  A check counts
-every failure and keeps the first 1000 witnesses.  The census functions
-dump the same ground truth as flat rows for offline diffing.
+every failure and keeps the first 1000 witnesses.  census dumps the
+same ground truth as flat rows for offline diffing, one sweep over the
+(shape, J) pairs whatever the granularity (GRANULARITIES).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import operator
 import time
 from collections.abc import Callable, Iterable, Iterator
 
+from .components import component_candidates
 from .hessvar import (
     _staircase_members,
     _staircase_planes,
@@ -464,65 +466,71 @@ def run_checks(n_max: int, checks: Iterable[str] | None = None) -> list[CheckRep
     return reports
 
 
+def _cell_rows(shape: Partition, p: ParabolicData) -> Iterator[tuple[object, ...]]:
+    for cell in hess_cells(shape, p):
+        yield (
+            cell.w.one_line(),
+            cell.v.one_line(),
+            cell.y.one_line(),
+            cell.dim,
+            springer_contains(cell.w, shape),
+            schubert_point(cell.v, shape).one_line(),
+        )
+
+
+def _summary_rows(shape: Partition, p: ParabolicData) -> list[tuple[object, ...]]:
+    hess, union = _poincare_pair(shape, p)
+    return [(hess.coeffs, union.coeffs, hess == union)]
+
+
+def _component_rows(shape: Partition, p: ParabolicData) -> list[tuple[object, ...]]:
+    candidates = component_candidates(shape, p)
+    maximal = [c for c in candidates if c.bruhat_maximal]
+    dims = tuple(sorted({c.cell_dim for c in maximal}, reverse=True))
+    return [(len(candidates), len(maximal), sum(c.full_cell for c in maximal), dims)]
+
+
 CELL_FIELDS = ("lambda", "J", "w", "v", "y", "dim", "springer", "schubert_point")
 SUMMARY_FIELDS = ("lambda", "J", "hessenberg_poly", "schubert_union_poly", "equal")
+COMPONENT_FIELDS = ("lambda", "J", "candidates", "maximal", "full", "dims")
+
+# granularity -> (fields, the rows of one (shape, J) pair after lambda and J, largest degree)
+GRANULARITIES = {
+    "cells": (CELL_FIELDS, _cell_rows, MAX_CELLS_DEGREE),
+    "summaries": (SUMMARY_FIELDS, _summary_rows, MAX_SWEEP_DEGREE),
+    "components": (COMPONENT_FIELDS, _component_rows, MAX_SWEEP_DEGREE),
+}
 
 
 def census(n: int, granularity: str) -> list[dict[str, object]]:
-    """Flat ground truth rows for one degree.
+    """Flat ground truth rows for one degree, from one sweep over every
+    (shape, J) pair.
 
-    cells: one row per nonempty cell of every (shape, J) pair, for degrees
-    up to MAX_CELLS_DEGREE = 7 (the rows of degree 8 outgrow memory).
-    summaries: one row per (shape, J) pair with both polynomials.
+    cells: one row per nonempty cell of every pair, for degrees up to
+    MAX_CELLS_DEGREE = 7 (the rows of degree 8 outgrow memory).
+    summaries: one row per pair with both polynomials.
+    components: one row per pair with its number of candidate components,
+    how many are Bruhat maximal, how many of those fill their Schubert
+    cell, and the distinct cell dimensions of the maximal ones, largest
+    first; two or more rule out an equidimensional union of full cells.
 
     >>> census(1, "summaries")
     [{'lambda': (1,), 'J': (), 'hessenberg_poly': (1,), 'schubert_union_poly': (1,), 'equal': True}]
+    >>> census(3, "components")[-1]
+    {'lambda': (1, 1, 1), 'J': (1, 2), 'candidates': 1, 'maximal': 1, 'full': 1, 'dims': (3,)}
     """
     if not 1 <= n <= MAX_SWEEP_DEGREE:
         raise ValueError(f"degree must be between 1 and {MAX_SWEEP_DEGREE}, got {n}")
-    if granularity == "cells":
-        if n > MAX_CELLS_DEGREE:
-            raise ValueError(f"cells granularity supports degree at most {MAX_CELLS_DEGREE}, got {n}")
-        return _census_cells(n)
-    if granularity == "summaries":
-        return _census_summaries(n)
-    raise ValueError(f"unknown granularity: {granularity!r}")
-
-
-def _census_cells(n: int) -> list[dict[str, object]]:
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity: {granularity!r}")
+    fields, pair_rows, max_degree = GRANULARITIES[granularity]
+    if n > max_degree:
+        raise ValueError(f"{granularity} granularity supports degree at most {max_degree}, got {n}")
     rows: list[dict[str, object]] = []
     for shape in partitions(n):
         for p in parabolics(n):
-            for cell in hess_cells(shape, p):
-                rows.append(
-                    {
-                        "lambda": shape.parts,
-                        "J": p.sorted_j(),
-                        "w": cell.w.one_line(),
-                        "v": cell.v.one_line(),
-                        "y": cell.y.one_line(),
-                        "dim": cell.dim,
-                        "springer": springer_contains(cell.w, shape),
-                        "schubert_point": schubert_point(cell.v, shape).one_line(),
-                    }
-                )
-    return rows
-
-
-def _census_summaries(n: int) -> list[dict[str, object]]:
-    rows: list[dict[str, object]] = []
-    for shape in partitions(n):
-        for p in parabolics(n):
-            hess, union = _poincare_pair(shape, p)
-            rows.append(
-                {
-                    "lambda": shape.parts,
-                    "J": p.sorted_j(),
-                    "hessenberg_poly": hess.coeffs,
-                    "schubert_union_poly": union.coeffs,
-                    "equal": hess == union,
-                }
-            )
+            head = (shape.parts, p.sorted_j())
+            rows.extend(dict(zip(fields, head + rest)) for rest in pair_rows(shape, p))
     return rows
 
 
@@ -537,10 +545,9 @@ def _csv_value(value: object) -> object:
 def rows_to_csv(rows: list[dict[str, object]], granularity: str) -> str:
     """Render census rows as CSV; list valued fields are comma joined and
     the csv module quotes them."""
-    fields = {"cells": CELL_FIELDS, "summaries": SUMMARY_FIELDS}.get(granularity)
-    if fields is None:
+    if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity: {granularity!r}")
-    return _write_csv(fields, rows)
+    return _write_csv(GRANULARITIES[granularity][0], rows)
 
 
 def _write_csv(fields: tuple[str, ...], rows: Iterable[dict[str, object]]) -> str:

@@ -552,9 +552,9 @@ def _sn_planes(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _byte_map(values: Container[int], to: bytes = b"01") -> bytes:
-    """A bytes.translate table: each byte in values to to[1], any other to to[0]."""
-    return bytes(to[value in values] for value in range(256))
+def _byte_map(values: Container[int]) -> bytes:
+    """A bytes.translate table: each byte in values to b"1", any other to b"0"."""
+    return bytes(b"01"[value in values] for value in range(256))
 
 
 def _bitset(data: bytes, values: Container[int]) -> int:

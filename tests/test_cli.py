@@ -298,6 +298,13 @@ def test_schubert_point_outside_fiber(capsys):
     assert "not in the Springer fiber" in err
 
 
+def test_schubert_point_degree_mismatch(capsys):
+    status, out, err = run(capsys, "schubert-point", "--partition", "2,2", "--perm", "2,1,3")
+    assert status == 1
+    assert out == ""
+    assert err == "error: permutation has degree 3, partition has 4\n"
+
+
 def test_schubert_point_requires_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["schubert-point", "--partition", "2,1,1"])
@@ -595,6 +602,13 @@ def test_census_cells_stop_at_degree_seven(tmp_path, capsys):
         assert status == 1 and out == ""
         assert err == "error: cells granularity supports degree at most 7, got 8\n"
     assert not target.exists()
+
+
+def test_census_components_stop_at_the_sweep_degree(capsys):
+    status, out, err = run(capsys, "census", "--n", "9", "--granularity", "components")
+    assert status == 1
+    assert out == ""
+    assert err == "error: degree must be between 1 and 8, got 9\n"
 
 
 def test_census_json(capsys):

@@ -16,6 +16,7 @@ from hesscomb import (
     RootSet,
     census,
     compare_with_schubert_union,
+    component_candidates,
     harness,
     hess_cells,
     hessvar,
@@ -28,7 +29,7 @@ from hesscomb import (
     schubert,
     symgroup,
 )
-from hesscomb.harness import CELL_FIELDS, SUMMARY_FIELDS
+from hesscomb.harness import CELL_FIELDS, COMPONENT_FIELDS, SUMMARY_FIELDS
 
 from conftest import built_tables, clear_caches, one_line_arrays
 
@@ -480,6 +481,35 @@ def test_schubert_ideal_names_the_missing_element(clean_caches, monkeypatch):
     assert [(f.shape, f.j, f.witness) for f in report.failures] == expected
 
 
+def test_schubert_ideal_fails_when_two_flags_share_a_point(clean_caches, monkeypatch):
+    # the second flag of each descent group takes the group's first point:
+    # the point map stops being injective, and each such flag is named
+    # with no J, ahead of its shape's closure failures
+    points = schubert._points
+
+    def shared(shape, descents):
+        group_points, point_descents = points(shape, descents)
+        if len(group_points) < 2:
+            return group_points, point_descents
+        return group_points[:1] * 2 + group_points[2:], point_descents[:1] * 2 + point_descents[2:]
+
+    monkeypatch.setattr(schubert, "_points", shared)
+    report = run_checks(4, checks=["schubert-ideal"])[-1]
+    image = symgroup._sn_image(4)
+    expected = [
+        (shape.parts, None, ",".join(map(str, image(flags[1]))))
+        for shape in nilpotent.partitions(4)
+        for flags, _ in nilpotent._fiber_by_descents(shape).values()
+        if len(flags) > 1
+    ]
+    assert expected[0] == ((2, 2), None, "2,4,1,3")
+    found = [(f.shape, f.j, f.witness) for f in report.failures]
+    at = 0
+    for witness in expected:
+        at = found.index(witness, at) + 1
+    assert report.failures_total == len(found) == 44
+
+
 # --- Census ---------------------------------------------------------------------
 
 
@@ -555,6 +585,40 @@ def test_census_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("n, rows, mixed", [(3, 12, 0), (4, 40, 3), (5, 112, 23)])
+def test_census_components_count_the_mixed_pairs(n, rows, mixed):
+    # one row per (shape, J) pair; mixed: the maximal candidates span several dimensions
+    census_rows = census(n, "components")
+    assert len(census_rows) == rows
+    assert sum(len(row["dims"]) > 1 for row in census_rows) == mixed
+
+
+def test_census_components_match_the_candidates():
+    rows = census(4, "components")
+    shape, p = Partition((2, 2)), ParabolicData.from_iterable(4, (3,))
+    (row,) = [r for r in rows if r["lambda"] == shape.parts and r["J"] == p.sorted_j()]
+    candidates = component_candidates(shape, p)
+    maximal = [c for c in candidates if c.bruhat_maximal]
+    assert row == {
+        "lambda": (2, 2),
+        "J": (3,),
+        "candidates": len(candidates),
+        "maximal": len(maximal),
+        "full": sum(c.full_cell for c in maximal),
+        "dims": (3, 2),
+    }
+
+
+def test_census_components_dims_round_trip():
+    rows = census(4, "components")
+    lines = rows_to_csv(rows, "components").splitlines()
+    assert lines[0] == "lambda,J,candidates,maximal,full,dims"
+    assert '"2,2",3,4,2,1,"3,2"' in lines
+    parsed = json.loads(rows_to_json(rows))
+    assert [tuple(row["dims"]) for row in parsed] == [row["dims"] for row in rows]
+    assert [row["dims"] for row in parsed if row["lambda"] == [2, 2] and row["J"] == [3]] == [[3, 2]]
+
+
 # --- Serialization -----------------------------------------------------------------
 
 
@@ -573,6 +637,7 @@ def test_csv_headers():
     assert summary_csv.splitlines()[0] == (
         "lambda,J,hessenberg_poly,schubert_union_poly,equal"
     )
+    assert COMPONENT_FIELDS == ("lambda", "J", "candidates", "maximal", "full", "dims")
 
 
 def test_csv_value_rendering():

@@ -13,7 +13,10 @@ from hesscomb import (
     Partition,
     Permutation,
     Poly,
+    RootSet,
+    Tableau,
     cell_dim,
+    compare_with_schubert_union,
     coset_factor,
     enumerate_sn,
     h_from_parabolic,
@@ -28,6 +31,7 @@ from hesscomb import (
     partitions,
     poincare_hessenberg,
     poincare_parabolic_formula,
+    schubert_union_tops,
     springer_cell_dim,
     springer_contains,
     springer_min_reps,
@@ -383,3 +387,31 @@ def test_hess_cells_factorization_consistent():
 def test_hess_cells_degree_mismatch():
     with pytest.raises(ValueError):
         hess_cells(Partition((2, 1)), ParabolicData.from_iterable(4, ()))
+
+
+_S3 = Permutation((2, 1, 3))
+_P3 = ParabolicData(3, frozenset({1}))
+_SQUARE = Partition((2, 2))
+
+# input check -> (a call that fails it, the whole message)
+_BAD_INPUTS = {
+    "parabolic_cell_dim": (lambda: parabolic_cell_dim(_S3, _SQUARE, ParabolicData(4, frozenset())), "degree mismatch"),
+    "springer_min_reps": (lambda: springer_min_reps(_SQUARE, _P3), "degree mismatch"),
+    "poincare_hessenberg": (lambda: poincare_hessenberg(_SQUARE, HessenbergFunction.identity(3)), "degree mismatch"),
+    "poincare_parabolic_formula": (lambda: poincare_parabolic_formula(_SQUARE, _P3), "degree mismatch"),
+    "schubert_union_tops": (lambda: schubert_union_tops(_SQUARE, _P3), "degree mismatch"),
+    "compare_with_schubert_union": (lambda: compare_with_schubert_union(_SQUARE, _P3), "degree mismatch"),
+    "is_min_coset_rep": (lambda: is_min_coset_rep(_S3, ParabolicData(4, frozenset({1}))), "degree mismatch"),
+    "springer_tableau": (lambda: springer_tableau(_S3, _SQUARE), "degree mismatch"),
+    "Tableau.row_of": (lambda: Tableau(_SQUARE, ((1, 2), (3, 4))).row_of(5), "value 5 not in tableau"),
+    "Poly.from_exponents": (lambda: Poly.from_exponents((0, -1)), "negative exponent"),
+    "RootSet": (lambda: RootSet(3, {(1, 4)}), "not a root of degree 3: (1, 4)"),
+}
+
+
+@pytest.mark.parametrize("check", _BAD_INPUTS)
+def test_input_checks_reject_bad_arguments(check):
+    call, message = _BAD_INPUTS[check]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

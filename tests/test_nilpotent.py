@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hesscomb import (
     Partition,
     Permutation,
+    RootSet,
     Tableau,
     base_filling,
     dominance_ideal,
@@ -24,6 +25,7 @@ from hesscomb import (
     springer_contains,
     springer_tableau,
 )
+from hesscomb import nilpotent
 from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
 
 from conftest import root_set, small_partitions
@@ -285,6 +287,21 @@ def test_springer_cell_dim_outside_fiber():
     assert not springer_contains(Permutation((3, 2, 1, 4)), Partition((2, 2)))
     with pytest.raises(ValueError):
         springer_cell_dim(Permutation((3, 2, 1, 4)), Partition((2, 2)))
+
+
+def test_springer_cell_dim_names_w_and_the_shape_when_the_formulas_disagree(monkeypatch):
+    # without its one root (1, 4), the ideal of (2, 2) lets that inversion
+    # of w^(-1) = 3,1,4,2 count toward the root side
+    ideal = nilpotent.dominance_ideal_from_filling
+
+    def one_root_short(shape):
+        roots = ideal(shape).roots
+        return RootSet(shape.n, roots - {min(roots)})
+
+    monkeypatch.setattr(nilpotent, "dominance_ideal_from_filling", one_root_short)
+    with pytest.raises(RuntimeError) as info:
+        springer_cell_dim(Permutation((2, 4, 1, 3)), Partition((2, 2)))
+    assert str(info.value) == "dimension formulas disagree for w=2,4,1,3, shape=2,2: 2 by rows, 3 by roots"
 
 
 def test_springer_cell_dim_bounded_by_fiber_dimension():
