@@ -17,7 +17,7 @@ from typing import Any
 from .nilpotent import Partition
 from .record import Record
 from .schubert import _lower_ideal, _point_groups, _union_tops
-from .symgroup import ParabolicData, Permutation, _sn_image, longest_element
+from .symgroup import ParabolicData, Permutation, _sn_image, _sn_lengths, longest_element
 
 
 class ComponentCandidate(Record):
@@ -70,11 +70,14 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
     w_j = longest_element(p)
     len_wj = w_j.length()
     image = _sn_image(shape.n)
+    lengths = _sn_lengths(shape.n)
     sdim = {v: dim for _, flags, dims, _, _ in _point_groups(shape, p.mask) for v, dim in zip(flags, dims)}
-    rows: list[tuple[Permutation, Permutation, int, int]] = []
+    rows: list[tuple[Permutation, Permutation, int, int, bool]] = []
     for v_idx, s_top in _union_tops(shape, p).items():
         v = Permutation(image(v_idx))
-        rows.append((v, v * w_j, s_top, sdim[v_idx] + len_wj))
+        dim = sdim[v_idx] + len_wj
+        # v lies in W^J, so l(v w_J) = l(v) + l(w_J)
+        rows.append((v, v * w_j, s_top, dim, dim == lengths[v_idx] + len_wj))
     maximal = set(_lower_ideal((row[2] for row in rows), shape.n)[1])
     out = [
         ComponentCandidate(
@@ -82,10 +85,10 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
             top_cell=top,
             schubert_top=Permutation(image(s_top)),
             cell_dim=dim,
-            full_cell=dim == top.length(),
+            full_cell=full,
             bruhat_maximal=s_top in maximal,
         )
-        for v, top, s_top, dim in rows
+        for v, top, s_top, dim, full in rows
     ]
     out.sort(key=lambda c: (-c.cell_dim, c.v.images))
     return out

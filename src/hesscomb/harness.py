@@ -4,15 +4,17 @@ Every theorem in the package has a named check that runs over all shapes
 of a given degree and all parabolic subsets, comparing two independent
 routes to the same answer.  The staircase side is the coset free kernel
 hessvar._staircase_planes, a set of permutations as one int over S_n,
-compared as a set with the coset side, one byte per S_n index and shape
-that _by_coset gathers, J by J, through symgroup's sorting swaps: the
-excess 1 + l(v) - sdim(v) of _excess, 0 exactly off the fiber.
-fixed-points reads its nonzero bytes; parabolic-dimension bit slices it
-and adds it to the staircase dimension counter, plane by plane, to meet
-the bit planes of l(w) + 1.  The two minimal coset checks compare one
-descent set per flag, which decides them for every J at once.  The
-Schubert checks walk the fiber by descent group, each group's points
-aligned with its flags (schubert._point_groups): schubert-ideal builds,
+compared as a set with the coset side: bit planes of the excess
+1 + l(v) - sdim(v) of _excess, 0 exactly off the fiber, sliced once per
+sweep and gathered by _by_coset, J by J, through symgroup's sorting
+swaps, each swap a few masked shifts of one int.  fixed-points gathers
+one plane, the nonzero excess; parabolic-dimension gathers one plane per
+bit of the excess and adds them to the staircase dimension counter,
+plane by plane, to meet the bit planes of l(w) + 1 on the cells of
+either side.  The two minimal coset checks compare one descent set per
+flag, which decides them for every J at once.  The Schubert checks
+walk the fiber by descent group, each group's points aligned with its
+flags (schubert._point_groups): schubert-ideal builds,
 once per shape, each group's points and their Bruhat lower ideal (the
 rank plane kernel schubert._lower_ideal over the group's maximal
 points), and for each J compares the union of the ideals of the groups
@@ -36,9 +38,8 @@ import io
 import itertools
 import json
 import math
-import operator
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 
 from .components import component_candidates
 from .hessvar import (
@@ -78,7 +79,7 @@ from .symgroup import (
     _descents,
     _sn_image,
     _sn_lengths,
-    _sn_sorting_swaps,
+    _sn_sorting_masks,
     _string_ascents,
     parabolics,
     string_decompose,
@@ -170,43 +171,49 @@ class _FailureLog:
         self.total += count - stored
 
 
-def _by_coset(n: int) -> Iterator[tuple[ParabolicData, Partition, bytes]]:
-    """Per J in parabolics(n) order, then per shape: the shape's _excess
-    byte at the minimal coset representative of every w, the highest w first.
+def _by_coset(
+    n: int, slices: Callable[[bytes], Iterable[Container[int]]]
+) -> Iterator[tuple[ParabolicData, Partition, list[int]]]:
+    """Per J in parabolics(n) order, then per shape: the bit planes of the
+    shape's _excess bytes that slices picks, the plane of a set of byte
+    values each, gathered so that bit w reads the plane at the minimal
+    coset representative of w.
 
-    The shapes' bytes are interleaved into one record per S_n index, so that
-    one gather serves every shape.  w goes to its representative by
-    insertion sorting each block of J with the sorting swaps, and since a
-    gather reads through its index row, the last swap is gathered first."""
-    shapes = list(partitions(n))
-    width = len(shapes)
-    interleaved = bytearray(width * math.factorial(n))
-    for k, shape in enumerate(shapes):
-        interleaved[k::width] = _excess(shape)
-    records = [bytes(interleaved[v : v + width]) for v in range(0, len(interleaved), width)]
-    # every swap row has n! >= 2 entries, so each getter returns a tuple
-    getters = [operator.itemgetter(*row) for row in _sn_sorting_swaps(n)]
+    Each shape's planes are sliced once per sweep.  w goes to its
+    representative by sorting each block of J, one sorting swap at a
+    time, and a plane is gathered through a swap by a few masked shifts
+    (symgroup._sn_sorting_masks).  The gathers apply the swaps to w last
+    one first, which turns the insertion sort below into a bubble sort."""
+    table = _sn_sorting_masks(n)
+    shapes = [
+        (shape, [_bitset(excess[::-1], values) for values in slices(excess)])
+        for shape in partitions(n)
+        for excess in [_excess(shape)]
+    ]
     for p in parabolics(n):
         # position q + 1 moves down its block through swaps q, ..., block[0]
-        swaps = [k for block in p.blocks for q in block[:-1] for k in range(q, block[0] - 1, -1)]
-        gathered = records
-        for k in reversed(swaps):
-            gathered = getters[k - 1](gathered)
-        joined = b"".join(reversed(gathered))
-        for k, shape in enumerate(shapes):
-            yield p, shape, joined[k::width]
+        swaps = [table[k - 1] for block in p.blocks for q in block[:-1] for k in range(q, block[0] - 1, -1)]
+        for shape, planes in shapes:
+            gathered = []
+            for plane in planes:
+                for ascents, moves in swaps:
+                    plane = sum(((plane & sources) << shift for shift, sources in moves), plane & ascents)
+                gathered.append(plane)
+            yield p, shape, gathered
 
 
 def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
     """A flag lies in the parabolic Hessenberg variety iff the minimal
     representative of its coset lies in the Springer fiber."""
     image = _sn_image(n)
+    order = math.factorial(n)
     cases = 0
     failures = _FailureLog()
-    for p, shape, in_fiber in _by_coset(n):
+    # one plane: the excess is nonzero exactly on the fiber
+    for p, shape, (in_fiber,) in _by_coset(n, lambda excess: [range(1, 256)]):
         by_staircase = _staircase_members(shape, h_from_parabolic(p))
-        cases += len(in_fiber)
-        failures.record_set(shape, p, _bitset(in_fiber, range(1, 256)) ^ by_staircase, image)
+        cases += order
+        failures.record_set(shape, p, in_fiber ^ by_staircase, image)
     return cases, failures
 
 
@@ -220,18 +227,17 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     # the bit planes of l(w) + 1 over S_n, lowest first
     data = bytes(length + 1 for length in reversed(lengths))
     targets = [_bitset(data, with_bit[level]) for level in range((max(lengths) + 1).bit_length())]
-    # the bits of each shape's largest excess, keyed on its parts
-    depths: dict[tuple[int, ...], int] = {}
     cases = 0
     failures = _FailureLog()
-    for p, shape, gathered in _by_coset(n):
-        if shape.parts not in depths:
-            depths[shape.parts] = max(_excess(shape)).bit_length()
-        # the excess 1 + l(v) - sdim(v) of each w's minimal representative
-        # v, bit sliced; it is 0 exactly off the fiber
-        addend = [_bitset(gathered, with_bit[level]) for level in range(depths[shape.parts])]
-        cells = functools.reduce(int.__or__, addend, 0)
+    # the excess 1 + l(v) - sdim(v) of each w's minimal representative v,
+    # one plane per bit of the shape's largest excess; it is 0 exactly off
+    # the fiber
+    for p, shape, addend in _by_coset(n, lambda excess: with_bit[: max(excess).bit_length()]):
         members, counter = _staircase_planes(shape, h_from_parabolic(p))
+        # the cells of either side: a staircase cell whose representative
+        # misses the fiber adds 0 to dim <= l(w), and a coset cell that the
+        # staircase lacks is wrong outright
+        cells = functools.reduce(int.__or__, addend, members)
         # dim + excess = sdim(v) + l(y) + 1 + l(v) - sdim(v) = l(w) + 1 on
         # every cell: a ripple carry add, compared level by level
         wrong = ~members
@@ -319,10 +325,7 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
     order = math.factorial(n)
     full = (1 << order) - 1
     # ascents[i - 1]: the w with w(i) < w(i + 1); W^J is their AND over i in J
-    ascents = [
-        _bitset(bytes(w[i - 1] < w[i] for w in itertools.permutations(range(1, n + 1)))[::-1], range(1, 256))
-        for i in range(1, n)
-    ]
+    ascents = [plane for plane, _ in _sn_sorting_masks(n)]
     size = (order + 7) // 8
     cases = 0
     failures = _FailureLog()

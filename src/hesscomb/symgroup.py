@@ -15,7 +15,6 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import array
 import functools
 import itertools
 import math
@@ -470,8 +469,8 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 #
 # _split_index ranks a one line array and _sn_image unranks an index, both
 # through the tables of the head and tail halves of the array; no table
-# holds the n! one line arrays.  The sorting swaps serve only the harness
-# sweeps, which visit every permutation anyway and gather through them.
+# holds the n! one line arrays.  The sorting masks serve only the harness
+# sweeps, which gather sets over S_n through them, J by J.
 # ---------------------------------------------------------------------------
 
 
@@ -631,22 +630,36 @@ def _bit_indices(bits: int) -> Iterator[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _sn_sorting_swaps(n: int) -> tuple[array.array, ...]:
-    """swaps[i - 1][idx]: the index of w with the values at positions i and
-    i + 1 put in increasing order, w itself or w s_i.  Past position 1 the
-    swap keeps w(1) and acts on the tail, so block b of swaps[i - 1] is
-    swaps[i - 2] one degree lower shifted by b (n - 1)!.  At position 1 the
-    descents w(1) = a + 1 > w(2) = c + 1 are the run of (n - 2)! indices
-    a (n - 1)! + c (n - 2)! + r of block a, r the relabelled rest, and the
-    swap keeps r: it maps the run to c (n - 1)! + (a - 1) (n - 2)! + r."""
+def _sn_sorting_masks(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Per position i = 1..n-1, the sort of the values at positions i and
+    i + 1 as masked shifts of a set over S_n: (ascents, ((shift, sources),
+    ...)).  ascents is the set of w with w(i) < w(i + 1), which the sort
+    keeps; it moves every other w to w s_i, which lies in one sources, shift
+    indices below w.  So the set of w whose sorted w lies in X is
+
+        X & ascents | OR over the pairs of (X & sources) << shift.
+
+    At position 1 the descents w(1) = a + 1 > w(2) = c + 1 are the run of
+    (n - 2)! indices a (n - 1)! + c (n - 2)! + r of block a, r the
+    relabelled rest, and w s_1 is c (n - 1)! + (a - 1) (n - 2)! + r.  The
+    shift d (n - 1)! - (d - 1) (n - 2)! depends on d = a - c alone, so
+    there are n - 1 pairs, sources holding the runs read at distance d.
+    Past position 1 the sort keeps w(1) and acts on the tail, so block b of
+    each mask is the mask of position i - 1 one degree lower and the shifts
+    stay: a multiply by the sum of 2^(b (n - 1)!) over the blocks."""
     if n <= 1:
         return ()
-    below = _sn_sorting_swaps(n - 1)
     size, run = math.factorial(n - 1), math.factorial(n - 2)
-    first = array.array("I", range(n * size))
-    for a in range(n):
-        for c in range(a):
-            start, target = a * size + c * run, c * size + (a - 1) * run
-            first[start : start + run] = array.array("I", range(target, target + run))
-    blocks = (itertools.chain.from_iterable(map((b * size).__add__, row) for b in range(n)) for row in below)
-    return (first, *(array.array("I", block) for block in blocks))
+    every_block = sum(1 << b * size for b in range(n))
+    # block a ascends at its runs c = a..n-2, which reach the block's end
+    ascents = sum(((1 << (n - 1 - a) * run) - 1) << a * size + a * run for a in range(n))
+    # distance d reads run c + d - 1 of block c, for c = 0..n-1-d
+    moves = tuple(
+        (d * size - (d - 1) * run, sum(((1 << run) - 1) << c * size + (c + d - 1) * run for c in range(n - d)))
+        for d in range(1, n)
+    )
+    below = (
+        (kept * every_block, tuple((shift, sources * every_block) for shift, sources in pairs))
+        for kept, pairs in _sn_sorting_masks(n - 1)
+    )
+    return ((ascents, moves), *below)

@@ -209,7 +209,7 @@ def test_single_queries_build_no_table_of_the_sn_arrays(capsys):
     assert springer_min_reps(shape, p)
     tops = schubert_union_tops(shape, p)
     assert len(bruhat_lower_ideal(tops[:1], 8)) > 1
-    # the sorting swaps and the coset tables serve only the harness sweeps
+    # the sorting masks serve only the harness sweeps
     assert built_tables().keys() == {
         "_split_tables",
         "_split_index",

@@ -412,7 +412,7 @@ def test_excess_is_one_plus_length_minus_springer_dimension_on_the_fiber():
 
 
 def test_coset_checks_build_no_table_per_j():
-    # the coset side gathers J by J through the sorting swaps and keeps
+    # the coset side gathers J by J through the sorting masks and keeps
     # nothing per J: only the degree tables that the two checks read stay
     clear_caches()
     CHECKS["fixed-points"](7)
@@ -422,8 +422,25 @@ def test_coset_checks_build_no_table_per_j():
         "_sn_image": 1,
         "_sn_lengths": 7,
         "_sn_planes": 7,
-        "_sn_sorting_swaps": 7,
+        "_sn_sorting_masks": 7,
     }
+
+
+def _without_one_source(masks):
+    # position 1 loses the pair of distance 1, so the descents with
+    # w(1) = w(2) + 1 gather nothing
+    def wrong(n):
+        (ascents, moves), *rest = masks(n)
+        return ((ascents, moves[1:]), *rest)
+
+    return wrong
+
+
+@pytest.mark.parametrize("check_id", ["fixed-points", "parabolic-dimension"])
+def test_coset_checks_fail_when_a_sorting_source_is_dropped(check_id, clean_caches, monkeypatch):
+    monkeypatch.setattr(harness, "_sn_sorting_masks", _without_one_source(harness._sn_sorting_masks))
+    cases, failures = CHECKS[check_id](4)
+    assert failures.total > 0 < cases
 
 
 def _without_identity_in_length_planes(planes):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterable
 
 import pytest
@@ -41,7 +42,7 @@ from hesscomb.symgroup import (
     _sn_lengths,
     _sn_planes,
     _sn_rank_planes,
-    _sn_sorting_swaps,
+    _sn_sorting_masks,
     _split_index,
     _string_ascents,
 )
@@ -365,15 +366,19 @@ def test_quotient_indices_are_the_min_coset_reps(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_coset_table_is_the_coset_factor(n):
-    # the coset sweep gathers each shape's excess byte at the minimal
-    # representative v of w = v y, the highest w first
+    # the coset sweep gathers each bit plane of each shape's excess at the
+    # minimal representative v of w = v y: here every bit of a byte and the
+    # nonzero bytes, against planes read off coset_factor one w at a time
     index = _split_index(n)
-    perms = list(enumerate_sn(n))[::-1]
+    perms = list(enumerate_sn(n))
     reps = {p: [index(coset_factor(w, p)[0].images) for w in perms] for p in parabolics(n)}
+    levels = [frozenset(value for value in range(256) if value >> level & 1) for level in range(8)]
     seen = []
-    for p, shape, gathered in harness._by_coset(n):
+    for p, shape, gathered in harness._by_coset(n, lambda excess: [range(1, 256), *levels]):
         excess = harness._excess(shape)
-        assert gathered == bytes(excess[v] for v in reps[p]), (p, shape)
+        expected = [sum(1 << w for w, v in enumerate(reps[p]) if excess[v])]
+        expected += [sum(1 << w for w, v in enumerate(reps[p]) if excess[v] >> level & 1) for level in range(8)]
+        assert gathered == expected, (p, shape)
         seen.append((p, shape))
     assert seen == [(p, shape) for p in parabolics(n) for shape in partitions(n)]
 
@@ -467,18 +472,40 @@ def test_union_planes_read_no_other_table():
     assert built_tables() == {"_sn_rank_planes": 7, "_sn_length_planes": 7}
 
 
+def _sort_gather(ascents, moves, plane):
+    return sum(((plane & sources) << shift for shift, sources in moves), plane & ascents)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sorting_swaps_by_blocks_are_the_per_permutation_swaps(n):
     # the block recursion reads no other table, not even the rank route
     clear_caches()
-    swaps = _sn_sorting_swaps(n)
-    assert built_tables() == {"_sn_sorting_swaps": n}
+    masks = _sn_sorting_masks(n)
+    assert built_tables() == {"_sn_sorting_masks": n}
     perms = one_line_arrays(n)
     rank = {w: idx for idx, w in enumerate(perms)}
-    assert len(swaps) == n - 1
-    for i, row in enumerate(swaps, start=1):
+    rng = random.Random(n)
+    assert len(masks) == n - 1
+    for i, (ascents, moves) in enumerate(masks, start=1):
         # of w and w s_i, the one with positions i and i + 1 sorted comes first
-        assert list(row) == [rank[min(w, (*w[: i - 1], w[i], w[i - 1], *w[i + 1 :]))] for w in perms], i
+        swap = [rank[min(w, (*w[: i - 1], w[i], w[i - 1], *w[i + 1 :]))] for w in perms]
+        assert list(_bit_indices(ascents)) == [idx for idx, target in enumerate(swap) if target == idx], i
+        # the shifts move every descent, each once, to its swap
+        moved = [(idx + shift, idx) for shift, sources in moves for idx in _bit_indices(sources)]
+        assert sorted(moved) == [(idx, target) for idx, target in enumerate(swap) if target != idx], i
+        # gathering {target} keeps the w that swap to it
+        sorted_from = [[] for _ in perms]
+        for idx, target in enumerate(swap):
+            sorted_from[target].append(idx)
+        singletons = range(len(perms)) if n <= 7 else (0, 1, len(perms) - 2, len(perms) - 1)
+        for target in singletons:
+            assert list(_bit_indices(_sort_gather(ascents, moves, 1 << target))) == sorted_from[target], (i, target)
+        # and gathering any X keeps the w whose swap lies in X
+        for _ in range(8):
+            plane = rng.getrandbits(len(perms))
+            members = set(_bit_indices(plane))
+            expected = [idx for idx, target in enumerate(swap) if target in members]
+            assert list(_bit_indices(_sort_gather(ascents, moves, plane))) == expected, (i, plane)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
