@@ -108,7 +108,9 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
     lengths = _sn_lengths(shape.n)
     rows = (row for _, flags, dims, points, _ in _point_groups(shape, 0) for row in zip(flags, dims, points))
     cells = []
-    # one tableau scan per flag, in its point; the rows go out in lexicographic order of w
+    # the walk counts each flag's dimension by roots and, through the row
+    # inversion masks, in its point's length by rows; no tableau is scanned,
+    # and the rows go out in lexicographic order of w
     for idx, by_roots, point in sorted(rows):
         w, by_rows = ",".join(map(str, image(idx))), lengths[point]
         if by_rows != by_roots:

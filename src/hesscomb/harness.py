@@ -11,7 +11,10 @@ swaps, each swap a few masked shifts of one int.  fixed-points gathers
 one plane, the nonzero excess; parabolic-dimension gathers one plane per
 bit of the excess and adds them to the staircase dimension counter,
 plane by plane, to meet the bit planes of l(w) + 1 on the cells of
-either side.  The two minimal coset checks compare one descent set per
+either side; it keeps each pair's Poincare polynomial from the same
+planes (hessvar._planes_poincare), which poincare-corollary and
+main-theorem then find in poincare_hessenberg, so each (shape, J) is
+swept once.  The two minimal coset checks compare one descent set per
 flag, which decides them for every J at once.  The Schubert checks
 walk the fiber by descent group, each group's points aligned with its
 flags (schubert._point_groups): schubert-ideal builds,
@@ -24,10 +27,13 @@ descent group in W^J and the blocks of J (schubert._poincare_pair),
 ranking only the maximal tops, and keeps, outside the proved regime,
 the tally of pairs whose two polynomials are equal anyway.
 dim-formulas-agree compares the tableau scan of each flag's one line
-array, the walk's root count and the point's length.  A check counts
-every failure and keeps the first 1000 witnesses.  census dumps the
-same ground truth as flat rows for offline diffing, one sweep over the
-(shape, J) pairs whatever the granularity (GRANULARITIES).
+array, the walk's root count and the point's length, which is the walk's
+row inversion count: the column rule of nilpotent._row_inversion_masks,
+carried in the point's key, K = index(w0 p w0).  The scan is the only
+one in a sweep.  A check counts every failure and keeps the first 1000
+witnesses.  census dumps the same ground truth as flat rows for offline
+diffing, one sweep over the (shape, J) pairs whatever the granularity
+(GRANULARITIES).
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from collections.abc import Callable, Container, Iterable, Iterator
 
 from .components import component_candidates
 from .hessvar import (
+    _planes_poincare,
     _staircase_members,
     _staircase_planes,
     h_from_parabolic,
@@ -233,7 +240,10 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     # one plane per bit of the shape's largest excess; it is 0 exactly off
     # the fiber
     for p, shape, addend in _by_coset(n, lambda excess: with_bit[: max(excess).bit_length()]):
-        members, counter = _staircase_planes(shape, h_from_parabolic(p))
+        h = h_from_parabolic(p)
+        members, counter = _staircase_planes(shape, h)
+        # the same planes give poincare-corollary and main-theorem their sweep
+        _planes_poincare(shape, h, members, counter)
         # the cells of either side: a staircase cell whose representative
         # misses the fiber adds 0 to dim <= l(w), and a coset cell that the
         # staircase lacks is wrong outright
@@ -256,7 +266,7 @@ def _excess(shape: Partition) -> bytes:
     from the walk's dimensions; fixed-points and parabolic-dimension share it."""
     lengths = _sn_lengths(shape.n)
     out = bytearray(len(lengths))
-    for flags, dims in _fiber_by_descents(shape).values():
+    for flags, dims, *_ in _fiber_by_descents(shape).values():
         for v, dim in zip(flags, dims):
             out[v] = 1 + lengths[v] - dim
     return bytes(out)
@@ -402,7 +412,8 @@ def _check_dim_formulas(n: int) -> tuple[int, _FailureLog]:
     """The row inversion and root counting Springer dimension formulas agree
     on every fiber flag, and so does the length of the flag's Schubert
     point: the tableau scan, the root count that the fiber walk carries
-    for the parabolic formula, and the point."""
+    for the parabolic formula, and the point, which the walk builds from
+    its own row inversion counts."""
     image = _sn_image(n)
     lengths = _sn_lengths(n)
     cases = 0

@@ -10,9 +10,11 @@ part for v and the full length of y.
 One coset free kernel, _staircase_planes, reads membership and dimension
 off the value planes of w^(-1) for all of S_n at once, as integer bitsets
 (symgroup._sn_planes); poincare_hessenberg, hess_cells and the harness
-checks take their staircase side from it.  springer_min_reps and
-poincare_parabolic_formula read the fiber flags in W^J and their
-dimensions from nilpotent._fiber_groups, no table over S_n.
+checks take their staircase side from it.  poincare_hessenberg keeps its
+answers, and a caller that sweeps the planes anyway keeps the polynomial
+there too (_planes_poincare), so each (shape, h) is swept once.
+springer_min_reps and poincare_parabolic_formula read the fiber flags in
+W^J and their dimensions from nilpotent._fiber_groups, no table over S_n.
 """
 
 from __future__ import annotations
@@ -298,20 +300,39 @@ def _dimension_sets(members: int, counter: list[int]) -> list[int]:
     return cells
 
 
-@functools.lru_cache(maxsize=None)
+# poincare_hessenberg's answers by (shape, h), filled by _planes_poincare
+_poincare_memo: dict[tuple[Partition, HessenbergFunction], Poly] = {}
+
+
+def _planes_poincare(shape: Partition, h: HessenbergFunction, members: int, counter: list[int]) -> Poly:
+    """The Poincare polynomial of (shape, h) from its _staircase_planes,
+    kept as poincare_hessenberg's answer: a caller that sweeps the planes
+    for its own use spares the later call a second sweep."""
+    poly = _poincare_memo[shape, h] = Poly(tuple(cells.bit_count() for cells in _dimension_sets(members, counter)))
+    return poly
+
+
 def poincare_hessenberg(shape: Partition, h: HessenbergFunction) -> Poly:
     """Poincare polynomial of the Hessenberg variety, graded by complex cell dimension.
 
     Coefficient of t^k counts the permutations w whose cell is nonempty of
     dimension k; the count is exhaustive over S_n, as popcounts of the
     staircase planes, and builds no per degree table besides _sn_planes.
+    The answer is kept; a caller that swept the same planes may have kept
+    it first (_planes_poincare).  Either way it comes from the staircase
+    planes, never from cosets.
 
     >>> str(poincare_hessenberg(Partition((2, 2)), HessenbergFunction((2, 2, 4, 4))))
     '1 + 3t + 4t^2 + 3t^3 + t^4'
     """
     if shape.n != h.n:
         raise ValueError("degree mismatch")
-    return Poly(tuple(cells.bit_count() for cells in _dimension_sets(*_staircase_planes(shape, h))))
+    poly = _poincare_memo.get((shape, h))
+    return _planes_poincare(shape, h, *_staircase_planes(shape, h)) if poly is None else poly
+
+
+# whoever clears the package's functools caches empties the memo too
+poincare_hessenberg.cache_clear = _poincare_memo.clear
 
 
 def poincare_parabolic_formula(shape: Partition, p: ParabolicData) -> Poly:

@@ -13,9 +13,13 @@ row strict tableau, and the dimension of the Schubert cell section through
 wB is computed two independent ways, by tableau row inversions and by
 counting inversions of the inverse permutation outside that root support.
 _row_inversion_vector reads a flag's tableau in one scan of w's one line
-array; the one per shape table, _fiber_by_descents, walks the row strict
-fillings, counts each flag's dimension by roots and never reads the scan,
-so the harness can compare the two.
+array.  The one per shape table, _fiber_by_descents, walks the row strict
+fillings and never reads the scan: it counts each flag's dimension by
+roots, and its row inversion numbers by the column rule of
+_row_inversion_masks (value q in row r, column m counts the placed boxes
+of column m above r and of column m + 1 below r), which it carries as the
+Schubert point's key K = index(w0 p w0) and the point's descents.  The
+harness compares the scan, the root count and the point's length.
 """
 
 from __future__ import annotations
@@ -365,11 +369,31 @@ def springer_cell_dim(w: Permutation, shape: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _row_inversion_masks(shape: Partition) -> dict[int, int]:
+    """Per label bit, the labels, as bits, that the row inversion number of
+    a value placed in that label's box counts once they are placed.
+
+    Let q sit in row r, column m.  A row above r counts in T[q] when it is
+    as long as row r or longer, that is when its box in column m is
+    placed; a row below counts only when longer, when its box in column
+    m + 1 is placed.  So the mask holds column m of the rows above r and
+    column m + 1 of the rows below.
+    """
+    rows = base_filling(shape).rows
+    return {
+        1 << label: sum(1 << rows[s][m] for s in range(r))
+        | sum(1 << rows[s][m + 1] for s in range(r + 1, len(rows)) if m + 1 < len(rows[s]))
+        for r, row in enumerate(rows)
+        for m, label in enumerate(row)
+    }
+
+
 @functools.lru_cache(maxsize=None)
-def _fiber_by_descents(shape: Partition) -> dict[int, tuple[array.array, array.array]]:
+def _fiber_by_descents(shape: Partition) -> dict[int, tuple[array.array, array.array, array.array, array.array]]:
     """The Springer fiber flags grouped by their right descents as a
     bitmask (bit i when w(i) > w(i + 1)): per group, the flags as ascending
-    S_n indices and their springer_cell_dim.
+    S_n indices, their springer_cell_dim, and their Schubert points as keys
+    with the points' right descents.
 
     The flags are the row strict fillings: value q goes into the leftmost
     empty box of some row, and w(q) is that box's label.  Trying the free
@@ -378,21 +402,33 @@ def _fiber_by_descents(shape: Partition) -> dict[int, tuple[array.array, array.a
     times (n - q)!.  Placing label a after a label b > a inverts (a, b) in
     w^(-1), so each label adds the placed labels b > a with (a, b) outside
     the orbit ideal.  Labels travel as one bit each, bit label of an int.
+
+    The row inversion number c_q = l_(q-1) of value q counts the placed
+    labels of its label's _row_inversion_masks, and the key adds up
+    c_q (q - 1)!: the string lengths read backwards as a Lehmer code, so
+    the key is the S_n index of w0 p w0 for the Schubert point p, that is
+    p(i) = n + 1 - u(n + 1 - i) for u the permutation of the key.  p has a
+    descent at q - 1 exactly when c_q > c_(q-1).  So the walk counts each
+    flag's dimension twice, by roots and, in its point, by rows.
     """
     n = shape.n
     # a label is free once the label to its left is placed
     left = {1 << b: 1 << a for row in base_filling(shape).rows for a, b in zip(row, row[1:])}
     ideal = dominance_ideal_from_filling(shape).roots
     outside = {1 << a: sum(1 << b for b in range(a + 1, n + 1) if (a, b) not in ideal) for a in range(1, n + 1)}
+    counted = _row_inversion_masks(shape)
     weights = [math.factorial(n - 1 - q) for q in range(n)]
-    groups = collections.defaultdict(lambda: (array.array("I"), array.array("B")))
+    groups = collections.defaultdict(lambda: (array.array("I"), array.array("B"), array.array("I"), array.array("I")))
 
-    def walk(q: int, unused: int, prev: int, idx: int, descents: int, dim: int) -> None:
+    def walk(q: int, unused: int, prev: int, idx: int, descents: int, dim: int, key: int, c: int, p_descents: int) -> None:
         if q == n - 1:
             # one label is left, and the label to its left is placed
-            flags, dims = groups[descents | (prev > unused) << q]
+            here = counted[unused].bit_count()
+            flags, dims, keys, point_descents = groups[descents | (prev > unused) << q]
             flags.append(idx)
             dims.append(dim + outside[unused].bit_count())
+            keys.append(key + here * weights[0])
+            point_descents.append(p_descents | (here > c) << q)
             return
         rank = 0
         bits = unused
@@ -400,11 +436,13 @@ def _fiber_by_descents(shape: Partition) -> dict[int, tuple[array.array, array.a
             low = bits & -bits
             if not unused & left.get(low, 0):
                 inverted = (outside[low] & ~unused).bit_count()
-                walk(q + 1, unused ^ low, low, idx + rank * weights[q], descents | (prev > low) << q, dim + inverted)
+                here = (counted[low] & ~unused).bit_count()
+                walk(q + 1, unused ^ low, low, idx + rank * weights[q], descents | (prev > low) << q, dim + inverted,
+                     key + here * weights[n - 1 - q], here, p_descents | (here > c) << q)
             rank += 1
             bits ^= low
 
-    walk(0, (1 << n + 1) - 2, 0, 0, 0, 0)
+    walk(0, (1 << n + 1) - 2, 0, 0, 0, 0, 0, 0, 0)
     return groups
 
 
@@ -416,4 +454,4 @@ def _fiber_groups(shape: Partition, j_mask: int) -> list[tuple[int, array.array,
     >>> [(d, list(flags), list(dims)) for d, flags, dims in _fiber_groups(Partition((2, 2)), 0b1010)]
     [(0, [0], [0]), (4, [2, 10], [1, 2])]
     """
-    return [(descents, *group) for descents, group in _fiber_by_descents(shape).items() if not descents & j_mask]
+    return [(descents, flags, dims) for descents, (flags, dims, *_) in _fiber_by_descents(shape).items() if not descents & j_mask]

@@ -9,14 +9,18 @@ Hessenberg variety has the same Poincare polynomial as the union of the
 Schubert varieties indexed by these points times the longest element of
 W_J; that comparison is packaged as a report here.
 
-_string_product builds every point.  schubert_point serves one flag of
-any degree; _points holds, per descent group of the fiber walk, each
-flag's point as an S_n index (symgroup's lexicographic tables) and its
-right descents, and _point_groups joins them to nilpotent._fiber_groups,
-checking that the points stay in W^J.  A top point * w_J is the point
-with each J-block of positions reversed.  A Bruhat lower ideal is one int
-over S_n (symgroup's bitsets): the OR of the intervals [e, w] of its
-maximal tops, each an AND of the rank count planes at its essential cells.
+schubert_point serves one flag of any degree: it scans the flag's
+tableau and multiplies out the strings.  _points holds, per descent group
+of the fiber walk, each flag's point as an S_n index (symgroup's
+lexicographic tables) and its right descents, both carried by the walk
+(nilpotent._fiber_by_descents), which adds c_q (q - 1)! over the row
+inversion numbers c_q into a key K = index(w0 p w0) and reads a descent
+of p at q - 1 where c_q > c_(q-1); it scans no tableau.
+_point_groups joins the points to nilpotent._fiber_groups, checking that
+they stay in W^J.  A top point * w_J is the point with each J-block of
+positions reversed.  A Bruhat lower ideal is one int over S_n (symgroup's
+bitsets): the OR of the intervals [e, w] of its maximal tops, each an AND
+of the rank count planes at its essential cells.
 The union's ideal is built from its points in W^J, which order their
 tops as the tops order themselves, so it reads only the maximal points of
 each descent group and forms only the maximal tops; every top is ranked
@@ -40,7 +44,6 @@ from .symgroup import (
     ParabolicData,
     Permutation,
     _bit_indices,
-    _descents,
     _essential_counts,
     _sn_image,
     _sn_length_planes,
@@ -49,16 +52,6 @@ from .symgroup import (
     _split_index,
     perm_from_word,
 )
-
-
-def _string_product(lengths: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The one line array of the product of the strings s_(q-l) ... s_(q-1),
-    l = lengths[q - 2], for q = n down to 2: right multiplying by a string
-    moves the entry at position q - l to position q."""
-    images = list(range(1, n + 1))
-    for q in range(n, 1, -1):
-        images.insert(q - 1, images.pop(q - 1 - lengths[q - 2]))
-    return tuple(images)
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,18 +67,26 @@ def schubert_point(w: Permutation, shape: Partition) -> Permutation:
     lengths = _row_inversion_vector(w.images, shape)
     if lengths is None:
         raise ValueError("flag is not in the Springer fiber")
-    return Permutation(_string_product(lengths, shape.n))
+    images = list(range(1, shape.n + 1))
+    # right multiplying by the string s_(q-l) ... s_(q-1) moves the entry
+    # at position q - l to position q
+    for q in range(shape.n, 1, -1):
+        images.insert(q - 1, images.pop(q - 1 - lengths[q - 2]))
+    return Permutation(images)
 
 
 @functools.lru_cache(maxsize=None)
 def _points(shape: Partition, descents: int) -> tuple[array.array, array.array]:
     """The Schubert points of the fiber flags with right descents
     `descents`, aligned with that group of _fiber_by_descents: each as an
-    S_n index, and each point's right descents as a bitmask."""
-    image = _sn_image(shape.n)
-    flags, _ = _fiber_by_descents(shape)[descents]
-    points = [_string_product(_row_inversion_vector(image(idx), shape), shape.n) for idx in flags]
-    return array.array("I", map(_split_index(shape.n), points)), array.array("I", map(_descents, points))
+    S_n index, and each point's right descents as a bitmask, both from the
+    walk.  The walk's key K is the index of w0 p w0, so p reverses and
+    complements the permutation of K."""
+    n = shape.n
+    image, index = _sn_image(n), _split_index(n)
+    _, _, keys, point_descents = _fiber_by_descents(shape)[descents]
+    complement = (n + 1).__sub__
+    return array.array("I", [index(tuple(map(complement, reversed(image(key))))) for key in keys]), point_descents
 
 
 def _point_groups(

@@ -465,11 +465,74 @@ def test_each_check_fails_without_the_identity_in_the_quotient(
     assert not report.passed
 
 
+def _counted(monkeypatch, name, modules):
+    """Count the calls of the function that the modules import as name."""
+    calls = []
+    for module in modules:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_each_pair_is_swept_and_each_flag_scanned_once(clean_caches, monkeypatch):
+    # parabolic-dimension keeps each pair's polynomial for poincare-corollary
+    # and main-theorem, and only dim-formulas scans tableaux: 1,481 (degree,
+    # shape, J) pairs and 13,390 fiber flags up to degree 7
+    sweeps = _counted(monkeypatch, "_staircase_planes", (harness, hessvar))
+    scans = _counted(monkeypatch, "_row_inversion_vector", (harness, nilpotent, schubert))
+    assert all(r.passed for r in run_checks(7))
+    assert len(sweeps) == len(set(sweeps)) == 1481
+    assert len(scans) == len(set(scans)) == 13390
+
+
+def test_poincare_corollary_sweeps_alone(clean_caches, monkeypatch):
+    sweeps = _counted(monkeypatch, "_staircase_planes", (harness, hessvar))
+    reports = run_checks(6, ["poincare-corollary"])
+    assert all(r.passed for r in reports)
+    # one sweep per (shape, J) pair of degrees 1..6
+    assert len(sweeps) == sum(r.cases_run for r in reports) == 521
+
+
+def test_clearing_the_caches_forgets_the_kept_polynomials(clean_caches, monkeypatch):
+    # parabolic-dimension keeps the polynomials of wrong planes, and
+    # poincare-corollary finds them until the caches are cleared
+    monkeypatch.setattr(harness, "_staircase_planes", _off_by_one(harness._staircase_planes))
+    assert not run_checks(4, ["parabolic-dimension"])[-1].passed
+    monkeypatch.undo()
+    assert not run_checks(4, ["poincare-corollary"])[-1].passed
+    clear_caches()
+    assert all(r.passed for r in run_checks(4, ["poincare-corollary"]))
+
+
+def _mask_without(shape, label, lost):
+    """nilpotent._row_inversion_masks with label's mask missing lost, for shape."""
+    masks = nilpotent._row_inversion_masks
+
+    def wrong(other):
+        out = dict(masks(other))
+        if other == shape:
+            out[1 << label] &= ~(1 << lost)
+        return out
+
+    return wrong
+
+
+def test_checks_fail_when_a_row_inversion_mask_loses_a_label(clean_caches, monkeypatch):
+    # label 3 of (2, 2) sits below label 4: values placed at 3 after 4 lose a
+    # row inversion, so those flags' points come out one too short
+    monkeypatch.setattr(nilpotent, "_row_inversion_masks", _mask_without(Partition((2, 2)), 3, 4))
+    for check_id in ("dim-formulas-agree", "main-theorem"):
+        report = run_checks(4, [check_id])[-1]
+        assert report.n == 4
+        assert not report.passed, check_id
+        assert {f.shape for f in report.failures} == {(2, 2)}, check_id
+
+
 def test_main_theorem_fails_when_the_union_points_are_wrong(clean_caches, monkeypatch):
     # each flag stands in for its own point: the same descents, so every
     # point stays in W^J and the union side records failures, not raises
     def flags_as_points(shape, descents):
-        flags, _ = nilpotent._fiber_by_descents(shape)[descents]
+        flags, *_ = nilpotent._fiber_by_descents(shape)[descents]
         return flags, [descents] * len(flags)
 
     monkeypatch.setattr(schubert, "_points", flags_as_points)
@@ -516,7 +579,7 @@ def test_schubert_ideal_fails_when_two_flags_share_a_point(clean_caches, monkeyp
     expected = [
         (shape.parts, None, ",".join(map(str, image(flags[1]))))
         for shape in nilpotent.partitions(4)
-        for flags, _ in nilpotent._fiber_by_descents(shape).values()
+        for flags, *_ in nilpotent._fiber_by_descents(shape).values()
         if len(flags) > 1
     ]
     assert expected[0] == ((2, 2), None, "2,4,1,3")

@@ -215,7 +215,7 @@ def test_fiber_walk_tables_match_the_per_permutation_reference():
             fiber = [idx for idx, w in enumerate(perms) if springer_tableau(w, shape).is_row_strict()]
             expected = {idx: springer_cell_dim(perms[idx], shape) for idx in fiber}
             groups = nilpotent._fiber_by_descents(shape).values()
-            walked = [(idx, dim) for flags, dims in groups for idx, dim in zip(flags, dims)]
+            walked = [(idx, dim) for flags, dims, *_ in groups for idx, dim in zip(flags, dims)]
             assert sorted(walked) == sorted(expected.items()), shape
             for p in parabolics(total):
                 got = [idx for _, flags, _ in nilpotent._fiber_groups(shape, p.mask) for idx in flags]
@@ -237,7 +237,7 @@ def test_fiber_walk_reads_no_scan_plane_or_coset_table(monkeypatch):
     # springer_min_reps unranks the flags it lists, and reads no other table
     assert built_tables() == {"_split_tables": 1, "_sn_image": 1}
     # 8! / (4! 2! 2!) flags, not 8! permutations
-    assert sum(len(flags) for flags, _ in nilpotent._fiber_by_descents(shape).values()) == 420
+    assert sum(len(flags) for flags, *_ in nilpotent._fiber_by_descents(shape).values()) == 420
 
 
 def test_parabolic_formula_builds_no_sn_table():

@@ -26,7 +26,7 @@ from hesscomb import (
     springer_tableau,
 )
 from hesscomb import nilpotent
-from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
+from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_masks, _row_inversion_vector
 
 from conftest import root_set, small_partitions
 
@@ -257,13 +257,30 @@ def test_row_inversion_vector_matches_public_reading():
     # every flag of S_n: the scan gives None exactly off the fiber
     for total in (1, 2, 3, 4, 5):
         for shape in partitions(total):
-            fiber = {idx for flags, _ in _fiber_by_descents(shape).values() for idx in flags}
+            fiber = {idx for flags, *_ in _fiber_by_descents(shape).values() for idx in flags}
             for idx, w in enumerate(enumerate_sn(total)):
                 t = springer_tableau(w, shape)
                 vector = _row_inversion_vector(w.images, shape)
                 assert (vector is not None) == t.is_row_strict() == (idx in fiber), (w, shape)
                 if vector is not None:
                     assert vector == tuple(row_inversions(t, q) for q in range(2, total + 1))
+
+
+def test_row_inversion_masks_count_the_public_row_inversions():
+    # value q counts the placed labels of its label's mask: column m of the
+    # rows above q's box and column m + 1 of the rows below
+    for total in range(1, 7):
+        for shape in partitions(total):
+            masks = _row_inversion_masks(shape)
+            for w in enumerate_sn(total):
+                t = springer_tableau(w, shape)
+                if not t.is_row_strict():
+                    continue
+                placed = 0
+                for q in range(1, total + 1):
+                    label = 1 << w(q)
+                    assert (masks[label] & placed).bit_count() == row_inversions(t, q), (w, shape, q)
+                    placed |= label
 
 
 def test_row_inversion_vector_degree_mismatch():
