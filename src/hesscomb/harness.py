@@ -2,7 +2,9 @@
 
 Every theorem in the package has a named check that runs over all shapes
 of a given degree and all parabolic subsets, comparing two independent
-routes to the same answer.  The staircase side is the coset free kernel
+routes to the same answer; each degree's shapes and subsets are built
+once (nilpotent.partitions, symgroup.parabolics), so every check reads
+the same objects.  The staircase side is the coset free kernel
 hessvar._staircase_planes, a set of permutations as one int over S_n,
 compared as a set with the coset side: bit planes of the excess
 1 + l(v) - sdim(v) of _excess, 0 exactly off the fiber, sliced once per
@@ -15,7 +17,9 @@ either side; it keeps each pair's Poincare polynomial from the same
 planes (hessvar._planes_poincare), which poincare-corollary and
 main-theorem then find in poincare_hessenberg, so each (shape, J) is
 swept once.  The two minimal coset checks compare one descent set per
-flag, which decides them for every J at once.  The Schubert checks
+flag, which decides them for every J at once; strings-coset peels each
+one line array's string lengths as plain ints (symgroup._string_lengths)
+and builds no Permutation.  The Schubert checks
 walk the fiber by descent group, each group's points aligned with its
 flags (schubert._point_groups): schubert-ideal builds,
 once per shape, each group's points and their Bruhat lower ideal (the
@@ -24,7 +28,8 @@ points), and for each J compares the union of the ideals of the groups
 that miss J with the union of their points; main-theorem counts the
 ideal that the same kernel builds from the maximal points of each
 descent group in W^J and the blocks of J (schubert._poincare_pair),
-ranking only the maximal tops, and keeps, outside the proved regime,
+read from the per shape group table (schubert._group_table), ranking only
+the maximal tops, and keeps, outside the proved regime,
 the tally of pairs whose two polynomials are equal anyway.
 dim-formulas-agree compares the tableau scan of each flag's one line
 array, the walk's root count and the point's length, which is the walk's
@@ -80,7 +85,6 @@ from .symgroup import (
     MAX_CELLS_DEGREE,
     MAX_SWEEP_DEGREE,
     ParabolicData,
-    Permutation,
     _bit_indices,
     _bitset,
     _descents,
@@ -88,8 +92,8 @@ from .symgroup import (
     _sn_lengths,
     _sn_sorting_masks,
     _string_ascents,
+    _string_lengths,
     parabolics,
-    string_decompose,
 )
 
 _MAX_RECORDED_FAILURES = 1000
@@ -294,7 +298,7 @@ def _check_strings_coset(n: int) -> tuple[int, _FailureLog]:
     inside = (1 << n) - 2
     failures = _FailureLog()
     for images in itertools.permutations(range(1, n + 1)):
-        diff = (_descents(images) ^ _string_ascents(string_decompose(Permutation(images)))) & inside
+        diff = (_descents(images) ^ _string_ascents(_string_lengths(images))) & inside
         if diff:
             failures.record(None, _least_member(n, diff), images)
     return math.factorial(n), failures

@@ -76,8 +76,11 @@ class Partition(Record):
         return ",".join(str(p) for p in self.parts)
 
 
-def partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n, largest first lexicographically (reverse lex)."""
+@functools.lru_cache(maxsize=None)
+def partitions(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, largest first lexicographically (reverse lex),
+    built once per degree: every sweep reads the same objects, so the per
+    shape caches hit by identity."""
     if n < 1:
         raise ValueError("degree must be at least 1")
 
@@ -89,8 +92,7 @@ def partitions(n: int) -> Iterator[Partition]:
             for rest in gen(remaining - part, part):
                 yield (part,) + rest
 
-    for parts in gen(n, n):
-        yield Partition(parts)
+    return tuple(map(Partition, gen(n, n)))
 
 
 class BaseFilling(Record):

@@ -24,15 +24,18 @@ of the rank count planes at its essential cells.
 The union's ideal is built from its points in W^J, which order their
 tops as the tops order themselves, so it reads only the maximal points of
 each descent group and forms only the maximal tops; every top is ranked
-only where it is listed (_union_tops).  The functions that take or return
-Permutations convert at the edge.
+only where it is listed (_union_tops).  _poincare_pair, which main-theorem
+runs for every (shape, J), reads a per shape table of the descent groups
+(_group_table): each group's maximal points and the OR of its points'
+descents, filled the first time a J misses the group, so per J it ANDs
+each group's descents with J and tests W^J once for all its groups.  The
+functions that take or return Permutations convert at the edge.
 """
 
 from __future__ import annotations
 
 import array
 import functools
-import itertools
 import operator
 from collections.abc import Callable, Iterable, Iterator
 
@@ -265,11 +268,35 @@ class UnionComparison(Record):
         }
 
 
+@functools.lru_cache(maxsize=None)
+def _group_table(shape: Partition) -> dict[int, tuple[list[int], int]]:
+    """Per descent group of the fiber walk, by its descents: the group's
+    maximal points (_group_maxima) and the OR of its points' descents.
+    _poincare_pair fills a group's entry the first time a J misses it."""
+    return {}
+
+
 def _poincare_pair(shape: Partition, p: ParabolicData) -> tuple[Poly, Poly]:
     """The Hessenberg Poincare polynomial of (shape, J) and that of its
     Schubert union.  A point below another of its descent group stays below
     it times w_J, both in W^J, so the groups' maximal points bound the union."""
-    points = itertools.chain.from_iterable(_group_maxima(shape, d) for d, *_ in _point_groups(shape, p.mask))
+    j_mask = p.mask
+    table = _group_table(shape)
+    points: list[int] = []
+    reached = 0
+    for descents in _fiber_by_descents(shape):
+        if descents & j_mask:
+            continue
+        entry = table.get(descents)
+        if entry is None:
+            reaches = functools.reduce(operator.or_, _points(shape, descents)[1], 0)
+            entry = table[descents] = _group_maxima(shape, descents), reaches
+        points += entry[0]
+        reached |= entry[1]
+    if reached & j_mask:
+        # a point outside W^J: _point_groups raises, naming the first one
+        for _ in _point_groups(shape, j_mask):
+            pass
     return poincare_hessenberg(shape, h_from_parabolic(p)), _union_poly(points, shape.n, p.blocks)
 
 

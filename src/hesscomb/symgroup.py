@@ -288,17 +288,20 @@ class ParabolicData(Record):
         return ",".join(str(i) for i in self.sorted_j())
 
 
-def parabolics(n: int) -> list[ParabolicData]:
-    """Every subset J of {1, ..., n-1}, by size then lexicographically.
+@functools.lru_cache(maxsize=None)
+def parabolics(n: int) -> tuple[ParabolicData, ...]:
+    """Every subset J of {1, ..., n-1}, by size then lexicographically,
+    built once per degree: every sweep reads the same objects, so their
+    blocks and masks are worked out once and cache keys hit by identity.
 
     >>> [str(p) for p in parabolics(3)]
     ['', '1', '2', '1,2']
     """
-    return [
+    return tuple(
         ParabolicData.from_iterable(n, combo)
         for size in range(n)
         for combo in itertools.combinations(range(1, n), size)
-    ]
+    )
 
 
 def coset_factor(w: Permutation, p: ParabolicData) -> tuple[Permutation, Permutation]:
@@ -390,28 +393,38 @@ class StringDecomposition(Record):
 
 
 def string_decompose(w: Permutation) -> StringDecomposition:
-    """Peel the unique string decomposition off the top of w.
-
-    The highest factor must send n to w(n): it is empty when w(n) = n and
-    otherwise is the run s_k ... s_(n-1) with k = w(n).  Stripping it off
-    fixes n and the lower factors follow by recursion.
+    """The unique string decomposition of w: string i is the run of length
+    l(w_i) that ends at s_i, the lengths peeled off the top of w
+    (_string_lengths).
 
     >>> string_decompose(Permutation((4, 3, 2, 1))).strings
     ((1,), (1, 2), (1, 2, 3))
     >>> string_decompose(Permutation((2, 3, 1, 4))).strings
     ((), (1, 2), ())
     """
-    vals = list(w.images)
-    strings: list[tuple[int, ...]] = [()] * (w.n - 1)
-    for m in range(w.n, 1, -1):
-        k = vals[m - 1]
-        if k == m:
-            continue
-        strings[m - 2] = tuple(range(k, m))
-        # multiply by the factor's inverse: relabel value k to m and slide
-        # the values in (k, m] down by one, which fixes position m
-        vals = [m if val == k else (val - 1 if k < val <= m else val) for val in vals]
-    return StringDecomposition(tuple(strings))
+    return StringDecomposition(
+        tuple(range(i + 1 - length, i + 1)) for i, length in enumerate(_string_lengths(w.images), start=1)
+    )
+
+
+def _string_lengths(images: Sequence[int]) -> tuple[int, ...]:
+    """The string lengths l(w_1), ..., l(w_(n-1)) of the one line array
+    images, peeled off the top: the highest factor of a permutation of
+    1..m is s_k ... s_(m-1) with k = w(m), and multiplying by its inverse
+    fixes position m and lowers each value above k by one, leaving a
+    permutation of 1..m-1 at the positions below m.
+
+    >>> _string_lengths((3, 1, 4, 2))
+    (1, 0, 2)
+    """
+    vals = list(images)
+    lengths = [0] * (len(vals) - 1)
+    for m in range(len(vals), 1, -1):
+        k = vals.pop()
+        if k != m:
+            lengths[m - 2] = m - k
+            vals = [val - (val > k) for val in vals]
+    return tuple(lengths)
 
 
 def is_min_coset_rep_strings(strings: StringDecomposition, p: ParabolicData) -> bool:
@@ -426,14 +439,13 @@ def is_min_coset_rep_strings(strings: StringDecomposition, p: ParabolicData) -> 
     """
     if strings.n != p.n:
         raise ValueError("degree mismatch")
-    return not _string_ascents(strings) & p.mask
+    return not _string_ascents(strings.lengths()) & p.mask
 
 
-def _string_ascents(strings: StringDecomposition) -> int:
-    """Bit i set when l(w_i) > l(w_(i-1)), with l(w_0) = 0; for
-    strings = string_decompose(w) it is the right descent set of w."""
-    lengths = (0, *strings.lengths())
-    return sum(1 << i for i in range(1, len(lengths)) if lengths[i] > lengths[i - 1])
+def _string_ascents(lengths: Sequence[int]) -> int:
+    """Bit i set when l(w_i) > l(w_(i-1)), with l(w_0) = 0; for the string
+    lengths of w (_string_lengths) it is the right descent set of w."""
+    return sum(1 << i for i, (low, high) in enumerate(zip((0, *lengths), lengths), start=1) if high > low)
 
 
 @functools.lru_cache(maxsize=None)

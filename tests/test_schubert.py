@@ -38,10 +38,10 @@ from hesscomb import (
     union_hypothesis,
 )
 from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
-from hesscomb.schubert import _lower_ideal, _poincare_pair, _point_groups, _points, _union_poly, _union_tops
+from hesscomb.schubert import _group_table, _lower_ideal, _poincare_pair, _point_groups, _points, _union_poly, _union_tops
 from hesscomb.symgroup import _bit_indices, _split_index
 
-from conftest import bruhat_leq_subword, one_line_arrays, permutations_of, subword_ideal
+from conftest import bruhat_leq_subword, clear_caches, one_line_arrays, permutations_of, subword_ideal
 
 
 # --- Schubert points ---------------------------------------------------------
@@ -298,6 +298,16 @@ def test_ideal_of_the_points_is_the_ideal_of_every_top(n):
             maximal_tops = [index((Permutation(images[point]) * w_j).images) for point in maximal]
             assert sorted(maximal_tops) == sorted(expected_maximal), (shape, p)
             assert _poincare_pair(shape, p)[1] == _union_poly(tops, n), (shape, p)
+
+
+def test_union_fills_the_group_table_only_for_the_groups_it_reads():
+    # W^J = {e} for J = {1..5}: only the descent free group of (1^6) misses J
+    clear_caches()
+    shape = Partition((1,) * 6)
+    hess, union = _poincare_pair(shape, ParabolicData.from_iterable(6, range(1, 6)))
+    assert hess == union
+    assert _group_table(shape) == {0: ([0], 0)}
+    assert _points.cache_info().currsize == 1
 
 
 # --- Union of Schubert varieties ---------------------------------------------------

@@ -45,6 +45,7 @@ from hesscomb.symgroup import (
     _sn_sorting_masks,
     _split_index,
     _string_ascents,
+    _string_lengths,
 )
 
 from conftest import (
@@ -306,6 +307,21 @@ def test_parabolic_validation():
 def test_parabolic_str():
     assert str(ParabolicData.from_iterable(4, (3, 1))) == "1,3"
     assert str(ParabolicData.from_iterable(4, ())) == ""
+
+
+def test_each_degree_enumerates_its_shapes_and_parabolics_once():
+    clear_caches()
+    shapes, subsets = partitions(4), parabolics(4)
+    assert type(shapes) is tuple and type(subsets) is tuple
+    assert partitions(4) is shapes and parabolics(4) is subsets
+    assert [shape.parts for shape in shapes] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert [str(p) for p in subsets] == ["", "1", "2", "3", "1,2", "1,3", "2,3", "1,2,3"]
+    clear_caches()
+    assert partitions.cache_info().currsize == parabolics.cache_info().currsize == 0
+    assert partitions(4) is not shapes and partitions(4) == shapes
+    assert parabolics(4) is not subsets and parabolics(4) == subsets
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        partitions(0)
 
 
 def test_brute_subgroup_matches_blocks():
@@ -580,14 +596,20 @@ def test_descent_sets_of_both_routes():
     w = Permutation((3, 1, 4, 2))
     assert _descents(w.images) == 0b1010
     assert string_decompose(w).lengths() == (1, 0, 2)
-    assert _string_ascents(string_decompose(w)) == 0b1010
+    assert _string_ascents(string_decompose(w).lengths()) == 0b1010
     for n in range(1, 6):
         for w in enumerate_sn(n):
             # i is a right descent of w exactly when w s_i is shorter than w
             for i in range(1, n):
                 shorter = (w * perm_from_word([i], n)).length() < w.length()
                 assert bool(_descents(w.images) >> i & 1) == shorter
-            assert _string_ascents(string_decompose(w)) == _descents(w.images)
+            assert _string_ascents(string_decompose(w).lengths()) == _descents(w.images)
+
+
+def test_string_lengths_peel_the_decomposition():
+    for n in range(1, 8):
+        for w in one_line_arrays(n):
+            assert _string_lengths(w) == string_decompose(Permutation(w)).lengths(), w
 
 
 def test_strings_criterion_degree_mismatch():
