@@ -284,6 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # a sweep can take minutes, so a missing directory stops it first
+        if args.out is not None and not pathlib.Path(args.out).parent.is_dir():
+            raise ValueError(f"cannot write {args.out}: no such directory")
         output, status = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

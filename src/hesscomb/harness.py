@@ -7,38 +7,37 @@ once (nilpotent.partitions, symgroup.parabolics), so every check reads
 the same objects.  The staircase side is the coset free kernel
 hessvar._staircase_planes, a set of permutations as one int over S_n,
 compared as a set with the coset side: bit planes of the excess
-1 + l(v) - sdim(v) of _excess, 0 exactly off the fiber, sliced once per
-sweep and gathered by _by_coset, J by J, through symgroup's sorting
-swaps, each swap a few masked shifts of one int.  fixed-points gathers
-one plane, the nonzero excess; parabolic-dimension gathers one plane per
-bit of the excess and adds them to the staircase dimension counter,
-plane by plane, to meet the bit planes of l(w) + 1 on the cells of
-either side; it keeps each pair's Poincare polynomial from the same
-planes (hessvar._planes_poincare), which poincare-corollary and
-main-theorem then find in poincare_hessenberg, so each (shape, J) is
-swept once.  The two minimal coset checks compare one descent set per
-flag, which decides them for every J at once; strings-coset peels each
-one line array's string lengths as plain ints (symgroup._string_lengths)
-and builds no Permutation.  The Schubert checks
-walk the fiber by descent group, each group's points aligned with its
-flags (schubert._point_groups): schubert-ideal builds,
-once per shape, each group's points and their Bruhat lower ideal (the
-rank plane kernel schubert._lower_ideal over the group's maximal
-points), and for each J compares the union of the ideals of the groups
-that miss J with the union of their points; main-theorem counts the
-ideal that the same kernel builds from the maximal points of each
-descent group in W^J and the blocks of J (schubert._poincare_pair),
-read from the per shape group table (schubert._group_table), ranking only
-the maximal tops, and keeps, outside the proved regime,
-the tally of pairs whose two polynomials are equal anyway.
-dim-formulas-agree compares the tableau scan of each flag's one line
-array, the walk's root count and the point's length, which is the walk's
-row inversion count: the column rule of nilpotent._row_inversion_masks,
-carried in the point's key, K = index(w0 p w0).  The scan is the only
-one in a sweep.  A check counts every failure and keeps the first 1000
-witnesses.  census dumps the same ground truth as flat rows for offline
-diffing, one sweep over the (shape, J) pairs whatever the granularity
-(GRANULARITIES).
+1 + l(v) - sdim(v) of _excess, 0 exactly off the fiber, one per bit of
+the largest excess, sliced once per sweep and gathered by _by_coset, J
+by J, through symgroup's sorting swaps, each swap a few masked shifts of
+one int.  Both coset checks read one pass per degree (_coset_pass), one
+kernel call per (shape, J): fixed-points compares their OR with the
+members, and parabolic-dimension adds them to the staircase dimension
+counter to meet the bit planes of l(w) + 1 on the cells of either side.
+The pass keeps each pair's Poincare polynomial
+(hessvar._planes_poincare), which poincare-corollary and main-theorem
+then find in poincare_hessenberg, so each (shape, J) is swept once.  The
+two minimal coset checks compare one descent set per flag, which decides
+them for every J at once; strings-coset peels each one line array's
+string lengths as plain ints (symgroup._string_lengths) and builds no
+Permutation.  The Schubert checks walk the fiber by descent group, each
+group's points aligned with its flags (schubert._point_groups):
+schubert-ideal builds, once per shape, each group's points and their
+Bruhat lower ideal (the rank plane kernel schubert._lower_ideal over the
+group's maximal points), and for each J compares the union of the ideals
+of the groups that miss J with the union of their points; main-theorem
+counts the ideal that the same kernel builds from the maximal points of
+each descent group in W^J and the blocks of J (schubert._poincare_pair),
+read from the per shape group table (schubert._group_table), ranking
+only the maximal tops, and keeps, outside the proved regime, the tally
+of pairs whose two polynomials are equal anyway.  dim-formulas-agree
+compares the tableau scan of each flag's one line array, the walk's root
+count and the point's length, which is the walk's row inversion count:
+the column rule of nilpotent._row_inversion_masks, carried in the
+point's key, K = index(w0 p w0).  The scan is the only one in a sweep.
+A check counts every failure and keeps the first 1000 witnesses.  census
+dumps the same ground truth as flat rows for offline diffing, one sweep
+over the (shape, J) pairs whatever the granularity (GRANULARITIES).
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Callable, Container, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .components import component_candidates
 from .hessvar import (
     _planes_poincare,
-    _staircase_members,
     _staircase_planes,
     h_from_parabolic,
     hess_cells,
@@ -97,6 +95,8 @@ from .symgroup import (
 )
 
 _MAX_RECORDED_FAILURES = 1000
+# the byte values with bit `level` set, for each bit of a byte
+_WITH_BIT = tuple(frozenset(value for value in range(256) if value >> level & 1) for level in range(8))
 
 
 class Failure(Record):
@@ -112,7 +112,9 @@ class CheckReport(Record):
     """Outcome of one named check at one degree: failures holds the first
     witnesses, failures_total counts every failure.  out_of_regime is
     (equal, total) over the pairs a check compares but asserts nothing
-    about, None for a check that has none."""
+    about, None for a check that has none.  fixed-points and
+    parabolic-dimension share one coset pass per degree: the first to run
+    has it in elapsed, the other only the time to read its result."""
 
     check_id: str
     n: int
@@ -182,13 +184,11 @@ class _FailureLog:
         self.total += count - stored
 
 
-def _by_coset(
-    n: int, slices: Callable[[bytes], Iterable[Container[int]]]
-) -> Iterator[tuple[ParabolicData, Partition, list[int]]]:
+def _by_coset(n: int) -> Iterator[tuple[ParabolicData, Partition, list[int]]]:
     """Per J in parabolics(n) order, then per shape: the bit planes of the
-    shape's _excess bytes that slices picks, the plane of a set of byte
-    values each, gathered so that bit w reads the plane at the minimal
-    coset representative of w.
+    shape's _excess bytes, one per bit of its largest excess, lowest
+    first, gathered so that bit w reads the plane at the minimal coset
+    representative of w.
 
     Each shape's planes are sliced once per sweep.  w goes to its
     representative by sorting each block of J, one sorting swap at a
@@ -197,7 +197,7 @@ def _by_coset(
     one first, which turns the insertion sort below into a bubble sort."""
     table = _sn_sorting_masks(n)
     shapes = [
-        (shape, [_bitset(excess[::-1], values) for values in slices(excess)])
+        (shape, [_bitset(excess[::-1], values) for values in _WITH_BIT[: max(excess).bit_length()]])
         for shape in partitions(n)
         for excess in [_excess(shape)]
     ]
@@ -213,45 +213,28 @@ def _by_coset(
             yield p, shape, gathered
 
 
-def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
-    """A flag lies in the parabolic Hessenberg variety iff the minimal
-    representative of its coset lies in the Springer fiber."""
+@functools.lru_cache(maxsize=1)
+def _coset_pass(n: int) -> tuple[tuple[int, _FailureLog], tuple[int, _FailureLog]]:
+    """fixed-points and parabolic-dimension at degree n, from one coset
+    sweep and one kernel call per (shape, J); the excess is 0 exactly off
+    the fiber, so the OR of its gathered planes is fixed-points' coset side."""
     image = _sn_image(n)
-    order = math.factorial(n)
-    cases = 0
-    failures = _FailureLog()
-    # one plane: the excess is nonzero exactly on the fiber
-    for p, shape, (in_fiber,) in _by_coset(n, lambda excess: [range(1, 256)]):
-        by_staircase = _staircase_members(shape, h_from_parabolic(p))
-        cases += order
-        failures.record_set(shape, p, in_fiber ^ by_staircase, image)
-    return cases, failures
-
-
-def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
-    """The staircase inversion count of a nonempty cell equals the Springer
-    dimension of its minimal representative plus the length of the tail."""
-    image = _sn_image(n)
-    lengths = _sn_lengths(n)
-    # the byte values with bit `level` set, for each bit of a byte
-    with_bit = [frozenset(value for value in range(256) if value >> level & 1) for level in range(8)]
     # the bit planes of l(w) + 1 over S_n, lowest first
-    data = bytes(length + 1 for length in reversed(lengths))
-    targets = [_bitset(data, with_bit[level]) for level in range((max(lengths) + 1).bit_length())]
-    cases = 0
-    failures = _FailureLog()
-    # the excess 1 + l(v) - sdim(v) of each w's minimal representative v,
-    # one plane per bit of the shape's largest excess; it is 0 exactly off
-    # the fiber
-    for p, shape, addend in _by_coset(n, lambda excess: with_bit[: max(excess).bit_length()]):
+    data = bytes(length + 1 for length in reversed(_sn_lengths(n)))
+    targets = [_bitset(data, values) for values in _WITH_BIT[: max(data).bit_length()]]
+    dimension_cases = 0
+    fixed, dimension = _FailureLog(), _FailureLog()
+    for p, shape, addend in _by_coset(n):
         h = h_from_parabolic(p)
         members, counter = _staircase_planes(shape, h)
         # the same planes give poincare-corollary and main-theorem their sweep
         _planes_poincare(shape, h, members, counter)
+        in_fiber = functools.reduce(int.__or__, addend)
+        fixed.record_set(shape, p, in_fiber ^ members, image)
         # the cells of either side: a staircase cell whose representative
         # misses the fiber adds 0 to dim <= l(w), and a coset cell that the
         # staircase lacks is wrong outright
-        cells = functools.reduce(int.__or__, addend, members)
+        cells = in_fiber | members
         # dim + excess = sdim(v) + l(y) + 1 + l(v) - sdim(v) = l(w) + 1 on
         # every cell: a ripple carry add, compared level by level
         wrong = ~members
@@ -259,15 +242,28 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
         for a, b, target in itertools.zip_longest(counter, addend, targets, fillvalue=0):
             wrong |= a ^ b ^ carry ^ target
             carry = a & b | carry & (a ^ b)
-        cases += cells.bit_count()
-        failures.record_set(shape, p, cells & (wrong | carry), image)
-    return cases, failures
+        dimension_cases += cells.bit_count()
+        dimension.record_set(shape, p, cells & (wrong | carry), image)
+    # fixed-points compares all of S_n for each pair
+    return (math.factorial(n) * len(partitions(n)) * len(parabolics(n)), fixed), (dimension_cases, dimension)
+
+
+def _check_fixed_points(n: int) -> tuple[int, _FailureLog]:
+    """A flag lies in the parabolic Hessenberg variety iff the minimal
+    representative of its coset lies in the Springer fiber."""
+    return _coset_pass(n)[0]
+
+
+def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
+    """The staircase inversion count of a nonempty cell equals the Springer
+    dimension of its minimal representative plus the length of the tail."""
+    return _coset_pass(n)[1]
 
 
 @functools.lru_cache(maxsize=None)
 def _excess(shape: Partition) -> bytes:
     """1 + l(v) - sdim(v) per S_n index v in the Springer fiber, 0 off it,
-    from the walk's dimensions; fixed-points and parabolic-dimension share it."""
+    from the walk's dimensions; the coset pass gathers its bit planes."""
     lengths = _sn_lengths(shape.n)
     out = bytearray(len(lengths))
     for flags, dims, *_ in _fiber_by_descents(shape).values():

@@ -665,20 +665,22 @@ def test_out_writes_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == "1 + 3t + 4t^2 + 3t^3 + t^4\n"
 
 
-def test_out_into_missing_directory_is_one_line_error(tmp_path, capsys):
+def test_out_into_missing_directory_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # the target is checked before any work: neither sweep runs
+    def no_sweep(*args):
+        raise AssertionError("swept before checking --out")
+
+    monkeypatch.setattr(cli, "run_checks", no_sweep)
+    monkeypatch.setattr(cli, "census", no_sweep)
     target = tmp_path / "missing" / "result.txt"
-    status, out, err = run(
-        capsys,
-        "poincare",
-        "--partition",
-        "2,2",
-        "--parabolic",
-        "1,3",
-        "--out",
-        str(target),
-    )
-    assert status == 1
-    assert out == ""
-    assert err.startswith("error: ") and str(target) in err
-    assert err.count("\n") == 1
-    assert not target.exists()
+    for command in (
+        ("poincare", "--partition", "2,2", "--parabolic", "1,3"),
+        ("verify", "--n", "6", "--format", "json"),
+        ("census", "--n", "8", "--granularity", "components"),
+    ):
+        status, out, err = run(capsys, *command, "--out", str(target))
+        assert status == 1, command
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert err.count("\n") == 1
+        assert not target.exists()

@@ -213,7 +213,8 @@ def _points_without_identity(points):
 
 # check id -> (module, name, wrong version of the named route)
 WRONG_ROUTES = {
-    "fixed-points": (harness, "_staircase_members", _without_identity),
+    # the coset pass reaches the members through hessvar._staircase_planes
+    "fixed-points": (hessvar, "_staircase_members", _without_identity),
     "parabolic-dimension": (harness, "_staircase_planes", _off_by_one),
     "poincare-corollary": (
         harness,
@@ -365,18 +366,45 @@ def _members_without_identity(kernel):
 
 
 @pytest.mark.parametrize(
-    ("name", "wrong", "check_id"),
+    ("module", "name", "wrong", "check_id"),
     [
-        ("_staircase_members", _with_longest, "fixed-points"),
-        ("_staircase_planes", _members_without_identity, "parabolic-dimension"),
+        (hessvar, "_staircase_members", _with_longest, "fixed-points"),
+        (harness, "_staircase_planes", _members_without_identity, "parabolic-dimension"),
     ],
     ids=["fixed-points-extra-member", "parabolic-dimension-missing-member"],
 )
-def test_set_checks_fail_on_a_member_either_side(name, wrong, check_id, clean_caches, monkeypatch):
-    monkeypatch.setattr(harness, name, wrong(getattr(harness, name)))
+def test_set_checks_fail_on_a_member_either_side(module, name, wrong, check_id, clean_caches, monkeypatch):
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     report = run_checks(4, checks=[check_id])[-1]
     assert report.n == 4
     assert not report.passed
+
+
+def test_coset_checks_share_one_pass_per_degree(clean_caches, monkeypatch):
+    # one coset sweep per degree and one staircase kernel call per
+    # (shape, J), whichever of the two checks reads the pass first
+    sweeps = _counted(monkeypatch, "_by_coset", (harness,))
+    kernels = _counted(monkeypatch, "_staircase_members", (hessvar,))
+    assert all(r.passed for r in run_checks(7))
+    assert sweeps == [(n,) for n in range(1, 8)]
+    assert len(kernels) == len(set(kernels)) == 1481
+
+
+def _coset_reports(checks):
+    return {(r.check_id, r.n): (r.cases_run, r.failures_total, r.failures) for r in run_checks(4, checks)}
+
+
+@pytest.mark.parametrize("wrong", [_with_longest, _without_identity], ids=["extra-member", "missing-member"])
+def test_coset_checks_report_the_same_alone_and_together(wrong, clean_caches, monkeypatch):
+    # run alone, each check pays for the pass itself; together, fixed-points pays
+    monkeypatch.setattr(hessvar, "_staircase_members", wrong(hessvar._staircase_members))
+    alone = {}
+    for check_id in ("fixed-points", "parabolic-dimension"):
+        clear_caches()
+        alone.update(_coset_reports([check_id]))
+    clear_caches()
+    assert _coset_reports(["fixed-points", "parabolic-dimension"]) == alone
+    assert all(alone[check_id, 4][1] for check_id in ("fixed-points", "parabolic-dimension"))
 
 
 def _one_bit_flipped(kernel, shape, p, level):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Iterable
@@ -383,18 +384,20 @@ def test_quotient_indices_are_the_min_coset_reps(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_coset_table_is_the_coset_factor(n):
     # the coset sweep gathers each bit plane of each shape's excess at the
-    # minimal representative v of w = v y: here every bit of a byte and the
-    # nonzero bytes, against planes read off coset_factor one w at a time
+    # minimal representative v of w = v y, one plane per bit of the largest
+    # excess, and their OR is the fiber's plane: both against planes read
+    # off coset_factor one w at a time
     index = _split_index(n)
     perms = list(enumerate_sn(n))
     reps = {p: [index(coset_factor(w, p)[0].images) for w in perms] for p in parabolics(n)}
-    levels = [frozenset(value for value in range(256) if value >> level & 1) for level in range(8)]
     seen = []
-    for p, shape, gathered in harness._by_coset(n, lambda excess: [range(1, 256), *levels]):
+    for p, shape, gathered in harness._by_coset(n):
         excess = harness._excess(shape)
-        expected = [sum(1 << w for w, v in enumerate(reps[p]) if excess[v])]
-        expected += [sum(1 << w for w, v in enumerate(reps[p]) if excess[v] >> level & 1) for level in range(8)]
+        levels = range(max(excess).bit_length())
+        expected = [sum(1 << w for w, v in enumerate(reps[p]) if excess[v] >> level & 1) for level in levels]
         assert gathered == expected, (p, shape)
+        in_fiber = sum(1 << w for w, v in enumerate(reps[p]) if excess[v])
+        assert functools.reduce(int.__or__, gathered) == in_fiber, (p, shape)
         seen.append((p, shape))
     assert seen == [(p, shape) for p in parabolics(n) for shape in partitions(n)]
 
