@@ -101,9 +101,10 @@ def _cmd_poincare(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
     shape = _bounded_partition(args)
-    poly = poincare_hessenberg(shape, HessenbergFunction.identity(shape.n))
+    # the polynomial's sweep runs only for the formats that print it
+    h = HessenbergFunction.identity(shape.n)
     if args.format == "text":
-        return str(poly) + "\n", 0
+        return str(poincare_hessenberg(shape, h)) + "\n", 0
     image = _sn_image(shape.n)
     lengths = _sn_lengths(shape.n)
     rows = (row for _, flags, dims, points, _ in _point_groups(shape, 0) for row in zip(flags, dims, points))
@@ -121,7 +122,7 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "json":
         payload = {
             "lambda": list(shape.parts),
-            "poincare": list(poly.coeffs),
+            "poincare": list(poincare_hessenberg(shape, h).coeffs),
             "cells": cells,
         }
         return json.dumps(payload, indent=2) + "\n", 0

@@ -16,7 +16,7 @@ from typing import Any
 
 from .nilpotent import Partition
 from .record import Record
-from .schubert import _lower_ideal, _point_groups, _union_tops
+from .schubert import _lower_ideal, _point_groups, _times_w_j
 from .symgroup import ParabolicData, Permutation, _sn_image, _sn_lengths, longest_element
 
 
@@ -71,24 +71,22 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
     len_wj = w_j.length()
     image = _sn_image(shape.n)
     lengths = _sn_lengths(shape.n)
-    sdim = {v: dim for _, flags, dims, _, _ in _point_groups(shape, p.mask) for v, dim in zip(flags, dims)}
-    rows: list[tuple[Permutation, Permutation, int, int, bool]] = []
-    for v_idx, s_top in _union_tops(shape, p).items():
-        v = Permutation(image(v_idx))
-        dim = sdim[v_idx] + len_wj
-        # v lies in W^J, so l(v w_J) = l(v) + l(w_J)
-        rows.append((v, v * w_j, s_top, dim, dim == lengths[v_idx] + len_wj))
-    maximal = set(_lower_ideal((row[2] for row in rows), shape.n)[1])
+    times_w_j = _times_w_j(p.blocks)
+    rows = [row for _, flags, dims, points, _ in _point_groups(shape, p.mask) for row in zip(flags, dims, points)]
+    # for u, v in W^J, u w_J <= v w_J exactly when u <= v
+    maximal = set(_lower_ideal((point for _, _, point in rows), shape.n, p.blocks)[1])
     out = [
         ComponentCandidate(
             v=v,
-            top_cell=top,
-            schubert_top=Permutation(image(s_top)),
-            cell_dim=dim,
-            full_cell=full,
-            bruhat_maximal=s_top in maximal,
+            top_cell=v * w_j,
+            schubert_top=Permutation(times_w_j(image(point))),
+            cell_dim=sdim + len_wj,
+            # v lies in W^J, so l(v w_J) = l(v) + l(w_J)
+            full_cell=sdim == lengths[v_idx],
+            bruhat_maximal=point in maximal,
         )
-        for v, top, s_top, dim, full in rows
+        for v_idx, sdim, point in rows
+        for v in [Permutation(image(v_idx))]
     ]
     out.sort(key=lambda c: (-c.cell_dim, c.v.images))
     return out

@@ -27,10 +27,10 @@ Bruhat lower ideal (the rank plane kernel schubert._lower_ideal over the
 group's maximal points), and for each J compares the union of the ideals
 of the groups that miss J with the union of their points; main-theorem
 counts the ideal that the same kernel builds from the maximal points of
-each descent group in W^J and the blocks of J (schubert._poincare_pair),
-read from the per shape group table (schubert._group_table), ranking
-only the maximal tops, and keeps, outside the proved regime, the tally
-of pairs whose two polynomials are equal anyway.  dim-formulas-agree
+each descent group in W^J and the blocks of J (schubert._poincare_pair,
+each group's maxima cached by schubert._group_maxima), forming only the
+maximal tops, and keeps, outside the proved regime, the tally of pairs
+whose two polynomials are equal anyway.  dim-formulas-agree
 compares the tableau scan of each flag's one line array, the walk's root
 count and the point's length, which is the walk's row inversion count:
 the column rule of nilpotent._row_inversion_masks, carried in the
@@ -260,7 +260,6 @@ def _check_parabolic_dimension(n: int) -> tuple[int, _FailureLog]:
     return _coset_pass(n)[1]
 
 
-@functools.lru_cache(maxsize=None)
 def _excess(shape: Partition) -> bytes:
     """1 + l(v) - sdim(v) per S_n index v in the Springer fiber, 0 off it,
     from the walk's dimensions; the coset pass gathers its bit planes."""
@@ -354,7 +353,7 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
                 seen[point] = 1
                 marks[point >> 3] |= 1 << (point & 7)
             cases += len(group_points)
-            ideal, _ = _lower_ideal(_group_maxima(shape, descents), n)
+            ideal, _ = _lower_ideal(_group_maxima(shape, descents)[0], n)
             groups.append((descents, int.from_bytes(marks, "little"), ideal))
         for p in parabolics(n):
             points = ideal = 0

@@ -23,13 +23,14 @@ bitsets): the OR of the intervals [e, w] of its maximal tops, each an AND
 of the rank count planes at its essential cells.
 The union's ideal is built from its points in W^J, which order their
 tops as the tops order themselves, so it reads only the maximal points of
-each descent group and forms only the maximal tops; every top is ranked
-only where it is listed (_union_tops).  _poincare_pair, which main-theorem
-runs for every (shape, J), reads a per shape table of the descent groups
-(_group_table): each group's maximal points and the OR of its points'
-descents, filled the first time a J misses the group, so per J it ANDs
-each group's descents with J and tests W^J once for all its groups.  The
-functions that take or return Permutations convert at the edge.
+each descent group and forms only the maximal tops.  No top is ranked:
+the tops are one line arrays, formed where they are listed
+(schubert_union_tops) or printed (components).  _poincare_pair, which
+main-theorem runs for every (shape, J), reads for each descent group that
+misses J the group's maximal points and the OR of its points' descents
+(_group_maxima, cached per group), so per J it ANDs each group's
+descents with J and tests W^J once for all its groups.  The functions
+that take or return Permutations convert at the edge.
 """
 
 from __future__ import annotations
@@ -110,12 +111,12 @@ def _point_groups(
         yield descents, flags, dims, points, point_descents
 
 
-def _times_w_j(blocks: Iterable[tuple[int, ...]]) -> Callable[[tuple[int, ...]], tuple[int, ...]] | None:
+def _times_w_j(blocks: Iterable[tuple[int, ...]]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """Right multiplication by w_J on one line arrays, J given by its blocks:
-    (x w_J)(i) = x(w_J(i)), each block of positions reversed.  None when
+    (x w_J)(i) = x(w_J(i)), each block of positions reversed.  `tuple` when
     every block is one position, so w_J = e."""
     order = [pos - 1 for block in blocks for pos in reversed(block)]
-    return None if order == sorted(order) else operator.itemgetter(*order)
+    return tuple if order == sorted(order) else operator.itemgetter(*order)
 
 
 def _lower_ideal(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]] = ()) -> tuple[int, list[int]]:
@@ -150,9 +151,8 @@ def _lower_ideal(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]
             view = ideal.to_bytes(size, "little")
         if view[idx >> 3] >> (idx & 7) & 1:
             continue
-        top = image(idx) if times_w_j is None else times_w_j(image(idx))
         below = full
-        for row, count in _essential_counts(top):
+        for row, count in _essential_counts(times_w_j(image(idx))):
             below &= planes[row][count]
         ideal |= below
         maximal.append(idx)
@@ -207,36 +207,29 @@ def _union_poly(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]]
 
 
 @functools.lru_cache(maxsize=None)
-def _group_maxima(shape: Partition, descents: int) -> list[int]:
+def _group_maxima(shape: Partition, descents: int) -> tuple[list[int], int]:
     """The points of one descent group of _points that lie below no other
-    point of the group in Bruhat order."""
-    return _lower_ideal(_points(shape, descents)[0], shape.n)[1]
-
-
-def _union_tops(shape: Partition, p: ParabolicData) -> dict[int, int]:
-    """Per v in springer_min_reps, by S_n index, the S_n index of v_T w_J."""
-    pairs = ((v, point) for _, flags, _, points, _ in _point_groups(shape, p.mask) for v, point in zip(flags, points))
-    times_w_j = _times_w_j(p.blocks)
-    if times_w_j is None:
-        return dict(pairs)
-    image, index = _sn_image(shape.n), _split_index(shape.n)
-    return {v: index(times_w_j(image(point))) for v, point in pairs}
+    point of the group in Bruhat order, and the OR of the group's points'
+    descents."""
+    points, point_descents = _points(shape, descents)
+    return _lower_ideal(points, shape.n)[1], functools.reduce(operator.or_, point_descents, 0)
 
 
 def schubert_union_tops(shape: Partition, p: ParabolicData) -> tuple[Permutation, ...]:
     """The permutations v_T w_J over v in springer_min_reps, deduplicated, sorted.
 
     A reference route of the test suite and the tops that `union` lists;
-    no harness check calls it.  Keep it a plain listing of _union_tops,
-    off the fast path.
+    no harness check calls it.  Each distinct point of _point_groups has
+    its J-blocks reversed, and the one line arrays sort in S_n index order.
 
     >>> [t.one_line() for t in schubert_union_tops(Partition((2, 2)), ParabolicData(4, frozenset({1, 3})))]
     ['2,1,4,3', '3,1,4,2', '4,1,3,2']
     """
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    image = _sn_image(shape.n)
-    return tuple(Permutation(image(idx)) for idx in sorted(set(_union_tops(shape, p).values())))
+    image, times_w_j = _sn_image(shape.n), _times_w_j(p.blocks)
+    points = {point for _, _, _, group, _ in _point_groups(shape, p.mask) for point in group}
+    return tuple(map(Permutation, sorted(times_w_j(image(point)) for point in points)))
 
 
 def union_hypothesis(shape: Partition) -> bool:
@@ -268,31 +261,18 @@ class UnionComparison(Record):
         }
 
 
-@functools.lru_cache(maxsize=None)
-def _group_table(shape: Partition) -> dict[int, tuple[list[int], int]]:
-    """Per descent group of the fiber walk, by its descents: the group's
-    maximal points (_group_maxima) and the OR of its points' descents.
-    _poincare_pair fills a group's entry the first time a J misses it."""
-    return {}
-
-
 def _poincare_pair(shape: Partition, p: ParabolicData) -> tuple[Poly, Poly]:
     """The Hessenberg Poincare polynomial of (shape, J) and that of its
     Schubert union.  A point below another of its descent group stays below
     it times w_J, both in W^J, so the groups' maximal points bound the union."""
     j_mask = p.mask
-    table = _group_table(shape)
     points: list[int] = []
     reached = 0
     for descents in _fiber_by_descents(shape):
-        if descents & j_mask:
-            continue
-        entry = table.get(descents)
-        if entry is None:
-            reaches = functools.reduce(operator.or_, _points(shape, descents)[1], 0)
-            entry = table[descents] = _group_maxima(shape, descents), reaches
-        points += entry[0]
-        reached |= entry[1]
+        if not descents & j_mask:
+            maxima, reaches = _group_maxima(shape, descents)
+            points += maxima
+            reached |= reaches
     if reached & j_mask:
         # a point outside W^J: _point_groups raises, naming the first one
         for _ in _point_groups(shape, j_mask):

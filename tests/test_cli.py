@@ -171,6 +171,18 @@ def test_springer_text_builds_no_cell_row(capsys, monkeypatch):
     assert calls == []
 
 
+def test_springer_csv_sweeps_no_polynomial(capsys, monkeypatch):
+    _, expected, _ = run(capsys, "springer", "--partition", "2,1,1", "--format", "csv")
+
+    def sweep(*args):
+        raise AssertionError("springer csv swept the Poincare polynomial")
+
+    monkeypatch.setattr(cli, "poincare_hessenberg", sweep)
+    status, out, _ = run(capsys, "springer", "--partition", "2,1,1", "--format", "csv")
+    assert status == 0
+    assert out == expected
+
+
 def test_springer_csv(capsys):
     status, out, _ = run(capsys, "springer", "--partition", "2,2", "--format", "csv")
     assert status == 0

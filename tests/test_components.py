@@ -70,14 +70,15 @@ def test_sorted_by_dim_then_v():
 
 
 def test_candidate_fields_consistent():
-    shape = Partition((2, 2))
-    p = ParabolicData.from_iterable(4, (1, 3))
-    w_j = longest_element(p)
-    for c in component_candidates(shape, p):
-        assert c.top_cell == c.v * w_j
-        assert c.schubert_top == schubert_point(c.v, shape) * w_j
-        assert c.cell_dim == springer_cell_dim(c.v, shape) + w_j.length()
-        assert c.full_cell == (c.cell_dim == c.top_cell.length())
+    for total in range(1, 7):
+        for p in parabolics(total):
+            w_j = longest_element(p)
+            for shape in partitions(total):
+                for c in component_candidates(shape, p):
+                    assert c.top_cell == c.v * w_j
+                    assert c.schubert_top == schubert_point(c.v, shape) * w_j
+                    assert c.cell_dim == springer_cell_dim(c.v, shape) + w_j.length()
+                    assert c.full_cell == (c.cell_dim == c.top_cell.length())
 
 
 def test_maximality_flag_matches_pairwise_bruhat():

@@ -17,6 +17,7 @@ from hesscomb import (
     census,
     compare_with_schubert_union,
     component_candidates,
+    components,
     harness,
     hess_cells,
     hessvar,
@@ -688,7 +689,8 @@ def test_census_summaries_build_no_union_tops(monkeypatch):
     def tops(shape, p):
         raise AssertionError("census summaries built the union tops")
 
-    monkeypatch.setattr(schubert, "_union_tops", tops)
+    monkeypatch.setattr(schubert, "schubert_union_tops", tops)
+    monkeypatch.setattr(components, "component_candidates", tops)
     rows = census(5, "summaries")
     assert [(row["hessenberg_poly"], row["schubert_union_poly"], row["equal"]) for row in rows] == [
         (c.hessenberg_poly.coeffs, c.schubert_union_poly.coeffs, c.equal) for c in expected

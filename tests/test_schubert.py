@@ -18,6 +18,7 @@ from hesscomb import (
     bruhat_leq,
     bruhat_lower_ideal,
     compare_with_schubert_union,
+    component_candidates,
     coset_factor,
     enumerate_sn,
     identity,
@@ -38,7 +39,7 @@ from hesscomb import (
     union_hypothesis,
 )
 from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
-from hesscomb.schubert import _group_table, _lower_ideal, _poincare_pair, _point_groups, _points, _union_poly, _union_tops
+from hesscomb.schubert import _group_maxima, _lower_ideal, _poincare_pair, _point_groups, _points, _union_poly
 from hesscomb.symgroup import _bit_indices, _split_index
 
 from conftest import bruhat_leq_subword, clear_caches, one_line_arrays, permutations_of, subword_ideal
@@ -284,12 +285,12 @@ def test_bruhat_order_on_w_j_reads_the_same_below_the_coset_tops(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_ideal_of_the_points_is_the_ideal_of_every_top(n):
-    # only the tops of the maximal points are ranked, and the union reads
+    # only the tops of the maximal points are formed, and the union reads
     # only the maximal points of each descent group
     images, index = one_line_arrays(n), _split_index(n)
     for shape in partitions(n):
         for p in parabolics(n):
-            tops = sorted(set(_union_tops(shape, p).values()))
+            tops = [index(top.images) for top in schubert_union_tops(shape, p)]
             expected, expected_maximal = _lower_ideal(tops, n)
             points = [point for _, _, _, group, _ in _point_groups(shape, p.mask) for point in group]
             ideal, maximal = _lower_ideal(points, n, p.blocks)
@@ -306,8 +307,8 @@ def test_union_fills_the_group_table_only_for_the_groups_it_reads():
     shape = Partition((1,) * 6)
     hess, union = _poincare_pair(shape, ParabolicData.from_iterable(6, range(1, 6)))
     assert hess == union
-    assert _group_table(shape) == {0: ([0], 0)}
-    assert _points.cache_info().currsize == 1
+    assert _group_maxima.cache_info().currsize == _points.cache_info().currsize == 1
+    assert _group_maxima(shape, 0) == ([0], 0)
 
 
 # --- Union of Schubert varieties ---------------------------------------------------
@@ -346,14 +347,12 @@ def test_schubert_union_tops_products_are_reduced():
 def test_index_tops_are_the_point_products_n_le_6():
     # the tops as they were defined, Permutation products point * w_J
     for total in range(1, 7):
-        index = _split_index(total)
         for shape in partitions(total):
             for p in parabolics(total):
                 w_j = longest_element(p)
                 products = {v: schubert_point(v, shape) * w_j for v in springer_min_reps(shape, p)}
                 assert schubert_union_tops(shape, p) == tuple(sorted(set(products.values())))
-                by_index = {index(v.images): index(top.images) for v, top in products.items()}
-                assert _union_tops(shape, p) == by_index, (shape, p)
+                assert {c.v: c.schubert_top for c in component_candidates(shape, p)} == products, (shape, p)
 
 
 def test_union_hypothesis():
