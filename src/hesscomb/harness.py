@@ -8,12 +8,16 @@ the same objects.  The staircase side is the coset free kernel
 hessvar._staircase_planes, a set of permutations as one int over S_n,
 compared as a set with the coset side: bit planes of the excess
 1 + l(v) - sdim(v) of _excess, 0 exactly off the fiber, one per bit of
-the largest excess, sliced once per sweep and gathered by _by_coset, J
-by J, through symgroup's sorting swaps, each swap a few masked shifts of
-one int.  Both coset checks read one pass per degree (_coset_pass), one
-kernel call per (shape, J): fixed-points compares their OR with the
+the largest excess, sliced once per shape and gathered by _by_coset for
+every J through symgroup's sorting swaps, each swap a few masked shifts
+of one int.  Both coset checks read one pass per degree (_coset_pass), one
+kernel call per (shape, J), shape by shape: the kernel adds per (shape,
+run of h) pieces, and the blocks of every J are runs, so the pass builds
+each shape's pieces once and holds one shape's planes and pieces at a
+time.  fixed-points compares the OR of the gathered planes with the
 members, and parabolic-dimension adds them to the staircase dimension
-counter to meet the bit planes of l(w) + 1 on the cells of either side.
+counter (hessvar._sliced_sum, the kernel's own adder) to meet the bit
+planes of l(w) + 1 on the cells of either side.
 The pass keeps each pair's Poincare polynomial
 (hessvar._planes_poincare), which poincare-corollary and main-theorem
 then find in poincare_hessenberg, so each (shape, J) is swept once.  The
@@ -54,6 +58,7 @@ from collections.abc import Callable, Iterable, Iterator
 from .components import component_candidates
 from .hessvar import (
     _planes_poincare,
+    _sliced_sum,
     _staircase_planes,
     h_from_parabolic,
     hess_cells,
@@ -185,29 +190,32 @@ class _FailureLog:
 
 
 def _by_coset(n: int) -> Iterator[tuple[ParabolicData, Partition, list[int]]]:
-    """Per J in parabolics(n) order, then per shape: the bit planes of the
+    """Per shape, then per J in parabolics(n) order: the bit planes of the
     shape's _excess bytes, one per bit of its largest excess, lowest
     first, gathered so that bit w reads the plane at the minimal coset
     representative of w.
 
-    Each shape's planes are sliced once per sweep.  w goes to its
-    representative by sorting each block of J, one sorting swap at a
-    time, and a plane is gathered through a swap by a few masked shifts
-    (symgroup._sn_sorting_masks).  The gathers apply the swaps to w last
-    one first, which turns the insertion sort below into a bubble sort."""
+    w goes to its representative by sorting each block of J, one sorting
+    swap at a time, and a plane is gathered through a swap by a few masked
+    shifts (symgroup._sn_sorting_masks).  The gathers apply the swaps to w
+    last one first, which turns the insertion sort below into a bubble
+    sort.  Each J's swaps are listed once per sweep; each shape's planes
+    are sliced once and dropped before the next shape's, so the sweep
+    holds one shape's planes at a time, and the staircase side, whose
+    pieces are per shape (hessvar._run_pieces), builds each piece once."""
     table = _sn_sorting_masks(n)
-    shapes = [
-        (shape, [_bitset(excess[::-1], values) for values in _WITH_BIT[: max(excess).bit_length()]])
-        for shape in partitions(n)
-        for excess in [_excess(shape)]
+    # position q + 1 moves down its block through swaps q, ..., block[0]
+    swaps = [
+        (p, [table[k - 1] for block in p.blocks for q in block[:-1] for k in range(q, block[0] - 1, -1)])
+        for p in parabolics(n)
     ]
-    for p in parabolics(n):
-        # position q + 1 moves down its block through swaps q, ..., block[0]
-        swaps = [table[k - 1] for block in p.blocks for q in block[:-1] for k in range(q, block[0] - 1, -1)]
-        for shape, planes in shapes:
+    for shape in partitions(n):
+        excess = _excess(shape)
+        planes = [_bitset(excess[::-1], values) for values in _WITH_BIT[: max(excess).bit_length()]]
+        for p, p_swaps in swaps:
             gathered = []
             for plane in planes:
-                for ascents, moves in swaps:
+                for ascents, moves in p_swaps:
                     plane = sum(((plane & sources) << shift for shift, sources in moves), plane & ascents)
                 gathered.append(plane)
             yield p, shape, gathered
@@ -216,8 +224,9 @@ def _by_coset(n: int) -> Iterator[tuple[ParabolicData, Partition, list[int]]]:
 @functools.lru_cache(maxsize=1)
 def _coset_pass(n: int) -> tuple[tuple[int, _FailureLog], tuple[int, _FailureLog]]:
     """fixed-points and parabolic-dimension at degree n, from one coset
-    sweep and one kernel call per (shape, J); the excess is 0 exactly off
-    the fiber, so the OR of its gathered planes is fixed-points' coset side."""
+    sweep and one kernel call per (shape, J), shape by shape; the excess
+    is 0 exactly off the fiber, so the OR of its gathered planes is
+    fixed-points' coset side."""
     image = _sn_image(n)
     # the bit planes of l(w) + 1 over S_n, lowest first
     data = bytes(length + 1 for length in reversed(_sn_lengths(n)))
@@ -236,14 +245,12 @@ def _coset_pass(n: int) -> tuple[tuple[int, _FailureLog], tuple[int, _FailureLog
         # staircase lacks is wrong outright
         cells = in_fiber | members
         # dim + excess = sdim(v) + l(y) + 1 + l(v) - sdim(v) = l(w) + 1 on
-        # every cell: a ripple carry add, compared level by level
+        # every cell, compared level by level, the carry out included
         wrong = ~members
-        carry = 0
-        for a, b, target in itertools.zip_longest(counter, addend, targets, fillvalue=0):
-            wrong |= a ^ b ^ carry ^ target
-            carry = a & b | carry & (a ^ b)
+        for level, target in itertools.zip_longest(_sliced_sum(counter, addend), targets, fillvalue=0):
+            wrong |= level ^ target
         dimension_cases += cells.bit_count()
-        dimension.record_set(shape, p, cells & (wrong | carry), image)
+        dimension.record_set(shape, p, cells & wrong, image)
     # fixed-points compares all of S_n for each pair
     return (math.factorial(n) * len(partitions(n)) * len(parabolics(n)), fixed), (dimension_cases, dimension)
 

@@ -10,11 +10,20 @@ part for v and the full length of y.
 One coset free kernel, _staircase_planes, reads membership and dimension
 off the value planes of w^(-1) for all of S_n at once, as integer bitsets
 (symgroup._sn_planes); poincare_hessenberg, hess_cells and the harness
-checks take their staircase side from it.  poincare_hessenberg keeps its
-answers, and a caller that sweeps the planes anyway keeps the polynomial
-there too (_planes_poincare), so each (shape, h) is swept once.
-springer_min_reps and poincare_parabolic_formula read the fiber flags in
-W^J and their dimensions from nilpotent._fiber_groups, no table over S_n.
+checks take their staircase side from it.  The kernel adds up per shape
+pieces: the pairs outside the orbit ideal, which do not depend on h
+(_free_counter), and one piece per run of h, a maximal interval of
+positions on which h is constant (_run_pieces).  The runs of a block
+staircase are the blocks of J, so the 2^(n-1) subsets J of a degree draw
+on C(n + 1, 2) pieces per shape.  A piece is fixed by the run's
+positions and value alone; it reads no coset, sorting mask or W^J set,
+so the kernel stays independent of the coset route.  poincare_hessenberg
+keeps its answers, and a caller that sweeps the planes anyway keeps the
+polynomial there too (_planes_poincare), so each (shape, h) is swept
+once.  springer_min_reps and poincare_parabolic_formula read the fiber
+flags in W^J and their dimensions from nilpotent._fiber_groups, no table
+over S_n; the formula adds one cached polynomial per descent group that
+misses J (_group_polys).
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .nilpotent import (
     Partition,
@@ -35,6 +44,7 @@ from .poly import Poly
 from .record import Record
 from .rootsys import root_act
 from .symgroup import (
+    MAX_DEGREE,
     ParabolicData,
     Permutation,
     _bit_indices,
@@ -218,22 +228,71 @@ def _position_pairs(shape: Partition) -> tuple[tuple[tuple[int, ...], tuple[int,
     return tuple((tuple(i for i in range(j) if i not in row), tuple(row)) for j, row in enumerate(inside))
 
 
-def _staircase_members(shape: Partition, h: HessenbergFunction) -> int:
-    """The w whose cell is nonempty, as a set over S_n: w^(-1) moves every
-    root (a, b) of X into the staircase, w^(-1)(a) <= h(w^(-1)(b)).
+def _runs(h: HessenbergFunction) -> Iterator[tuple[int, int, int]]:
+    """The runs of h, as (s, e, top): the maximal intervals s..e of
+    positions on which h takes one value, top.  For h_from_parabolic(p)
+    they are the blocks of p.
 
-    It reads only the value planes of w^(-1) and h, never a coset: it is
-    the side that the harness compares with the coset route.
+    >>> list(_runs(HessenbergFunction((2, 2, 4, 4, 5))))
+    [(1, 2, 2), (3, 4, 4), (5, 5, 5)]
+    """
+    s = 1
+    for top, run in itertools.groupby(h.values):
+        e = s + len(list(run)) - 1
+        yield s, e, top
+        s = e + 1
+
+
+@functools.lru_cache(maxsize=math.comb(MAX_DEGREE + 1, 2))
+def _run_pieces(shape: Partition, s: int, e: int, top: int) -> tuple[tuple[int, ...], int]:
+    """What one run s..e of h with value top adds to the staircase planes
+    of shape, over all of S_n: the bit sliced count of the inverted pairs
+    inside the orbit ideal that land in the staircase from the run,
+    s <= w^(-1)(j) <= e and w^(-1)(j) < w^(-1)(i) <= top, and the set of w
+    that move some root (a, b) of X out of it, s <= w^(-1)(b) <= e and
+    w^(-1)(a) > top.
+
+    Every h whose runs include s..e with value top shares these pieces,
+    and every J whose blocks include s..e; they read the value planes only.
+    One shape's runs at the largest degree, C(MAX_DEGREE + 1, 2) of them,
+    fit in the cache, so a sweep that goes shape by shape builds each once.
     """
     n = shape.n
     ge = _sn_planes(n)
+    counter = _landed_count(n, [pinned for _, pinned in _position_pairs(shape)], s, e, top)
     outside = 0
-    for a, b in highest_form_roots(shape).sorted_roots():
-        for x, top in enumerate(h.values):
-            if top < n:
-                # w^(-1)(b) = x + 1 and w^(-1)(a) > h(x + 1)
-                outside |= (ge[b - 1][x] ^ ge[b - 1][x + 1]) & ge[a - 1][top]
-    return ((1 << math.factorial(n)) - 1) ^ outside
+    if top < n:
+        for a, b in highest_form_roots(shape).sorted_roots():
+            outside |= (ge[b - 1][s - 1] ^ ge[b - 1][e]) & ge[a - 1][top]
+    return counter, outside
+
+
+def _landed_count(n: int, rows: Iterable[tuple[int, ...]], s: int, e: int, top: int) -> tuple[int, ...]:
+    """The bit sliced count, over all of S_n, of the pairs of 0 based
+    positions (i, j), i in rows[j], with s <= w^(-1)(j + 1) <= e and
+    w^(-1)(j + 1) < w^(-1)(i + 1) <= top: each pair adds its indicator
+    plane.  _free_counter and _run_pieces count their pairs with it."""
+    ge = _sn_planes(n)
+    counter: list[int] = []
+    for j, row in enumerate(rows):
+        # w^(-1)(j + 1) = x + 1, at the positions x + 1 that some value above still fits
+        at = [(ge[j][x] ^ ge[j][x + 1], x + 1) for x in range(s - 1, min(e, top - 1))]
+        for i in row:
+            _add_plane(counter, _or(plane & (ge[i][above] ^ ge[i][top]) for plane, above in at))
+    return tuple(counter)
+
+
+def _staircase_members(shape: Partition, h: HessenbergFunction) -> int:
+    """The w whose cell is nonempty, as a set over S_n: w^(-1) moves every
+    root (a, b) of X into the staircase, w^(-1)(a) <= h(w^(-1)(b)).  It is
+    the complement of the OR of the sets that the runs of h move out
+    (_run_pieces).
+
+    It reads only the value planes of w^(-1), h and the orbit ideal, never
+    a coset: it is the side that the harness compares with the coset route.
+    """
+    outside = _or(_run_pieces(shape, *run)[1] for run in _runs(h))
+    return ((1 << math.factorial(shape.n)) - 1) ^ outside
 
 
 def _add_plane(counter: list[int], plane: int) -> None:
@@ -246,6 +305,23 @@ def _add_plane(counter: list[int], plane: int) -> None:
         counter.append(plane)
 
 
+def _sliced_sum(a: Iterable[int], b: Iterable[int]) -> list[int]:
+    """The sum of two bit sliced counters, lowest bit plane first, by
+    ripple carry; the last plane is the carry out when it is not 0.
+
+    >>> _sliced_sum([0b0110, 0b1010], [0b0101])
+    [3, 14]
+    """
+    total = []
+    carry = 0
+    for x, y in itertools.zip_longest(a, b, fillvalue=0):
+        total.append(x ^ y ^ carry)
+        carry = x & y | carry & (x ^ y)
+    if carry:
+        total.append(carry)
+    return total
+
+
 def _staircase_planes(shape: Partition, h: HessenbergFunction) -> tuple[int, list[int]]:
     """The nonempty cells and their dimensions over all of S_n at once.
 
@@ -254,21 +330,16 @@ def _staircase_planes(shape: Partition, h: HessenbergFunction) -> tuple[int, lis
     counter[k], zero outside members.  The dimension counts the inverted
     pairs of w^(-1) outside the orbit ideal, and the inverted pairs inside
     it whose values land in the staircase, w^(-1)(j) < w^(-1)(i) <=
-    h(w^(-1)(j)); each pair adds its indicator plane to the counter.  The
-    pairs outside the ideal do not depend on h, so _free_counter counts
-    them once per shape and the pairs inside are added to a copy.
+    h(w^(-1)(j)).  The pairs outside the ideal do not depend on h, so
+    _free_counter counts them once per shape; the pairs inside split by
+    the run of h that holds w^(-1)(j), and the counts of h's runs
+    (_run_pieces) are added to it.
+
+    One kernel for every h, parabolic or not: it reads the value planes of
+    w^(-1), h and the orbit ideal, and no coset, sorting mask or W^J plane.
     """
-    n = shape.n
-    ge = _sn_planes(n)
-    tops = [(x, top) for x, top in enumerate(h.values) if top > x + 1]
-    counter = list(_free_counter(shape))
-    for j, (_, pinned) in enumerate(_position_pairs(shape)):
-        # at[x] holds w^(-1)(j + 1) = x + 1, and ge[i][x + 1] ^ ge[i][top]
-        # holds x + 1 < w^(-1)(i + 1) <= top = h(x + 1)
-        at = [ge[j][x] ^ ge[j][x + 1] for x in range(n - 1)]
-        for i in pinned:
-            landed = (at[x] & (ge[i][x + 1] ^ ge[i][top]) for x, top in tops)
-            _add_plane(counter, _or(landed))
+    pieces = (_run_pieces(shape, *run)[0] for run in _runs(h))
+    counter = functools.reduce(_sliced_sum, pieces, _free_counter(shape))
     members = _staircase_members(shape, h)
     return members, [plane & members for plane in counter]
 
@@ -278,14 +349,7 @@ def _free_counter(shape: Partition) -> tuple[int, ...]:
     """The bit sliced count of the inverted pairs of w^(-1) outside the
     orbit ideal, over all of S_n: the part of the cell dimension that does
     not depend on h."""
-    n = shape.n
-    ge = _sn_planes(n)
-    counter: list[int] = []
-    for j, (free, _) in enumerate(_position_pairs(shape)):
-        at = [ge[j][x] ^ ge[j][x + 1] for x in range(n - 1)]
-        for i in free:
-            _add_plane(counter, _or(at[x] & ge[i][x + 1] for x in range(n - 1)))
-    return tuple(counter)
+    return _landed_count(shape.n, [free for free, _ in _position_pairs(shape)], 1, shape.n, shape.n)
 
 
 def _or(planes: Iterable[int]) -> int:
@@ -293,10 +357,11 @@ def _or(planes: Iterable[int]) -> int:
 
 
 def _dimension_sets(members: int, counter: list[int]) -> list[int]:
-    """cells[d]: the members whose bit sliced counter spells d."""
+    """cells[d]: the members whose bit sliced counter spells d.  An empty
+    set is not split: both of its halves are empty."""
     cells = [members]
     for plane in reversed(counter):
-        cells = [part for whole in cells for part in (whole & ~plane, whole & plane)]
+        cells = [part for whole in cells for part in ((whole & ~plane, whole & plane) if whole else (0, 0))]
     return cells
 
 
@@ -339,13 +404,34 @@ def poincare_parabolic_formula(shape: Partition, p: ParabolicData) -> Poly:
     """Closed formula for the parabolic case: sum over springer_min_reps of
     t^(Springer cell dimension) times the Poincare polynomial of W_J.
 
+    The flags in W^J are the descent groups that miss J, so the sum adds
+    the groups' polynomials (_group_polys); it reads no staircase plane
+    and no table over S_n.
+
     >>> str(poincare_parabolic_formula(Partition((2, 2)), ParabolicData(4, frozenset({1, 3}))))
     '1 + 3t + 4t^2 + 3t^3 + t^4'
     """
     if p.n != shape.n:
         raise ValueError("degree mismatch")
-    exponents = itertools.chain.from_iterable(dims for _, _, dims in _fiber_groups(shape, p.mask))
-    return Poly.from_exponents(exponents) * poincare_subgroup(p)
+    width, groups = _group_polys(shape)
+    packed = sum(poly for descents, poly in groups if not descents & p.mask)
+    item = (1 << width) - 1
+    coeffs = (packed >> shift & item for shift in range(0, packed.bit_length(), width))
+    return Poly(coeffs) * poincare_subgroup(p)
+
+
+@functools.lru_cache(maxsize=None)
+def _group_polys(shape: Partition) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A width in bits, and per descent group of the fiber walk its
+    descents and the polynomial of its flags' Springer dimensions packed
+    into one int, the coefficient of t^d in bits d * width onwards.  The
+    width holds n!, more flags than the groups of a shape have together,
+    so adding the ints adds the polynomials."""
+    width = math.factorial(shape.n).bit_length()
+    return width, tuple(
+        (descents, sum(1 << width * dim for dim in dims))
+        for descents, _, dims in _fiber_groups(shape, 0)
+    )
 
 
 class HessCell(Record):

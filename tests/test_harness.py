@@ -391,6 +391,38 @@ def test_coset_checks_share_one_pass_per_degree(clean_caches, monkeypatch):
     assert len(kernels) == len(set(kernels)) == 1481
 
 
+def test_run_cache_holds_one_shape_of_runs(clean_caches):
+    # the coset pass goes shape by shape, and a shape's J draw on its
+    # C(n + 1, 2) blocks as runs, so each (shape, run) is built once while
+    # the cache holds no more than one shape's runs at the largest degree
+    assert all(r.passed for r in run_checks(7))
+    info = hessvar._run_pieces.cache_info()
+    assert info.maxsize == math.comb(symgroup.MAX_DEGREE + 1, 2) == 45
+    assert info.currsize == info.maxsize
+    assert info.misses == sum(len(partitions(n)) * math.comb(n + 1, 2) for n in range(1, 8)) == 831
+
+
+def test_poincare_corollary_fails_when_one_group_polynomial_is_shifted(clean_caches, monkeypatch):
+    groups = hessvar._group_polys
+    shape = Partition((2, 1, 1))
+    last = groups(shape)[1][-1][0]
+
+    def wrong(other):
+        width, out = groups(other)
+        if other != shape:
+            return width, out
+        # times t: every coefficient one width up
+        *rest, (descents, poly) = out
+        return width, (*rest, (descents, poly << width))
+
+    monkeypatch.setattr(hessvar, "_group_polys", wrong)
+    cases, failures = CHECKS["poincare-corollary"](4)
+    # the J that miss the shifted group
+    expected = [((2, 1, 1), p.sorted_j()) for p in parabolics(4) if not last & p.mask]
+    assert 0 < len(expected) < len(parabolics(4))
+    assert [(f.shape, f.j) for f in failures.witnesses] == expected
+
+
 def _coset_reports(checks):
     return {(r.check_id, r.n): (r.cases_run, r.failures_total, r.failures) for r in run_checks(4, checks)}
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 
@@ -31,6 +33,7 @@ from hesscomb import (
     partitions,
     poincare_hessenberg,
     poincare_parabolic_formula,
+    poincare_subgroup,
     schubert_union_tops,
     springer_cell_dim,
     springer_contains,
@@ -38,7 +41,7 @@ from hesscomb import (
     springer_tableau,
     t_factorial,
 )
-from hesscomb import harness, nilpotent, symgroup
+from hesscomb import harness, hessvar, nilpotent, symgroup
 from hesscomb.hessvar import _dimension_sets, _staircase_members, _staircase_planes
 
 from conftest import built_tables, clear_caches, hessenberg_functions, staircase_dims
@@ -249,6 +252,17 @@ def test_parabolic_formula_builds_no_sn_table():
     assert built_tables() == {}
 
 
+def test_parabolic_formula_adds_the_groups_like_the_flags():
+    # the per-group polynomials against a count of every flag in W^J
+    for total in range(1, 8):
+        for shape in partitions(total):
+            for p in parabolics(total):
+                groups = nilpotent._fiber_groups(shape, p.mask)
+                exponents = itertools.chain.from_iterable(dims for _, _, dims in groups)
+                expected = Poly.from_exponents(exponents) * poincare_subgroup(p)
+                assert poincare_parabolic_formula(shape, p) == expected, (shape, p)
+
+
 # --- Poincare polynomials -------------------------------------------------------------
 
 
@@ -311,6 +325,20 @@ def test_poincare_hessenberg_builds_no_sn_table():
     ge = symgroup._sn_planes(8)
     size = sum(sys.getsizeof(plane) for row in ge for plane in row)
     assert size <= 8 * 9 * sys.getsizeof((1 << math.factorial(8)) - 1)
+
+
+def test_poincare_hessenberg_builds_exactly_the_runs_of_its_h(monkeypatch):
+    clear_caches()
+    built = []
+    pieces = hessvar._run_pieces.__wrapped__
+    monkeypatch.setattr(
+        hessvar, "_run_pieces", functools.lru_cache(maxsize=None)(lambda *args: built.append(args) or pieces(*args))
+    )
+    shape = Partition((3, 2, 2, 1, 1))
+    poincare_hessenberg(shape, HessenbergFunction((2, 3, 5, 5, 6, 8, 8, 8, 9)))
+    # the runs s..e of h with their value, each built once
+    runs = [(1, 1, 2), (2, 2, 3), (3, 4, 5), (5, 5, 6), (6, 8, 8), (9, 9, 9)]
+    assert built == [(shape, *run) for run in runs]
 
 
 def _kernel_dims(shape, h):

@@ -399,7 +399,8 @@ def test_coset_table_is_the_coset_factor(n):
         in_fiber = sum(1 << w for w, v in enumerate(reps[p]) if excess[v])
         assert functools.reduce(int.__or__, gathered) == in_fiber, (p, shape)
         seen.append((p, shape))
-    assert seen == [(p, shape) for p in parabolics(n) for shape in partitions(n)]
+    # shape by shape, so the sweep holds one shape's planes at a time
+    assert seen == [(p, shape) for shape in partitions(n) for p in parabolics(n)]
 
 
 # --- Per degree tables ---------------------------------------------------------
