@@ -74,7 +74,7 @@ def component_candidates(shape: Partition, p: ParabolicData) -> list[ComponentCa
     times_w_j = _times_w_j(p.blocks)
     rows = [row for _, flags, dims, points, _ in _point_groups(shape, p.mask) for row in zip(flags, dims, points)]
     # for u, v in W^J, u w_J <= v w_J exactly when u <= v
-    maximal = set(_lower_ideal((point for _, _, point in rows), shape.n, p.blocks)[1])
+    maximal = set(_lower_ideal((point for _, _, point in rows), shape.n)[1])
     out = [
         ComponentCandidate(
             v=v,

@@ -25,16 +25,13 @@ two minimal coset checks compare one descent set per flag, which decides
 them for every J at once; strings-coset peels each one line array's
 string lengths as plain ints (symgroup._string_lengths) and builds no
 Permutation.  The Schubert checks walk the fiber by descent group, each
-group's points aligned with its flags (schubert._point_groups):
-schubert-ideal builds, once per shape, each group's points and their
-Bruhat lower ideal (the rank plane kernel schubert._lower_ideal over the
-group's maximal points), and for each J compares the union of the ideals
-of the groups that miss J with the union of their points; main-theorem
-counts the ideal that the same kernel builds from the maximal points of
-each descent group in W^J and the blocks of J (schubert._poincare_pair,
-each group's maxima cached by schubert._group_maxima), forming only the
-maximal tops, and keeps, outside the proved regime, the tally of pairs
-whose two polynomials are equal anyway.  dim-formulas-agree
+group's points aligned with its flags (schubert._point_groups), and read
+one Bruhat lower ideal per group (schubert._group_ideal): schubert-ideal
+compares, for each J, the union of the ideals of the groups that miss J
+with the union of their points, and main-theorem counts that union within
+W^J times the polynomial of W_J (schubert._poincare_pair), and keeps,
+outside the proved regime, the tally of pairs whose two polynomials are
+equal anyway.  dim-formulas-agree
 compares the tableau scan of each flag's one line array, the walk's root
 count and the point's length, which is the walk's row inversion count:
 the column rule of nilpotent._row_inversion_masks, carried in the
@@ -77,10 +74,10 @@ from .nilpotent import (
 )
 from .record import Record
 from .schubert import (
-    _group_maxima,
-    _lower_ideal,
+    _group_ideal,
     _poincare_pair,
     _point_groups,
+    _quotient,
     schubert_point,
     union_hypothesis,
 )
@@ -339,9 +336,6 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
     ideals, so each group's points and ideal are built once per shape."""
     image = _sn_image(n)
     order = math.factorial(n)
-    full = (1 << order) - 1
-    # ascents[i - 1]: the w with w(i) < w(i + 1); W^J is their AND over i in J
-    ascents = [plane for plane, _ in _sn_sorting_masks(n)]
     size = (order + 7) // 8
     cases = 0
     failures = _FailureLog()
@@ -360,8 +354,7 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
                 seen[point] = 1
                 marks[point >> 3] |= 1 << (point & 7)
             cases += len(group_points)
-            ideal, _ = _lower_ideal(_group_maxima(shape, descents)[0], n)
-            groups.append((descents, int.from_bytes(marks, "little"), ideal))
+            groups.append((descents, int.from_bytes(marks, "little"), _group_ideal(shape, descents)[0]))
         for p in parabolics(n):
             points = ideal = 0
             for descents, group_points, group_ideal in groups:
@@ -372,9 +365,7 @@ def _check_schubert_ideal(n: int) -> tuple[int, _FailureLog]:
                 # every group misses the empty J: the closure of the whole image
                 cases += ideal.bit_count()
                 failures.record_set(shape, None, ideal & ~points, image)
-            quotient = full
-            for i in p.J:
-                quotient &= ascents[i - 1]
+            quotient = _quotient(p)
             cases += quotient.bit_count()
             failures.record_set(shape, p, ideal & quotient & ~points, image)
     return cases, failures

@@ -19,18 +19,18 @@ of p at q - 1 where c_q > c_(q-1); it scans no tableau.
 _point_groups joins the points to nilpotent._fiber_groups, checking that
 they stay in W^J.  A top point * w_J is the point with each J-block of
 positions reversed.  A Bruhat lower ideal is one int over S_n (symgroup's
-bitsets): the OR of the intervals [e, w] of its maximal tops, each an AND
-of the rank count planes at its essential cells.
-The union's ideal is built from its points in W^J, which order their
-tops as the tops order themselves, so it reads only the maximal points of
-each descent group and forms only the maximal tops.  No top is ranked:
-the tops are one line arrays, formed where they are listed
-(schubert_union_tops) or printed (components).  _poincare_pair, which
-main-theorem runs for every (shape, J), reads for each descent group that
-misses J the group's maximal points and the OR of its points' descents
-(_group_maxima, cached per group), so per J it ANDs each group's
-descents with J and tests W^J once for all its groups.  The functions
-that take or return Permutations convert at the edge.
+bitsets): the OR of the intervals [e, w] of its maximal elements, each an
+AND of the rank count planes at its essential cells.  For v in W^J,
+[e, v w_J] = ([e, v] & W^J) W_J with lengths adding (projection to W^J
+preserves Bruhat order, and the ideal below the longest element of a
+coset is a union of cosets), so _poincare_pair, which main-theorem runs
+for every (shape, J), forms no top: it ORs the ideals of the descent
+groups that miss J (_group_ideal, built once per group with the OR of its
+points' descents, which schubert-ideal reads too), ANDs W^J (_quotient),
+counts by length and multiplies by the polynomial of W_J.  The tops are
+one line arrays, formed only where they are listed (schubert_union_tops)
+or printed (components).  The functions that take or return Permutations
+convert at the edge.
 """
 
 from __future__ import annotations
@@ -45,16 +45,19 @@ from .nilpotent import Partition, _fiber_by_descents, _fiber_groups, _row_invers
 from .poly import Poly
 from .record import Record
 from .symgroup import (
+    MAX_DEGREE,
     ParabolicData,
     Permutation,
     _bit_indices,
     _essential_counts,
+    _sn_ascent_plane,
     _sn_image,
     _sn_length_planes,
     _sn_lengths,
     _sn_rank_planes,
     _split_index,
     perm_from_word,
+    poincare_subgroup,
 )
 
 
@@ -119,31 +122,24 @@ def _times_w_j(blocks: Iterable[tuple[int, ...]]) -> Callable[[tuple[int, ...]],
     return tuple if order == sorted(order) else operator.itemgetter(*order)
 
 
-def _lower_ideal(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]] = ()) -> tuple[int, list[int]]:
-    """The Bruhat lower ideal of the tops point * w_J (the points themselves
-    without blocks), J given by its blocks and the points, in W^J, by S_n
-    index, as one int over S_n, and the points of the maximal tops, longest
-    first.
+def _lower_ideal(points: Iterable[int], n: int) -> tuple[int, list[int]]:
+    """The Bruhat lower ideal of the permutations `points`, by S_n index,
+    as one int over S_n, and its maximal points, longest first.
 
-    For u, v in W^J, u <= v w_J exactly when u <= v (projection to W^J
-    preserves Bruhat order, and v <= v w_J), so a top lies in the ideal
-    exactly when its point does.  A point whose bit is already set has its
-    top below a longer top, and distinct tops of equal length are
-    incomparable, so only the top of every other distinct point is built,
-    and the byte view of the ideal it is tested against needs making again
-    only when the length drops.  Each top ANDs the rank planes of its
-    essential counts alone.
+    A point whose bit is already set lies below a longer point, and
+    distinct points of equal length are incomparable, so only the interval
+    of every other distinct point is built, and the byte view of the ideal
+    it is tested against needs making again only when the length drops.
+    Each interval ANDs the rank planes of its essential counts alone.
     """
     image = _sn_image(n)
     lengths = _sn_lengths(n)
     planes = _sn_rank_planes(n)
     full = (1 << len(lengths)) - 1
     size = (len(lengths) + 7) // 8
-    times_w_j = _times_w_j(blocks)
     ideal = 0
     length = -1
     maximal: list[int] = []
-    # l(point w_J) = l(point) + l(w_J)
     for idx in sorted(set(points), key=lengths.__getitem__, reverse=True):
         if lengths[idx] != length:
             length = lengths[idx]
@@ -152,7 +148,7 @@ def _lower_ideal(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]
         if view[idx >> 3] >> (idx & 7) & 1:
             continue
         below = full
-        for row, count in _essential_counts(times_w_j(image(idx))):
+        for row, count in _essential_counts(image(idx)):
             below &= planes[row][count]
         ideal |= below
         maximal.append(idx)
@@ -200,19 +196,25 @@ def poincare_schubert_union(tops: Iterable[Permutation], n: int) -> Poly:
     return _union_poly(_indices(tops, n), n)
 
 
-def _union_poly(points: Iterable[int], n: int, blocks: Iterable[tuple[int, ...]] = ()) -> Poly:
-    """poincare_schubert_union of the tops of _lower_ideal(points, n, blocks)."""
-    ideal, _ = _lower_ideal(points, n, blocks)
+def _union_poly(points: Iterable[int], n: int) -> Poly:
+    """poincare_schubert_union of the permutations `points`, by S_n index."""
+    ideal, _ = _lower_ideal(points, n)
     return Poly(tuple((ideal & plane).bit_count() for plane in _sn_length_planes(n)))
 
 
-@functools.lru_cache(maxsize=None)
-def _group_maxima(shape: Partition, descents: int) -> tuple[list[int], int]:
-    """The points of one descent group of _points that lie below no other
-    point of the group in Bruhat order, and the OR of the group's points'
-    descents."""
+@functools.lru_cache(maxsize=2 ** (MAX_DEGREE - 1))
+def _group_ideal(shape: Partition, descents: int) -> tuple[int, int]:
+    """The Bruhat lower ideal of one descent group's points (_points), and
+    the OR of their descents.  A shape has at most 2^(n - 1) groups, so
+    the cache holds one shape's groups at the largest degree."""
     points, point_descents = _points(shape, descents)
-    return _lower_ideal(points, shape.n)[1], functools.reduce(operator.or_, point_descents, 0)
+    return _lower_ideal(points, shape.n)[0], functools.reduce(operator.or_, point_descents, 0)
+
+
+def _quotient(p: ParabolicData) -> int:
+    """W^J as one int over S_n: the AND of the ascent planes of the i in J."""
+    full = (1 << len(_sn_lengths(p.n))) - 1
+    return functools.reduce(operator.and_, (_sn_ascent_plane(p.n, i) for i in p.J), full)
 
 
 def schubert_union_tops(shape: Partition, p: ParabolicData) -> tuple[Permutation, ...]:
@@ -263,21 +265,22 @@ class UnionComparison(Record):
 
 def _poincare_pair(shape: Partition, p: ParabolicData) -> tuple[Poly, Poly]:
     """The Hessenberg Poincare polynomial of (shape, J) and that of its
-    Schubert union.  A point below another of its descent group stays below
-    it times w_J, both in W^J, so the groups' maximal points bound the union."""
-    j_mask = p.mask
-    points: list[int] = []
-    reached = 0
+    Schubert union: the points' ideal within W^J by length, times W_J's."""
+    # the sweep first, so that its planes are freed before the ideals are built
+    hess = poincare_hessenberg(shape, h_from_parabolic(p))
+    ideal = reached = 0
     for descents in _fiber_by_descents(shape):
-        if not descents & j_mask:
-            maxima, reaches = _group_maxima(shape, descents)
-            points += maxima
+        if not descents & p.mask:
+            group_ideal, reaches = _group_ideal(shape, descents)
+            ideal |= group_ideal
             reached |= reaches
-    if reached & j_mask:
+    if reached & p.mask:
         # a point outside W^J: _point_groups raises, naming the first one
-        for _ in _point_groups(shape, j_mask):
+        for _ in _point_groups(shape, p.mask):
             pass
-    return poincare_hessenberg(shape, h_from_parabolic(p)), _union_poly(points, shape.n, p.blocks)
+    ideal &= _quotient(p)
+    union = Poly(tuple((ideal & plane).bit_count() for plane in _sn_length_planes(shape.n)))
+    return hess, union * poincare_subgroup(p)
 
 
 def compare_with_schubert_union(shape: Partition, p: ParabolicData) -> UnionComparison:

@@ -482,7 +482,7 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 # _split_index ranks a one line array and _sn_image unranks an index, both
 # through the tables of the head and tail halves of the array; no table
 # holds the n! one line arrays.  The sorting masks serve only the harness
-# sweeps, which gather sets over S_n through them, J by J.
+# sweeps, gathering sets J by J; the union reads their ascent planes alone.
 # ---------------------------------------------------------------------------
 
 
@@ -642,10 +642,22 @@ def _bit_indices(bits: int) -> Iterator[int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _sn_ascent_plane(n: int, i: int) -> int:
+    """The set of w in S_n with w(i) < w(i + 1), 1 <= i < n; W^J is the
+    AND over i in J.  At position 1 block a ascends at its last runs of
+    (n - 2)! indices, c = a..n-2; past it block b holds the plane of i - 1
+    one degree lower, a multiply by the sum of 2^(b (n - 1)!) over b."""
+    size, run = math.factorial(n - 1), math.factorial(n - 2)
+    if i > 1:
+        return _sn_ascent_plane(n - 1, i - 1) * sum(1 << b * size for b in range(n))
+    return sum(((1 << (n - 1 - a) * run) - 1) << a * size + a * run for a in range(n))
+
+
+@functools.lru_cache(maxsize=None)
 def _sn_sorting_masks(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """Per position i = 1..n-1, the sort of the values at positions i and
     i + 1 as masked shifts of a set over S_n: (ascents, ((shift, sources),
-    ...)).  ascents is the set of w with w(i) < w(i + 1), which the sort
+    ...)).  ascents, _sn_ascent_plane(n, i), is the set that the sort
     keeps; it moves every other w to w s_i, which lies in one sources, shift
     indices below w.  So the set of w whose sorted w lies in X is
 
@@ -656,22 +668,16 @@ def _sn_sorting_masks(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], 
     relabelled rest, and w s_1 is c (n - 1)! + (a - 1) (n - 2)! + r.  The
     shift d (n - 1)! - (d - 1) (n - 2)! depends on d = a - c alone, so
     there are n - 1 pairs, sources holding the runs read at distance d.
-    Past position 1 the sort keeps w(1) and acts on the tail, so block b of
-    each mask is the mask of position i - 1 one degree lower and the shifts
-    stay: a multiply by the sum of 2^(b (n - 1)!) over the blocks."""
+    Past position 1 the sort keeps w(1) and acts on the tail, so the
+    sources follow the block rule of _sn_ascent_plane and the shifts stay."""
     if n <= 1:
         return ()
     size, run = math.factorial(n - 1), math.factorial(n - 2)
     every_block = sum(1 << b * size for b in range(n))
-    # block a ascends at its runs c = a..n-2, which reach the block's end
-    ascents = sum(((1 << (n - 1 - a) * run) - 1) << a * size + a * run for a in range(n))
     # distance d reads run c + d - 1 of block c, for c = 0..n-1-d
     moves = tuple(
         (d * size - (d - 1) * run, sum(((1 << run) - 1) << c * size + (c + d - 1) * run for c in range(n - d)))
         for d in range(1, n)
     )
-    below = (
-        (kept * every_block, tuple((shift, sources * every_block) for shift, sources in pairs))
-        for kept, pairs in _sn_sorting_masks(n - 1)
-    )
-    return ((ascents, moves), *below)
+    below = (tuple((shift, sources * every_block) for shift, sources in pairs) for _, pairs in _sn_sorting_masks(n - 1))
+    return tuple(zip((_sn_ascent_plane(n, i) for i in range(1, n)), (moves, *below)))

@@ -49,6 +49,15 @@ def clear_caches() -> None:
                 value.cache_clear()
 
 
+@pytest.fixture
+def clean_caches():
+    """Empty every package cache before and after the test, so that what a
+    monkeypatched route leaves in them reaches no other test."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
 def built_tables() -> dict[str, int]:
     """The per degree tables of symgroup that hold entries, each with its
     entry count: every _sn_* and _split_* cache."""

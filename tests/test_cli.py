@@ -224,7 +224,8 @@ def test_single_queries_build_no_table_of_the_sn_arrays(capsys):
     assert springer_min_reps(shape, p)
     tops = schubert_union_tops(shape, p)
     assert len(bruhat_lower_ideal(tops[:1], 8)) > 1
-    # the sorting masks serve only the harness sweeps
+    # the sorting masks serve only the harness sweeps; the union reads W^J
+    # from their ascent planes alone
     assert built_tables().keys() == {
         "_split_tables",
         "_split_index",
@@ -233,6 +234,7 @@ def test_single_queries_build_no_table_of_the_sn_arrays(capsys):
         "_sn_planes",
         "_sn_rank_planes",
         "_sn_length_planes",
+        "_sn_ascent_plane",
     }
 
 
@@ -581,7 +583,7 @@ def test_internal_error_is_status_4(monkeypatch, capsys):
     assert err == "internal error: dimension formulas disagree for w=1,2, shape=2: 0 by rows, 1 by roots\n"
 
 
-def test_union_point_outside_quotient_is_status_4(monkeypatch, capsys):
+def test_union_point_outside_quotient_is_status_4(clean_caches, monkeypatch, capsys):
     points = schubert._points
 
     def reversed_points(shape, descents):

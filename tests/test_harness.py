@@ -159,13 +159,6 @@ def test_failures_total_counts_past_the_stored_witnesses(fifteen_hundred_failure
 # --- Each check can fail ----------------------------------------------------------
 
 
-@pytest.fixture
-def clean_caches():
-    clear_caches()
-    yield
-    clear_caches()
-
-
 def _off_by_one(kernel):
     def wrong(shape, h):
         members, counter = kernel(shape, h)
@@ -353,6 +346,23 @@ def test_main_theorem_keeps_the_quotient_guard(clean_caches, monkeypatch):
         run_checks(4, ["main-theorem"])
 
 
+@pytest.mark.parametrize(
+    ("name", "wrong"),
+    [
+        # the union side counts W^J alone, without the factor P_{W_J}
+        ("poincare_subgroup", lambda p: Poly.one()),
+        # the ideal of the points, not cut down to W^J
+        ("_quotient", lambda p: (1 << math.factorial(p.n)) - 1),
+    ],
+    ids=["without-the-subgroup-factor", "without-the-quotient-and"],
+)
+def test_main_theorem_fails_when_the_union_drops_a_coset_step(name, wrong, clean_caches, monkeypatch):
+    monkeypatch.setattr(schubert, name, wrong)
+    report = run_checks(4, checks=["main-theorem"])[-1]
+    assert report.n == 4
+    assert not report.passed
+
+
 def _with_longest(kernel):
     # the last index is w0, whose cell is empty for some (shape, J) at n = 4
     return lambda shape, h: kernel(shape, h) | 1 << (math.factorial(shape.n) - 1)
@@ -400,6 +410,18 @@ def test_run_cache_holds_one_shape_of_runs(clean_caches):
     assert info.maxsize == math.comb(symgroup.MAX_DEGREE + 1, 2) == 45
     assert info.currsize == info.maxsize
     assert info.misses == sum(len(partitions(n)) * math.comb(n + 1, 2) for n in range(1, 8)) == 831
+
+
+def test_group_ideal_cache_holds_one_shape_of_groups(clean_caches):
+    # main-theorem goes shape by shape and a shape has at most 2^(n - 1)
+    # descent groups, so each group's ideal is built once while the cache
+    # holds no more than one shape's groups at the largest degree
+    assert all(r.passed for r in run_checks(7, ["main-theorem"]))
+    info = schubert._group_ideal.cache_info()
+    assert info.maxsize == 2 ** (symgroup.MAX_DEGREE - 1) == 256
+    assert info.currsize == info.maxsize
+    groups = [len(nilpotent._fiber_by_descents(shape)) for n in range(1, 8) for shape in partitions(n)]
+    assert info.misses == sum(groups) == 907
 
 
 def test_poincare_corollary_fails_when_one_group_polynomial_is_shifted(clean_caches, monkeypatch):
@@ -492,6 +514,7 @@ def test_coset_checks_build_no_table_per_j():
         "_sn_lengths": 7,
         "_sn_planes": 7,
         "_sn_sorting_masks": 7,
+        "_sn_ascent_plane": 21,
     }
 
 

@@ -39,7 +39,7 @@ from hesscomb import (
     union_hypothesis,
 )
 from hesscomb.nilpotent import _fiber_by_descents, _row_inversion_vector
-from hesscomb.schubert import _group_maxima, _lower_ideal, _poincare_pair, _point_groups, _points, _union_poly
+from hesscomb.schubert import _group_ideal, _lower_ideal, _poincare_pair, _point_groups, _points, _union_poly
 from hesscomb.symgroup import _bit_indices, _split_index
 
 from conftest import bruhat_leq_subword, clear_caches, one_line_arrays, permutations_of, subword_ideal
@@ -283,32 +283,32 @@ def test_bruhat_order_on_w_j_reads_the_same_below_the_coset_tops(n):
             assert [u.images in below_top for u in quotient] == [u.images in below_v for u in quotient], (p, v)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_ideal_of_the_points_is_the_ideal_of_every_top(n):
-    # only the tops of the maximal points are formed, and the union reads
-    # only the maximal points of each descent group
+    # the union forms no top: its polynomial, read off the points' ideals
+    # within W^J, is that of the ideal of the tops themselves, and the
+    # maximal points name the maximal tops that components marks
     images, index = one_line_arrays(n), _split_index(n)
     for shape in partitions(n):
         for p in parabolics(n):
             tops = [index(top.images) for top in schubert_union_tops(shape, p)]
-            expected, expected_maximal = _lower_ideal(tops, n)
+            _, expected_maximal = _lower_ideal(tops, n)
             points = [point for _, _, _, group, _ in _point_groups(shape, p.mask) for point in group]
-            ideal, maximal = _lower_ideal(points, n, p.blocks)
-            assert ideal == expected, (shape, p)
             w_j = longest_element(p)
-            maximal_tops = [index((Permutation(images[point]) * w_j).images) for point in maximal]
+            maximal_tops = [index((Permutation(images[point]) * w_j).images) for point in _lower_ideal(points, n)[1]]
             assert sorted(maximal_tops) == sorted(expected_maximal), (shape, p)
             assert _poincare_pair(shape, p)[1] == _union_poly(tops, n), (shape, p)
 
 
 def test_union_fills_the_group_table_only_for_the_groups_it_reads():
-    # W^J = {e} for J = {1..5}: only the descent free group of (1^6) misses J
+    # W^J = {e} for J = {1..5}: only the descent free group of (1^6) misses
+    # J, and its one point, the identity, is its whole ideal
     clear_caches()
     shape = Partition((1,) * 6)
     hess, union = _poincare_pair(shape, ParabolicData.from_iterable(6, range(1, 6)))
     assert hess == union
-    assert _group_maxima.cache_info().currsize == _points.cache_info().currsize == 1
-    assert _group_maxima(shape, 0) == ([0], 0)
+    assert _group_ideal.cache_info().currsize == _points.cache_info().currsize == 1
+    assert _group_ideal(shape, 0) == (1, 0)
 
 
 # --- Union of Schubert varieties ---------------------------------------------------

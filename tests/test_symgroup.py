@@ -38,6 +38,7 @@ from hesscomb.symgroup import (
     _essential_counts,
     _length,
     _rank_counts,
+    _sn_ascent_plane,
     _sn_image,
     _sn_length_planes,
     _sn_lengths,
@@ -496,12 +497,26 @@ def _sort_gather(ascents, moves, plane):
     return sum(((plane & sources) << shift for shift, sources in moves), plane & ascents)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ascent_planes_build_no_sorting_shift(n):
+    # W^J for the Schubert union needs the ascents alone, not the moves,
+    # and the plane of position i only the planes of i - 1, i - 2, ... below
+    clear_caches()
+    perms = one_line_arrays(n)
+    for i in range(1, n):
+        expected = [idx for idx, w in enumerate(perms) if w[i - 1] < w[i]]
+        assert list(_bit_indices(_sn_ascent_plane(n, i))) == expected, i
+        assert built_tables() == {"_sn_ascent_plane": i * (i + 1) // 2}
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sorting_swaps_by_blocks_are_the_per_permutation_swaps(n):
-    # the block recursion reads no other table, not even the rank route
+    # the block recursion reads no other table but its own ascent planes,
+    # not even the rank route
     clear_caches()
     masks = _sn_sorting_masks(n)
-    assert built_tables() == {"_sn_sorting_masks": n}
+    tables = {"_sn_sorting_masks": n, "_sn_ascent_plane": n * (n - 1) // 2}
+    assert built_tables() == {name: size for name, size in tables.items() if size}
     perms = one_line_arrays(n)
     rank = {w: idx for idx, w in enumerate(perms)}
     rng = random.Random(n)
