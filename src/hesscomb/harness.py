@@ -4,27 +4,18 @@ Every theorem in the package has a named check that runs over all shapes
 of a given degree and all parabolic subsets, comparing two independent
 routes to the same answer; each degree's shapes and subsets are built
 once (nilpotent.partitions, symgroup.parabolics), so every check reads
-the same objects.  The staircase side is the coset free kernel
-hessvar._staircase_planes, a set of permutations as one int over S_n,
-compared as a set with the coset side: bit planes of the excess
-1 + l(v) - sdim(v) of _excess, 0 exactly off the fiber, one per bit of
-the largest excess, sliced once per shape and gathered by _by_coset for
-every J through symgroup's sorting swaps, each swap a few masked shifts
-of one int.  Both coset checks read one pass per degree (_coset_pass), one
-kernel call per (shape, J), shape by shape: the kernel adds per (shape,
-run of h) pieces, and the blocks of every J are runs, so the pass builds
-each shape's pieces once and holds one shape's planes and pieces at a
-time.  fixed-points compares the OR of the gathered planes with the
-members, and parabolic-dimension adds them to the staircase dimension
-counter (hessvar._sliced_sum, the kernel's own adder) to meet the bit
-planes of l(w) + 1 on the cells of either side.
-The pass keeps each pair's Poincare polynomial
-(hessvar._planes_poincare), which poincare-corollary and main-theorem
-then find in poincare_hessenberg, so each (shape, J) is swept once.  The
-two minimal coset checks compare one descent set per flag, which decides
-them for every J at once; strings-coset peels each one line array's
-string lengths as plain ints (symgroup._string_lengths) and builds no
-Permutation.  The Schubert checks walk the fiber by descent group, each
+the same objects.  fixed-points and parabolic-dimension read one pass per
+degree (_coset_pass) that walks a tree of each J's blocks per shape
+(_compositions), a child adding one block to its parent: the coset side
+gathers its parent's excess planes through that block's sorting swaps
+(_by_coset), the staircase side adds the block, a run of h_J, to its
+parent's fold (hessvar._staircase_step), and the two meet at the leaves
+(_leaf), which keep each pair's Poincare polynomial for
+poincare-corollary and main-theorem, so each (shape, J) is swept once.
+The two minimal coset checks compare one descent set per flag, which
+decides them for every J at once: strings-coset from each one line
+array's string lengths as plain ints (symgroup._string_lengths), and
+schubert-coset per shape as planes.  The Schubert checks walk the fiber by descent group, each
 group's points aligned with its flags (schubert._point_groups), and read
 one Bruhat lower ideal per group (schubert._group_ideal): schubert-ideal
 compares, for each J, the union of the ideals of the groups that miss J
@@ -49,14 +40,17 @@ import io
 import itertools
 import json
 import math
+import operator
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import TypeVar
 
 from .components import component_candidates
 from .hessvar import (
+    _free_counter,
     _planes_poincare,
     _sliced_sum,
-    _staircase_planes,
+    _staircase_step,
     h_from_parabolic,
     hess_cells,
     poincare_hessenberg,
@@ -88,6 +82,7 @@ from .symgroup import (
     _bit_indices,
     _bitset,
     _descents,
+    _sn_ascent_plane,
     _sn_image,
     _sn_lengths,
     _sn_sorting_masks,
@@ -97,6 +92,7 @@ from .symgroup import (
 )
 
 _MAX_RECORDED_FAILURES = 1000
+T = TypeVar("T")
 # the byte values with bit `level` set, for each bit of a byte
 _WITH_BIT = tuple(frozenset(value for value in range(256) if value >> level & 1) for level in range(8))
 
@@ -115,8 +111,9 @@ class CheckReport(Record):
     witnesses, failures_total counts every failure.  out_of_regime is
     (equal, total) over the pairs a check compares but asserts nothing
     about, None for a check that has none.  fixed-points and
-    parabolic-dimension share one coset pass per degree: the first to run
-    has it in elapsed, the other only the time to read its result."""
+    parabolic-dimension share one coset pass per degree, one walk of the
+    compositions of n per shape: the first to run has it in elapsed, the
+    other only the time to read its result."""
 
     check_id: str
     n: int
@@ -186,68 +183,106 @@ class _FailureLog:
         self.total += count - stored
 
 
+def _compositions(n: int, root: T, extend: Callable[[T, int, int], T]) -> Iterator[tuple[int, T]]:
+    """(J as a bitmask, state) per J, depth first over the blocks of J: a
+    node's children append one block s..e, e = s..n, to its blocks, each
+    with the state extend(the node's state, s, e).  Holds one path.
+
+    >>> [bin(mask) for mask, _ in _compositions(3, None, lambda *_: None)]
+    ['0b0', '0b100', '0b10', '0b110']
+    """
+
+    def walk(s: int, mask: int, state: T) -> Iterator[tuple[int, T]]:
+        if s > n:
+            yield mask, state
+        for e in range(s, n + 1):
+            # the block s..e glues s..e-1
+            yield from walk(e + 1, mask | (1 << e) - (1 << s), extend(state, s, e))
+
+    return walk(1, 0, root)
+
+
 def _by_coset(n: int) -> Iterator[tuple[ParabolicData, Partition, list[int]]]:
-    """Per shape, then per J in parabolics(n) order: the bit planes of the
-    shape's _excess bytes, one per bit of its largest excess, lowest
-    first, gathered so that bit w reads the plane at the minimal coset
-    representative of w.
+    """Per shape, then per J in the order of _compositions: the bit planes
+    of the shape's _excess bytes, 0 exactly off the fiber, one per bit of
+    its largest excess, lowest first, gathered so that bit w reads the
+    plane at the minimal coset representative of w.
 
     w goes to its representative by sorting each block of J, one sorting
     swap at a time, and a plane is gathered through a swap by a few masked
     shifts (symgroup._sn_sorting_masks).  The gathers apply the swaps to w
     last one first, which turns the insertion sort below into a bubble
-    sort.  Each J's swaps are listed once per sweep; each shape's planes
-    are sliced once and dropped before the next shape's, so the sweep
-    holds one shape's planes at a time, and the staircase side, whose
-    pieces are per shape (hessvar._run_pieces), builds each piece once."""
+    sort.  Sorting one block leaves the others as they are, so a child in
+    the tree gathers its parent's planes through its own block's swaps."""
     table = _sn_sorting_masks(n)
-    # position q + 1 moves down its block through swaps q, ..., block[0]
-    swaps = [
-        (p, [table[k - 1] for block in p.blocks for q in block[:-1] for k in range(q, block[0] - 1, -1)])
-        for p in parabolics(n)
-    ]
+    # position q + 1 moves down the block s..e through swaps q, ..., s
+    swaps = {
+        (s, e): [table[k - 1] for q in range(s, e) for k in range(q, s - 1, -1)]
+        for s, e in itertools.combinations_with_replacement(range(1, n + 1), 2)
+    }
+    by_mask = {p.mask: p for p in parabolics(n)}
+
+    def gather(planes: list[int], s: int, e: int) -> list[int]:
+        gathered = []
+        for plane in planes:
+            for ascents, moves in swaps[s, e]:
+                sorted_plane = plane & ascents
+                for shift, sources in moves:
+                    sorted_plane |= (plane & sources) << shift
+                plane = sorted_plane
+            gathered.append(plane)
+        return gathered
+
     for shape in partitions(n):
         excess = _excess(shape)
         planes = [_bitset(excess[::-1], values) for values in _WITH_BIT[: max(excess).bit_length()]]
-        for p, p_swaps in swaps:
-            gathered = []
-            for plane in planes:
-                for ascents, moves in p_swaps:
-                    plane = sum(((plane & sources) << shift for shift, sources in moves), plane & ascents)
-                gathered.append(plane)
-            yield p, shape, gathered
+        for mask, gathered in _compositions(n, planes, gather):
+            yield by_mask[mask], shape, gathered
+
+
+def _leaf(
+    shape: Partition, p: ParabolicData, addend: list[int], counter: Sequence[int], outside: int, targets: list[int]
+) -> tuple[int, int, int]:
+    """fixed-points' failures, and parabolic-dimension's cell count and
+    failures, for one (shape, J) from its gathered planes and staircase
+    fold; keeps the pair's polynomial (hessvar._planes_poincare).  Both
+    readers of counter read member bits only, so it is not cut down."""
+    members = ((1 << math.factorial(shape.n)) - 1) ^ outside
+    _planes_poincare(shape, h_from_parabolic(p), members, counter)
+    in_fiber = functools.reduce(int.__or__, addend)
+    # the cells of either side: a staircase cell whose representative
+    # misses the fiber adds 0 to dim <= l(w), and a coset cell that the
+    # staircase lacks, in cells ^ members, is wrong outright
+    cells = in_fiber | members
+    # dim + excess = sdim(v) + l(y) + 1 + l(v) - sdim(v) = l(w) + 1 on
+    # every cell, compared level by level, the carry out included
+    mismatch = 0
+    for level, target in itertools.zip_longest(_sliced_sum(counter, addend), targets, fillvalue=0):
+        mismatch |= level ^ target
+    return in_fiber ^ members, cells.bit_count(), cells ^ members | cells & mismatch
 
 
 @functools.lru_cache(maxsize=1)
 def _coset_pass(n: int) -> tuple[tuple[int, _FailureLog], tuple[int, _FailureLog]]:
-    """fixed-points and parabolic-dimension at degree n, from one coset
-    sweep and one kernel call per (shape, J), shape by shape; the excess
-    is 0 exactly off the fiber, so the OR of its gathered planes is
-    fixed-points' coset side."""
+    """fixed-points and parabolic-dimension at degree n.  Per shape, the
+    coset side (_by_coset) and the staircase side walk the tree of
+    _compositions apart, a child adding its block, a run of h_J, to its
+    parent's fold (hessvar._staircase_step); the leaves are finished
+    (_leaf), then recorded in parabolics(n) order."""
     image = _sn_image(n)
     # the bit planes of l(w) + 1 over S_n, lowest first
     data = bytes(length + 1 for length in reversed(_sn_lengths(n)))
     targets = [_bitset(data, values) for values in _WITH_BIT[: max(data).bit_length()]]
     dimension_cases = 0
     fixed, dimension = _FailureLog(), _FailureLog()
-    for p, shape, addend in _by_coset(n):
-        h = h_from_parabolic(p)
-        members, counter = _staircase_planes(shape, h)
-        # the same planes give poincare-corollary and main-theorem their sweep
-        _planes_poincare(shape, h, members, counter)
-        in_fiber = functools.reduce(int.__or__, addend)
-        fixed.record_set(shape, p, in_fiber ^ members, image)
-        # the cells of either side: a staircase cell whose representative
-        # misses the fiber adds 0 to dim <= l(w), and a coset cell that the
-        # staircase lacks is wrong outright
-        cells = in_fiber | members
-        # dim + excess = sdim(v) + l(y) + 1 + l(v) - sdim(v) = l(w) + 1 on
-        # every cell, compared level by level, the carry out included
-        wrong = ~members
-        for level, target in itertools.zip_longest(_sliced_sum(counter, addend), targets, fillvalue=0):
-            wrong |= level ^ target
-        dimension_cases += cells.bit_count()
-        dimension.record_set(shape, p, cells & wrong, image)
+    for shape, leaves in itertools.groupby(_by_coset(n), key=operator.itemgetter(1)):
+        stairs = _compositions(n, (_free_counter(shape), 0), lambda fold, s, e: _staircase_step(shape, *fold, s, e, e))
+        found = {p: _leaf(shape, p, addend, *fold, targets) for (p, _, addend), (_, fold) in zip(leaves, stairs)}
+        for p in parabolics(n):
+            fixed_bits, cells, dimension_bits = found[p]
+            fixed.record_set(shape, p, fixed_bits, image)
+            dimension_cases += cells
+            dimension.record_set(shape, p, dimension_bits, image)
     # fixed-points compares all of S_n for each pair
     return (math.factorial(n) * len(partitions(n)) * len(parabolics(n)), fixed), (dimension_cases, dimension)
 
@@ -305,13 +340,27 @@ def _check_strings_coset(n: int) -> tuple[int, _FailureLog]:
 
 def _check_schubert_coset(n: int) -> tuple[int, _FailureLog]:
     """A Springer fiber flag and its Schubert point agree about minimal
-    coset membership for every J: they have the same right descents."""
+    coset membership for every J: they have the same right descents.  Per
+    shape and i, the flags off the ascent plane of i are compared as a set
+    with those whose point has a descent at i; only a shape where they
+    differ is walked flag by flag for its witnesses."""
     image = _sn_image(n)
+    order = math.factorial(n)
     cases = 0
     failures = _FailureLog()
     for shape in partitions(n):
-        for _, flags, _, _, point_descents in _point_groups(shape, 0):
+        groups = list(_point_groups(shape, 0))
+        # per S_n index: 1 on a flag, and its point's descent i as bit i - 1
+        fiber, descent_bytes = bytearray(order), bytearray(order)
+        for _, flags, _, _, point_descents in groups:
             cases += len(flags)
+            for idx, descents in zip(flags, point_descents):
+                fiber[idx], descent_bytes[idx] = 1, descents >> 1
+        # _bitset reads the highest index first
+        flags_set, descent_bytes = _bitset(fiber[::-1], (1,)), descent_bytes[::-1]
+        if all(flags_set & ~_sn_ascent_plane(n, i) == _bitset(descent_bytes, _WITH_BIT[i - 1]) for i in range(1, n)):
+            continue
+        for _, flags, _, _, point_descents in groups:
             for idx, descents in zip(flags, point_descents):
                 w = image(idx)
                 diff = _descents(w) ^ descents
@@ -509,7 +558,8 @@ COMPONENT_FIELDS = ("lambda", "J", "candidates", "maximal", "full", "dims")
 GRANULARITIES = {
     "cells": (CELL_FIELDS, _cell_rows, MAX_CELLS_DEGREE),
     "summaries": (SUMMARY_FIELDS, _summary_rows, MAX_SWEEP_DEGREE),
-    "components": (COMPONENT_FIELDS, _component_rows, MAX_SWEEP_DEGREE),
+    # the pairwise Bruhat filter of components takes about 5 minutes at n = 9
+    "components": (COMPONENT_FIELDS, _component_rows, 8),
 }
 
 

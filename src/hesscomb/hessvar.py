@@ -13,11 +13,12 @@ off the value planes of w^(-1) for all of S_n at once, as integer bitsets
 checks take their staircase side from it.  The kernel adds up per shape
 pieces: the pairs outside the orbit ideal, which do not depend on h
 (_free_counter), and one piece per run of h, a maximal interval of
-positions on which h is constant (_run_pieces).  The runs of a block
-staircase are the blocks of J, so the 2^(n-1) subsets J of a degree draw
-on C(n + 1, 2) pieces per shape.  A piece is fixed by the run's
-positions and value alone; it reads no coset, sorting mask or W^J set,
-so the kernel stays independent of the coset route.  poincare_hessenberg
+positions on which h is constant (_run_pieces), one run per step
+(_staircase_step).  The runs of a block staircase are the blocks of J,
+so the 2^(n-1) subsets J of a degree draw on C(n + 1, 2) pieces per
+shape.  A piece is fixed by the run's positions and value alone; it
+reads no coset, sorting mask or W^J set, so the kernel stays
+independent of the coset route.  poincare_hessenberg
 keeps its answers, and a caller that sweeps the planes anyway keeps the
 polynomial there too (_planes_poincare), so each (shape, h) is swept
 once.  springer_min_reps and poincare_parabolic_formula read the fiber
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .nilpotent import (
     Partition,
@@ -278,21 +279,8 @@ def _landed_count(n: int, rows: Iterable[tuple[int, ...]], s: int, e: int, top: 
         # w^(-1)(j + 1) = x + 1, at the positions x + 1 that some value above still fits
         at = [(ge[j][x] ^ ge[j][x + 1], x + 1) for x in range(s - 1, min(e, top - 1))]
         for i in row:
-            _add_plane(counter, _or(plane & (ge[i][above] ^ ge[i][top]) for plane, above in at))
+            _add_plane(counter, functools.reduce(int.__or__, (plane & (ge[i][above] ^ ge[i][top]) for plane, above in at), 0))
     return tuple(counter)
-
-
-def _staircase_members(shape: Partition, h: HessenbergFunction) -> int:
-    """The w whose cell is nonempty, as a set over S_n: w^(-1) moves every
-    root (a, b) of X into the staircase, w^(-1)(a) <= h(w^(-1)(b)).  It is
-    the complement of the OR of the sets that the runs of h move out
-    (_run_pieces).
-
-    It reads only the value planes of w^(-1), h and the orbit ideal, never
-    a coset: it is the side that the harness compares with the coset route.
-    """
-    outside = _or(_run_pieces(shape, *run)[1] for run in _runs(h))
-    return ((1 << math.factorial(shape.n)) - 1) ^ outside
 
 
 def _add_plane(counter: list[int], plane: int) -> None:
@@ -322,25 +310,36 @@ def _sliced_sum(a: Iterable[int], b: Iterable[int]) -> list[int]:
     return total
 
 
+def _staircase_step(
+    shape: Partition, counter: Sequence[int], outside: int, s: int, e: int, top: int
+) -> tuple[Sequence[int], int]:
+    """The kernel's one step: the fold (counter, outside) of some runs of h
+    extended by the run s..e with value top, its _run_pieces added to
+    counter and ORed into outside.  An empty count leaves counter as is."""
+    piece, moved = _run_pieces(shape, s, e, top)
+    return (_sliced_sum(counter, piece) if piece else counter), outside | moved
+
+
 def _staircase_planes(shape: Partition, h: HessenbergFunction) -> tuple[int, list[int]]:
     """The nonempty cells and their dimensions over all of S_n at once.
 
-    Returns (members, counter): members as in _staircase_members, and the
-    cell dimension of each member w bit sliced, bit k of the dimension in
-    counter[k], zero outside members.  The dimension counts the inverted
-    pairs of w^(-1) outside the orbit ideal, and the inverted pairs inside
-    it whose values land in the staircase, w^(-1)(j) < w^(-1)(i) <=
-    h(w^(-1)(j)).  The pairs outside the ideal do not depend on h, so
-    _free_counter counts them once per shape; the pairs inside split by
-    the run of h that holds w^(-1)(j), and the counts of h's runs
-    (_run_pieces) are added to it.
+    Returns (members, counter): members, the w whose cell is nonempty,
+    w^(-1) moves every root (a, b) of X into the staircase, w^(-1)(a) <=
+    h(w^(-1)(b)), as a set over S_n, and the cell dimension of each member
+    w bit sliced, bit k in counter[k], zero outside members.  The
+    dimension counts the inverted pairs of w^(-1) outside the orbit ideal,
+    which _free_counter counts once per shape, and the inverted pairs
+    inside it whose values land in the staircase, w^(-1)(j) < w^(-1)(i) <=
+    h(w^(-1)(j)), split by the run of h that holds w^(-1)(j), one
+    _staircase_step per run.
 
     One kernel for every h, parabolic or not: it reads the value planes of
     w^(-1), h and the orbit ideal, and no coset, sorting mask or W^J plane.
     """
-    pieces = (_run_pieces(shape, *run)[0] for run in _runs(h))
-    counter = functools.reduce(_sliced_sum, pieces, _free_counter(shape))
-    members = _staircase_members(shape, h)
+    counter, outside = _free_counter(shape), 0
+    for run in _runs(h):
+        counter, outside = _staircase_step(shape, counter, outside, *run)
+    members = ((1 << math.factorial(shape.n)) - 1) ^ outside
     return members, [plane & members for plane in counter]
 
 
@@ -352,16 +351,13 @@ def _free_counter(shape: Partition) -> tuple[int, ...]:
     return _landed_count(shape.n, [free for free, _ in _position_pairs(shape)], 1, shape.n, shape.n)
 
 
-def _or(planes: Iterable[int]) -> int:
-    return functools.reduce(int.__or__, planes, 0)
-
-
-def _dimension_sets(members: int, counter: list[int]) -> list[int]:
-    """cells[d]: the members whose bit sliced counter spells d.  An empty
-    set is not split: both of its halves are empty."""
+def _dimension_sets(members: int, counter: Sequence[int]) -> list[int]:
+    """cells[d]: the members whose bit sliced counter spells d, bits of
+    counter off the members unread.  Each set splits by a plane into the
+    part on it and the rest, its XOR with that part."""
     cells = [members]
     for plane in reversed(counter):
-        cells = [part for whole in cells for part in ((whole & ~plane, whole & plane) if whole else (0, 0))]
+        cells = [part for whole in cells for high in (whole & plane,) for part in (whole ^ high, high)]
     return cells
 
 
@@ -369,11 +365,11 @@ def _dimension_sets(members: int, counter: list[int]) -> list[int]:
 _poincare_memo: dict[tuple[Partition, HessenbergFunction], Poly] = {}
 
 
-def _planes_poincare(shape: Partition, h: HessenbergFunction, members: int, counter: list[int]) -> Poly:
+def _planes_poincare(shape: Partition, h: HessenbergFunction, members: int, counter: Sequence[int]) -> Poly:
     """The Poincare polynomial of (shape, h) from its _staircase_planes,
     kept as poincare_hessenberg's answer: a caller that sweeps the planes
     for its own use spares the later call a second sweep."""
-    poly = _poincare_memo[shape, h] = Poly(tuple(cells.bit_count() for cells in _dimension_sets(members, counter)))
+    poly = _poincare_memo[shape, h] = Poly(map(int.bit_count, _dimension_sets(members, counter)))
     return poly
 
 

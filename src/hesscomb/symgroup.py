@@ -28,8 +28,9 @@ from .rootsys import Root, RootSet
 # from degree 10 on the sweeps take ten times longer and the tables gigabytes.
 MAX_DEGREE = 9
 # Largest degree of the exhaustive harness sweeps (run_checks and census),
-# which visit every shape and every J of a degree.
-MAX_SWEEP_DEGREE = 8
+# which visit every shape and every J of a degree: verify --n 9 takes
+# about 30 s on a 2-vCPU VM, most of it in the coset pass.
+MAX_SWEEP_DEGREE = 9
 # Largest degree of census --granularity cells, one row per cell of every
 # shape and J: 1,137,663 rows at degree 7, and 19,048,197 at 8 would hold
 # about 15 GB of rows.
@@ -482,7 +483,7 @@ def poincare_subgroup(p: ParabolicData) -> Poly:
 # _split_index ranks a one line array and _sn_image unranks an index, both
 # through the tables of the head and tail halves of the array; no table
 # holds the n! one line arrays.  The sorting masks serve only the harness
-# sweeps, gathering sets J by J; the union reads their ascent planes alone.
+# sweeps, gathering sets block by block; the union reads their ascent planes alone.
 # ---------------------------------------------------------------------------
 
 

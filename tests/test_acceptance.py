@@ -226,6 +226,16 @@ def test_criterion_4_main_theorem_sweep(capsys):
         assert time.perf_counter() - start < SWEEP_BUDGET
 
 
+def test_criterion_4_main_theorem_sweep_n8(capsys):
+    """The same comparison at n = 8, the degree below the sweep cap."""
+    with criterion(capsys, 4, "main comparison sweep n = 8") as start:
+        (report,) = [r for r in run_checks(8, checks=["main-theorem"]) if r.n == 8]
+        assert report.failures == (), report
+        assert report.cases_run == 22 * 128
+        assert report.out_of_regime == (312, 896)
+        assert time.perf_counter() - start < SWEEP_BUDGET
+
+
 def _item_a_ideal_equivalence():
     for total in range(1, 9):
         for shape in partitions(total):

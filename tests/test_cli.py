@@ -515,9 +515,9 @@ def test_verify_empty_check_list_fails_fast(capsys, checks):
 
 
 def test_verify_bad_degree(capsys):
-    status, _, err = run(capsys, "verify", "--n", "9")
+    status, _, err = run(capsys, "verify", "--n", "10")
     assert status == 1
-    assert "between 1 and 8" in err
+    assert "between 1 and 9" in err
 
 
 def test_verify_prints_every_failure_not_only_the_stored(fifteen_hundred_failures, capsys):
@@ -635,10 +635,17 @@ def test_census_cells_stop_at_degree_seven(tmp_path, capsys):
 
 
 def test_census_components_stop_at_the_sweep_degree(capsys):
+    status, out, err = run(capsys, "census", "--n", "10", "--granularity", "components")
+    assert status == 1
+    assert out == ""
+    assert err == "error: degree must be between 1 and 9, got 10\n"
+
+
+def test_census_components_stop_one_below_the_sweep_degree(capsys):
     status, out, err = run(capsys, "census", "--n", "9", "--granularity", "components")
     assert status == 1
     assert out == ""
-    assert err == "error: degree must be between 1 and 8, got 9\n"
+    assert err == "error: components granularity supports degree at most 8, got 9\n"
 
 
 def test_census_json(capsys):

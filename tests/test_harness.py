@@ -91,7 +91,7 @@ def test_run_checks_validation():
     with pytest.raises(ValueError):
         run_checks(0)
     with pytest.raises(ValueError):
-        run_checks(9)
+        run_checks(10)
     with pytest.raises(ValueError, match="unknown check id: bogus"):
         run_checks(2, checks=["bogus"])
 
@@ -169,9 +169,30 @@ def _off_by_one(kernel):
     return wrong
 
 
-def _without_identity(kernel):
-    # index 0 is the identity, whose cell is never empty
-    return lambda shape, h: kernel(shape, h) & ~1
+def _one_more(free):
+    # every staircase fold starts one higher, so every cell dimension is one too high
+    return lambda shape: hessvar._sliced_sum(free(shape), [(1 << math.factorial(shape.n)) - 1])
+
+
+def _moving_out(change):
+    """A wrong version of the kernel step hessvar._staircase_step: the set
+    of w that it moves out of the staircase passed through change, with
+    the order of S_n."""
+
+    def wrong_route(step):
+        def wrong(shape, counter, outside, *run):
+            counter, outside = step(shape, counter, outside, *run)
+            return counter, change(outside, math.factorial(shape.n))
+
+        return wrong
+
+    return wrong_route
+
+
+# index 0 is the identity, whose cell is never empty
+_without_identity = _moving_out(lambda outside, order: outside | 1)
+# the last index is w0, whose cell is empty for some (shape, J) at n = 4
+_with_longest = _moving_out(lambda outside, order: outside & ~(1 << order - 1))
 
 
 def _reps_without_identity(groups):
@@ -207,9 +228,10 @@ def _points_without_identity(points):
 
 # check id -> (module, name, wrong version of the named route)
 WRONG_ROUTES = {
-    # the coset pass reaches the members through hessvar._staircase_planes
-    "fixed-points": (hessvar, "_staircase_members", _without_identity),
-    "parabolic-dimension": (harness, "_staircase_planes", _off_by_one),
+    # the coset pass folds the staircase side from hessvar._free_counter
+    # through hessvar._staircase_step, one block of J at a time
+    "fixed-points": (harness, "_staircase_step", _without_identity),
+    "parabolic-dimension": (harness, "_free_counter", _one_more),
     "poincare-corollary": (
         harness,
         "poincare_parabolic_formula",
@@ -363,24 +385,11 @@ def test_main_theorem_fails_when_the_union_drops_a_coset_step(name, wrong, clean
     assert not report.passed
 
 
-def _with_longest(kernel):
-    # the last index is w0, whose cell is empty for some (shape, J) at n = 4
-    return lambda shape, h: kernel(shape, h) | 1 << (math.factorial(shape.n) - 1)
-
-
-def _members_without_identity(kernel):
-    def wrong(shape, h):
-        members, counter = kernel(shape, h)
-        return members & ~1, counter
-
-    return wrong
-
-
 @pytest.mark.parametrize(
     ("module", "name", "wrong", "check_id"),
     [
-        (hessvar, "_staircase_members", _with_longest, "fixed-points"),
-        (harness, "_staircase_planes", _members_without_identity, "parabolic-dimension"),
+        (harness, "_staircase_step", _with_longest, "fixed-points"),
+        (harness, "_staircase_step", _without_identity, "parabolic-dimension"),
     ],
     ids=["fixed-points-extra-member", "parabolic-dimension-missing-member"],
 )
@@ -392,13 +401,27 @@ def test_set_checks_fail_on_a_member_either_side(module, name, wrong, check_id, 
 
 
 def test_coset_checks_share_one_pass_per_degree(clean_caches, monkeypatch):
-    # one coset sweep per degree and one staircase kernel call per
-    # (shape, J), whichever of the two checks reads the pass first
+    # one coset sweep per degree and each (shape, J) leaf finished once,
+    # whichever of the two checks reads the pass first
     sweeps = _counted(monkeypatch, "_by_coset", (harness,))
-    kernels = _counted(monkeypatch, "_staircase_members", (hessvar,))
+    leaves = _counted(monkeypatch, "_leaf", (harness,))
     assert all(r.passed for r in run_checks(7))
     assert sweeps == [(n,) for n in range(1, 8)]
-    assert len(kernels) == len(set(kernels)) == 1481
+    assert len(leaves) == len({args[:2] for args in leaves}) == 1481
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_leaf_holds_the_kernel_of_its_pair(n, clean_caches, monkeypatch):
+    # the tree's fold for J, extended block by block, is the kernel's for
+    # h_J, up to the dimension bits off the members, which it keeps
+    leaves = _counted(monkeypatch, "_leaf", (harness,))
+    harness._coset_pass(n)
+    assert len(leaves) == len(partitions(n)) * len(parabolics(n))
+    full = (1 << math.factorial(n)) - 1
+    for shape, p, _, counter, outside, _ in leaves:
+        members = full ^ outside
+        kernel = hessvar._staircase_planes(shape, hessvar.h_from_parabolic(p))
+        assert (members, [plane & members for plane in counter]) == kernel, (shape, p)
 
 
 def test_run_cache_holds_one_shape_of_runs(clean_caches):
@@ -452,7 +475,7 @@ def _coset_reports(checks):
 @pytest.mark.parametrize("wrong", [_with_longest, _without_identity], ids=["extra-member", "missing-member"])
 def test_coset_checks_report_the_same_alone_and_together(wrong, clean_caches, monkeypatch):
     # run alone, each check pays for the pass itself; together, fixed-points pays
-    monkeypatch.setattr(hessvar, "_staircase_members", wrong(hessvar._staircase_members))
+    monkeypatch.setattr(harness, "_staircase_step", wrong(harness._staircase_step))
     alone = {}
     for check_id in ("fixed-points", "parabolic-dimension"):
         clear_caches()
@@ -462,18 +485,20 @@ def test_coset_checks_report_the_same_alone_and_together(wrong, clean_caches, mo
     assert all(alone[check_id, 4][1] for check_id in ("fixed-points", "parabolic-dimension"))
 
 
-def _one_bit_flipped(kernel, shape, p, level):
+def _one_bit_flipped(step, shape, level):
     """The staircase side with bit `level` of one member's dimension flipped:
-    w0, whose cell is full at J = {1..n-1}."""
-    w0 = math.factorial(shape.n) - 1
+    w0, whose cell is full at J = {1..n-1}.  The step that appends the one
+    block 1..n of that J is the only step of its leaf."""
+    n = shape.n
+    w0 = math.factorial(n) - 1
 
-    def wrong(other, h):
-        members, counter = kernel(other, h)
-        if (other, h) != (shape, hessvar.h_from_parabolic(p)):
-            return members, counter
+    def wrong(other, counter, outside, *run):
+        counter, outside = step(other, counter, outside, *run)
+        if (other, run) != (shape, (1, n, n)):
+            return counter, outside
         counter = list(counter)
         counter[level] ^= 1 << w0
-        return members, counter
+        return counter, outside
 
     return wrong
 
@@ -485,7 +510,7 @@ def test_parabolic_dimension_fails_on_one_flipped_dimension_bit(level, clean_cac
     shape, p = Partition((1, 1, 1, 1)), ParabolicData(4, frozenset({1, 2, 3}))
     members, counter = hessvar._staircase_planes(shape, hessvar.h_from_parabolic(p))
     assert len(counter) == 3 and members >> math.factorial(4) - 1 & 1
-    monkeypatch.setattr(harness, "_staircase_planes", _one_bit_flipped(harness._staircase_planes, shape, p, level))
+    monkeypatch.setattr(harness, "_staircase_step", _one_bit_flipped(harness._staircase_step, shape, level))
     cases, failures = harness.CHECKS["parabolic-dimension"](4)
     assert cases == 537
     assert failures.total == 1
@@ -567,18 +592,21 @@ def _counted(monkeypatch, name, modules):
 
 
 def test_each_pair_is_swept_and_each_flag_scanned_once(clean_caches, monkeypatch):
-    # parabolic-dimension keeps each pair's polynomial for poincare-corollary
-    # and main-theorem, and only dim-formulas scans tableaux: 1,481 (degree,
-    # shape, J) pairs and 13,390 fiber flags up to degree 7
-    sweeps = _counted(monkeypatch, "_staircase_planes", (harness, hessvar))
+    # the coset pass finishes each pair's leaf once and keeps its polynomial
+    # for poincare-corollary and main-theorem, which sweep nothing more, and
+    # only dim-formulas scans tableaux: 1,481 (degree, shape, J) pairs and
+    # 13,390 fiber flags up to degree 7
+    leaves = _counted(monkeypatch, "_leaf", (harness,))
+    sweeps = _counted(monkeypatch, "_staircase_planes", (hessvar,))
     scans = _counted(monkeypatch, "_row_inversion_vector", (harness, nilpotent, schubert))
     assert all(r.passed for r in run_checks(7))
-    assert len(sweeps) == len(set(sweeps)) == 1481
+    assert len(leaves) == len({args[:2] for args in leaves}) == 1481
+    assert sweeps == []
     assert len(scans) == len(set(scans)) == 13390
 
 
 def test_poincare_corollary_sweeps_alone(clean_caches, monkeypatch):
-    sweeps = _counted(monkeypatch, "_staircase_planes", (harness, hessvar))
+    sweeps = _counted(monkeypatch, "_staircase_planes", (hessvar,))
     reports = run_checks(6, ["poincare-corollary"])
     assert all(r.passed for r in reports)
     # one sweep per (shape, J) pair of degrees 1..6
@@ -588,7 +616,7 @@ def test_poincare_corollary_sweeps_alone(clean_caches, monkeypatch):
 def test_clearing_the_caches_forgets_the_kept_polynomials(clean_caches, monkeypatch):
     # parabolic-dimension keeps the polynomials of wrong planes, and
     # poincare-corollary finds them until the caches are cleared
-    monkeypatch.setattr(harness, "_staircase_planes", _off_by_one(harness._staircase_planes))
+    monkeypatch.setattr(harness, "_free_counter", _one_more(harness._free_counter))
     assert not run_checks(4, ["parabolic-dimension"])[-1].passed
     monkeypatch.undo()
     assert not run_checks(4, ["poincare-corollary"])[-1].passed

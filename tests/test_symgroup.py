@@ -400,8 +400,11 @@ def test_coset_table_is_the_coset_factor(n):
         in_fiber = sum(1 << w for w, v in enumerate(reps[p]) if excess[v])
         assert functools.reduce(int.__or__, gathered) == in_fiber, (p, shape)
         seen.append((p, shape))
-    # shape by shape, so the sweep holds one shape's planes at a time
-    assert seen == [(p, shape) for shape in partitions(n) for p in parabolics(n)]
+    # shape by shape, so the sweep holds one shape's planes at a time, and
+    # each shape's J depth first in the tree of block sizes, the first
+    # block shortest first: every (shape, J) once
+    assert len(set(seen)) == len(seen)
+    assert seen == [(p, shape) for shape in partitions(n) for p in sorted(parabolics(n), key=lambda p: p.mu)]
 
 
 # --- Per degree tables ---------------------------------------------------------
